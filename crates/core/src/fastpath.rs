@@ -556,41 +556,57 @@ impl<'e> InferencePlan<'e> {
                     prepared,
                     activation,
                 } => prepared.run(read(0), *activation, arena),
-                StepOp::Pool {
-                    kind,
-                    kernel,
-                    stride,
-                    pad,
-                } => ops::pool2d(read(0), *kind, *kernel, *stride, *pad),
-                StepOp::GlobalPool { kind } => ops::global_pool(read(0), *kind),
-                StepOp::Act(a) => ops::activate(read(0), *a),
-                StepOp::BatchNorm {
-                    mean,
-                    var,
-                    gamma,
-                    beta,
-                    eps,
-                } => ops::batch_norm(read(0), mean, var, gamma, beta, *eps),
-                StepOp::Scale { scale, bias } => ops::scale(read(0), scale, bias),
-                StepOp::Lrn {
-                    local_size,
-                    alpha,
-                    beta,
-                    k,
-                } => ops::lrn(read(0), *local_size, *alpha, *beta, *k),
-                StepOp::Eltwise(op) => {
-                    let ins: Vec<&Tensor> = (0..step.inputs.len()).map(read).collect();
-                    ops::eltwise(&ins, *op)
-                }
-                StepOp::Concat => {
-                    let ins: Vec<&Tensor> = (0..step.inputs.len()).map(read).collect();
-                    ops::concat(&ins)
-                }
-                StepOp::Softmax => ops::softmax(read(0)),
-                StepOp::Upsample { factor } => ops::upsample(read(0), *factor),
-                StepOp::Slice { begin, len } => ops::slice_channels(read(0), *begin, *len),
                 StepOp::Flatten => self.forward(step, slots, arena, &mut tmps).into_flat(),
                 StepOp::Forward => self.forward(step, slots, arena, &mut tmps),
+                op => {
+                    // Every other op writes a recycled arena buffer, so a
+                    // reused scratch reaches a fixed footprint.
+                    let [c, h, w] = step.phys_shape;
+                    let mut buf = arena.take_buffer(c * h * w);
+                    let ins = || (0..step.inputs.len()).map(read).collect::<Vec<_>>();
+                    match op {
+                        StepOp::Pool {
+                            kind,
+                            kernel,
+                            stride,
+                            pad,
+                        } => ops::pool2d_into(read(0), *kind, *kernel, *stride, *pad, &mut buf),
+                        StepOp::GlobalPool { kind } => {
+                            ops::global_pool_into(read(0), *kind, &mut buf)
+                        }
+                        StepOp::Act(a) => ops::activate_into(read(0), *a, &mut buf),
+                        StepOp::BatchNorm {
+                            mean,
+                            var,
+                            gamma,
+                            beta,
+                            eps,
+                        } => ops::batch_norm_into(read(0), mean, var, gamma, beta, *eps, &mut buf),
+                        StepOp::Scale { scale, bias } => {
+                            ops::scale_into(read(0), scale, bias, &mut buf)
+                        }
+                        StepOp::Lrn {
+                            local_size,
+                            alpha,
+                            beta,
+                            k,
+                        } => ops::lrn_into(read(0), *local_size, *alpha, *beta, *k, &mut buf),
+                        StepOp::Eltwise(op) => ops::eltwise_into(&ins(), *op, &mut buf),
+                        StepOp::Concat => ops::concat_into(&ins(), &mut buf),
+                        StepOp::Softmax => ops::softmax_into(read(0), &mut buf),
+                        StepOp::Upsample { factor } => {
+                            ops::upsample_into(read(0), *factor, &mut buf)
+                        }
+                        StepOp::Slice { begin, len } => {
+                            ops::slice_channels_into(read(0), *begin, *len, &mut buf)
+                        }
+                        StepOp::Conv { .. }
+                        | StepOp::Fc { .. }
+                        | StepOp::Flatten
+                        | StepOp::Forward => unreachable!("handled above"),
+                    }
+                    Tensor::from_vec(step.phys_shape, buf)
+                }
             };
             for (_, t) in tmps {
                 arena.release(t);
@@ -642,7 +658,6 @@ impl<'e> InferencePlan<'e> {
                 .zero_copy_forwards
                 .add(self.metrics.moves_per_execution);
         }
-        crate::telemetry::sync_fp16_redos();
         crate::telemetry::sync_lane_counters();
         crate::telemetry::sync_trace_counters();
         Ok(outputs)
@@ -895,7 +910,8 @@ mod tests {
             scratch.arena().recycled_allocs() > recycled_before,
             "second pass should hit the arena"
         );
-        // The conv slots all recycle; only non-arena ops may allocate fresh.
+        // Every step recycles; only the output handed to the caller leaves
+        // the arena and is replaced fresh.
         assert!(
             scratch.arena().fresh_allocs() <= fresh_after_warmup + 1,
             "{} fresh allocs after warmup",

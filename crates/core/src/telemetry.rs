@@ -226,19 +226,6 @@ pub(crate) fn record_plan_compile(model: &str, stats: &trtsim_metrics::ArenaStat
     .set(stats.utilization());
 }
 
-/// The process-wide FP16 fast-path redo counter, mirroring the raw count
-/// kept inside `trtsim-kernels` (which has no metrics dependency).
-fn fp16_redo_counter() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        Registry::global().counter(
-            "trtsim_plan_fp16_redos_total",
-            "FP16 Veltkamp fast-path rollback/redo events in numeric kernels",
-            &[],
-        )
-    })
-}
-
 /// Folds the `[last, now)` delta of a raw monotone count into a registry
 /// counter. Exactly-once under concurrency: a CAS loop claims the delta for
 /// a single caller. This is the bridge pattern for subsystems (`trtsim-ir`,
@@ -256,19 +243,9 @@ fn drain_monotone(last: &AtomicU64, now: u64, counter: &Counter) {
     }
 }
 
-/// Folds any new kernel-side FP16 redo events into the registry counter.
-pub(crate) fn sync_fp16_redos() {
-    static LAST: AtomicU64 = AtomicU64::new(0);
-    drain_monotone(
-        &LAST,
-        trtsim_kernels::numeric::fp16_redo_events(),
-        fp16_redo_counter(),
-    );
-}
-
 /// Lane-kernel activity counters, bridged from the raw atomics in
 /// `trtsim-ir` (layout conversions) and `trtsim-kernels` (values produced
-/// by SIMD lanes vs scalar walks / exact-redo fallbacks).
+/// by SIMD lanes vs scalar walks).
 fn lane_counters() -> &'static (Counter, Counter, Counter) {
     static C: OnceLock<(Counter, Counter, Counter)> = OnceLock::new();
     C.get_or_init(|| {
@@ -286,7 +263,7 @@ fn lane_counters() -> &'static (Counter, Counter, Counter) {
             ),
             reg.counter(
                 "trtsim_kernel_scalar_fallback_total",
-                "Output values produced by scalar walks or exact-redo fallbacks",
+                "Output values produced by scalar walks (dense fallbacks, legacy kernels)",
                 &[],
             ),
         )
@@ -570,15 +547,6 @@ mod tests {
             &[("direction", "h2d")],
         );
         assert!(h2d.get() > 0.0);
-    }
-
-    #[test]
-    fn fp16_redo_sync_is_monotone_and_exact_once() {
-        // Whatever the kernel-side count is, two syncs in a row must agree.
-        sync_fp16_redos();
-        let before = fp16_redo_counter().get();
-        sync_fp16_redos();
-        assert_eq!(fp16_redo_counter().get(), before);
     }
 
     #[test]

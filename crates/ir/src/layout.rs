@@ -22,7 +22,7 @@ pub const LANES: usize = 8;
 
 /// Total layout conversions executed, process-wide. `trtsim-ir` stays
 /// metrics-free; `trtsim-core`'s telemetry bridge drains this into the
-/// registry (same pattern as the kernels' FP16 redo counter).
+/// registry (same pattern as the kernels' lane counters).
 static LAYOUT_CONVERTS: AtomicU64 = AtomicU64::new(0);
 
 /// Monotone count of layout conversions executed since process start.

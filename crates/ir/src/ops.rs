@@ -73,50 +73,126 @@ pub fn conv2d(input: &Tensor, weights: &[f32], bias: &[f32], params: &ConvParams
 /// convention, as in Caffe's default).
 pub fn pool2d(input: &Tensor, kind: PoolKind, kernel: usize, stride: usize, pad: usize) -> Tensor {
     let [c, ih, iw] = input.shape();
-    let oh = (ih + 2 * pad - kernel) / stride + 1;
-    let ow = (iw + 2 * pad - kernel) / stride + 1;
-    let p = pad as isize;
-    let mut out = Tensor::zeros([c, oh, ow]);
-    for ch in 0..c {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                let mut sum = 0.0f32;
-                for ky in 0..kernel {
-                    let iy = (oy * stride) as isize + ky as isize - p;
+    let (oh, ow) = (
+        (ih + 2 * pad - kernel) / stride + 1,
+        (iw + 2 * pad - kernel) / stride + 1,
+    );
+    fresh([c, oh, ow], |o| {
+        pool2d_into(input, kind, kernel, stride, pad, o)
+    })
+}
+
+/// [`pool2d`] into a caller-provided buffer of exactly the output length
+/// (every element is written).
+///
+/// Windows that reach past the border read their padding taps as `0.0`
+/// from a zero-bordered copy of each plane, so every window takes the same
+/// bounds-check-free walk: taps in row-major order, eight output columns
+/// at a time. Max pooling keeps the first of equal taps (`v > acc`), which
+/// fixes the sign of a `±0` tie, and ignores NaN taps like `f32::max`.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not the pooled output's element count.
+pub fn pool2d_into(
+    input: &Tensor,
+    kind: PoolKind,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    out: &mut [f32],
+) {
+    match kind {
+        PoolKind::Max => pool_planes::<true>(input, kernel, stride, pad, out),
+        PoolKind::Avg => pool_planes::<false>(input, kernel, stride, pad, out),
+    }
+}
+
+fn pool_planes<const MAX: bool>(
+    input: &Tensor,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    out: &mut [f32],
+) {
+    const W: usize = 8;
+    let [c, ih, iw] = input.shape();
+    let (ph, pw) = (ih + 2 * pad, iw + 2 * pad);
+    let (oh, ow) = ((ph - kernel) / stride + 1, (pw - kernel) / stride + 1);
+    assert_eq!(out.len(), c * oh * ow, "pool output length mismatch");
+    let fold = |acc: f32, v: f32| match MAX {
+        true if v > acc => v,
+        true => acc,
+        false => acc + v,
+    };
+    let init = if MAX { f32::NEG_INFINITY } else { 0.0 };
+    let area = (kernel * kernel) as f32;
+    let mut padded = vec![0.0f32; if pad > 0 { ph * pw } else { 0 }];
+    for (plane, dst) in input
+        .as_slice()
+        .chunks_exact(ih * iw)
+        .zip(out.chunks_exact_mut(oh * ow))
+    {
+        let src: &[f32] = if pad == 0 {
+            plane
+        } else {
+            for (y, row) in plane.chunks_exact(iw).enumerate() {
+                let at = (y + pad) * pw + pad;
+                padded[at..at + iw].copy_from_slice(row);
+            }
+            &padded
+        };
+        for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
+            let window = &src[oy * stride * pw..];
+            for (chunk, d) in drow.chunks_mut(W).enumerate() {
+                let x0 = chunk * W * stride;
+                let mut acc = [init; W];
+                for row in window.chunks(pw).take(kernel) {
                     for kx in 0..kernel {
-                        let ix = (ox * stride) as isize + kx as isize - p;
-                        let v = if iy < 0 || ix < 0 || iy >= ih as isize || ix >= iw as isize {
-                            0.0
+                        let tap = |l: usize| row[x0 + l * stride + kx];
+                        if d.len() == W {
+                            for (l, a) in acc.iter_mut().enumerate() {
+                                *a = fold(*a, tap(l));
+                            }
                         } else {
-                            input.at(ch, iy as usize, ix as usize)
-                        };
-                        best = best.max(v);
-                        sum += v;
+                            for (l, a) in acc.iter_mut().enumerate().take(d.len()) {
+                                *a = fold(*a, tap(l));
+                            }
+                        }
                     }
                 }
-                *out.at_mut(ch, oy, ox) = match kind {
-                    PoolKind::Max => best,
-                    PoolKind::Avg => sum / (kernel * kernel) as f32,
-                };
+                for (o, a) in d.iter_mut().zip(acc) {
+                    *o = if MAX { a } else { a / area };
+                }
             }
         }
     }
+}
+
+/// Runs an `_into` op body on a fresh zeroed tensor of `shape`.
+fn fresh(shape: [usize; 3], f: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut out = Tensor::zeros(shape);
+    f(out.as_mut_slice());
     out
 }
 
 /// Pooling over the whole spatial extent, producing `[c, 1, 1]`.
 pub fn global_pool(input: &Tensor, kind: PoolKind) -> Tensor {
-    let [c, h, w] = input.shape();
-    let mut out = Tensor::zeros([c, 1, 1]);
-    for ch in 0..c {
+    fresh([input.channels(), 1, 1], |o| {
+        global_pool_into(input, kind, o)
+    })
+}
+
+/// [`global_pool`] into a `c`-element buffer.
+pub fn global_pool_into(input: &Tensor, kind: PoolKind, out: &mut [f32]) {
+    let area = (input.height() * input.width()) as f32;
+    for (ch, o) in out.iter_mut().enumerate().take(input.channels()) {
         let plane = input.channel(ch);
-        *out.at_mut(ch, 0, 0) = match kind {
+        *o = match kind {
             PoolKind::Max => plane.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b)),
-            PoolKind::Avg => plane.iter().sum::<f32>() / (h * w) as f32,
+            PoolKind::Avg => plane.iter().sum::<f32>() / area,
         };
     }
-    out
 }
 
 /// Fully-connected layer over the flattened input.
@@ -155,9 +231,15 @@ pub fn inner_product(
 
 /// Standalone activation.
 pub fn activate(input: &Tensor, activation: Activation) -> Tensor {
-    let mut out = input.clone();
-    out.map_inplace(|x| activation.apply(x));
-    out
+    fresh(input.shape(), |o| activate_into(input, activation, o))
+}
+
+/// [`activate`] into a buffer of the input's length. Elementwise, so any
+/// physical layout works.
+pub fn activate_into(input: &Tensor, activation: Activation, out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(input.as_slice()) {
+        *o = activation.apply(x);
+    }
 }
 
 /// Inference-form batch normalization.
@@ -169,41 +251,63 @@ pub fn batch_norm(
     beta: &[f32],
     eps: f32,
 ) -> Tensor {
-    let [c, h, w] = input.shape();
-    let mut out = Tensor::zeros([c, h, w]);
-    for ch in 0..c {
-        let inv_std = 1.0 / (var[ch] + eps).sqrt();
-        for y in 0..h {
-            for x in 0..w {
-                *out.at_mut(ch, y, x) =
-                    (input.at(ch, y, x) - mean[ch]) * inv_std * gamma[ch] + beta[ch];
-            }
-        }
-    }
-    out
+    fresh(input.shape(), |o| {
+        batch_norm_into(input, mean, var, gamma, beta, eps, o)
+    })
 }
 
-/// Per-channel affine transform.
-pub fn scale(input: &Tensor, scale: &[f32], bias: &[f32]) -> Tensor {
-    let [c, h, w] = input.shape();
-    let mut out = Tensor::zeros([c, h, w]);
-    for (ch, &mult) in scale.iter().enumerate().take(c) {
-        let b = bias.get(ch).copied().unwrap_or(0.0);
-        for y in 0..h {
-            for x in 0..w {
-                *out.at_mut(ch, y, x) = input.at(ch, y, x) * mult + b;
-            }
+/// [`batch_norm`] into a buffer of the input's length.
+pub fn batch_norm_into(
+    input: &Tensor,
+    mean: &[f32],
+    var: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+) {
+    let plane = input.height() * input.width();
+    for (ch, dst) in out.chunks_exact_mut(plane.max(1)).enumerate() {
+        let inv_std = 1.0 / (var[ch] + eps).sqrt();
+        for (o, &x) in dst.iter_mut().zip(input.channel(ch)) {
+            *o = (x - mean[ch]) * inv_std * gamma[ch] + beta[ch];
         }
     }
-    out
+}
+
+/// Per-channel affine transform (channels past `scale.len()` become 0).
+pub fn scale(input: &Tensor, scale: &[f32], bias: &[f32]) -> Tensor {
+    fresh(input.shape(), |o| scale_into(input, scale, bias, o))
+}
+
+/// [`scale`] into a buffer of the input's length.
+pub fn scale_into(input: &Tensor, scale: &[f32], bias: &[f32], out: &mut [f32]) {
+    let plane = input.height() * input.width();
+    for (ch, dst) in out.chunks_exact_mut(plane.max(1)).enumerate() {
+        match scale.get(ch) {
+            Some(&mult) => {
+                let b = bias.get(ch).copied().unwrap_or(0.0);
+                for (o, &x) in dst.iter_mut().zip(input.channel(ch)) {
+                    *o = x * mult + b;
+                }
+            }
+            None => dst.fill(0.0),
+        }
+    }
 }
 
 /// Across-channel local response normalization (AlexNet-style):
 /// `out = in / (k + α/n · Σ in²)^β` over a window of `local_size` channels.
 pub fn lrn(input: &Tensor, local_size: usize, alpha: f32, beta: f32, k: f32) -> Tensor {
+    fresh(input.shape(), |o| {
+        lrn_into(input, local_size, alpha, beta, k, o)
+    })
+}
+
+/// [`lrn`] into a buffer of the input's length.
+pub fn lrn_into(input: &Tensor, local_size: usize, alpha: f32, beta: f32, k: f32, out: &mut [f32]) {
     let [c, h, w] = input.shape();
     let half = local_size / 2;
-    let mut out = Tensor::zeros([c, h, w]);
     for ch in 0..c {
         let lo = ch.saturating_sub(half);
         let hi = (ch + half).min(c - 1);
@@ -215,11 +319,10 @@ pub fn lrn(input: &Tensor, local_size: usize, alpha: f32, beta: f32, k: f32) -> 
                     sq += v * v;
                 }
                 let denom = (k + alpha / local_size as f32 * sq).powf(beta);
-                *out.at_mut(ch, y, x) = input.at(ch, y, x) / denom;
+                out[(ch * h + y) * w + x] = input.at(ch, y, x) / denom;
             }
         }
     }
-    out
 }
 
 /// Element-wise combination of equal-shaped tensors.
@@ -228,15 +331,25 @@ pub fn lrn(input: &Tensor, local_size: usize, alpha: f32, beta: f32, k: f32) -> 
 ///
 /// Panics if fewer than two inputs are given or shapes differ.
 pub fn eltwise(inputs: &[&Tensor], op: EltwiseOp) -> Tensor {
+    fresh(inputs[0].shape(), |o| eltwise_into(inputs, op, o))
+}
+
+/// [`eltwise`] into a buffer of the inputs' length. Elementwise, so any
+/// physical layout works.
+///
+/// # Panics
+///
+/// Panics if fewer than two inputs are given or shapes differ.
+pub fn eltwise_into(inputs: &[&Tensor], op: EltwiseOp, out: &mut [f32]) {
     assert!(inputs.len() >= 2, "eltwise needs at least two inputs");
     let shape = inputs[0].shape();
     assert!(
         inputs.iter().all(|t| t.shape() == shape),
         "eltwise shape mismatch"
     );
-    let mut out = inputs[0].clone();
+    out.copy_from_slice(inputs[0].as_slice());
     for t in &inputs[1..] {
-        for (o, &v) in out.as_mut_slice().iter_mut().zip(t.as_slice()) {
+        for (o, &v) in out.iter_mut().zip(t.as_slice()) {
             *o = match op {
                 EltwiseOp::Sum => *o + v,
                 EltwiseOp::Max => o.max(v),
@@ -244,7 +357,19 @@ pub fn eltwise(inputs: &[&Tensor], op: EltwiseOp) -> Tensor {
             };
         }
     }
-    out
+}
+
+/// Output shape of a channel-axis concatenation.
+///
+/// # Panics
+///
+/// Panics if inputs are empty or have differing spatial dims.
+fn concat_shape(inputs: &[&Tensor]) -> [usize; 3] {
+    assert!(!inputs.is_empty());
+    let h = inputs[0].height();
+    let w = inputs[0].width();
+    assert!(inputs.iter().all(|t| t.height() == h && t.width() == w));
+    [inputs.iter().map(|t| t.channels()).sum(), h, w]
 }
 
 /// Channel-axis concatenation.
@@ -253,16 +378,16 @@ pub fn eltwise(inputs: &[&Tensor], op: EltwiseOp) -> Tensor {
 ///
 /// Panics if inputs have differing spatial dims.
 pub fn concat(inputs: &[&Tensor]) -> Tensor {
-    assert!(!inputs.is_empty());
-    let h = inputs[0].height();
-    let w = inputs[0].width();
-    assert!(inputs.iter().all(|t| t.height() == h && t.width() == w));
-    let total_c: usize = inputs.iter().map(|t| t.channels()).sum();
-    let mut data = Vec::with_capacity(total_c * h * w);
+    fresh(concat_shape(inputs), |o| concat_into(inputs, o))
+}
+
+/// [`concat()`] into a buffer of the concatenated length.
+pub fn concat_into(inputs: &[&Tensor], out: &mut [f32]) {
+    let mut at = 0;
     for t in inputs {
-        data.extend_from_slice(t.as_slice());
+        out[at..at + t.len()].copy_from_slice(t.as_slice());
+        at += t.len();
     }
-    Tensor::from_vec([total_c, h, w], data)
 }
 
 /// Channel-range view copy: channels `[begin, begin+len)`.
@@ -271,37 +396,62 @@ pub fn concat(inputs: &[&Tensor]) -> Tensor {
 ///
 /// Panics if the range exceeds the input's channels.
 pub fn slice_channels(input: &Tensor, begin: usize, len: usize) -> Tensor {
+    let [_, h, w] = input.shape();
+    fresh([len, h, w], |o| slice_channels_into(input, begin, len, o))
+}
+
+/// [`slice_channels`] into a `len·h·w` buffer.
+///
+/// # Panics
+///
+/// Panics if the range exceeds the input's channels.
+pub fn slice_channels_into(input: &Tensor, begin: usize, len: usize, out: &mut [f32]) {
     let [c, h, w] = input.shape();
     assert!(begin + len <= c, "slice out of range");
     let plane = h * w;
-    let data = input.as_slice()[begin * plane..(begin + len) * plane].to_vec();
-    Tensor::from_vec([len, h, w], data)
+    out.copy_from_slice(&input.as_slice()[begin * plane..(begin + len) * plane]);
 }
 
 /// Numerically-stable softmax over all elements.
 pub fn softmax(input: &Tensor) -> Tensor {
+    fresh(input.shape(), |o| softmax_into(input, o))
+}
+
+/// [`softmax`] into a buffer of the input's length.
+pub fn softmax_into(input: &Tensor, out: &mut [f32]) {
     let max = input
         .as_slice()
         .iter()
         .fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    let mut out = input.clone();
     let mut sum = 0.0f32;
-    for v in out.as_mut_slice() {
-        *v = (*v - max).exp();
-        sum += *v;
+    for (o, &x) in out.iter_mut().zip(input.as_slice()) {
+        *o = (x - max).exp();
+        sum += *o;
     }
-    for v in out.as_mut_slice() {
+    for v in out {
         *v /= sum;
     }
-    out
 }
 
 /// Nearest-neighbour upsampling by an integer factor.
 pub fn upsample(input: &Tensor, factor: usize) -> Tensor {
     let [c, h, w] = input.shape();
-    Tensor::from_fn([c, h * factor, w * factor], |ch, y, x| {
-        input.at(ch, y / factor, x / factor)
+    fresh([c, h * factor, w * factor], |o| {
+        upsample_into(input, factor, o)
     })
+}
+
+/// [`upsample`] into a `c·(h·factor)·(w·factor)` buffer.
+pub fn upsample_into(input: &Tensor, factor: usize, out: &mut [f32]) {
+    let [c, h, w] = input.shape();
+    let (oh, ow) = (h * factor, w * factor);
+    for ch in 0..c {
+        for y in 0..oh {
+            for x in 0..ow {
+                out[(ch * oh + y) * ow + x] = input.at(ch, y / factor, x / factor);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +561,67 @@ mod tests {
         let out = pool2d(&input, PoolKind::Max, 2, 2, 0);
         assert_eq!(out.shape(), [1, 1, 1]);
         assert_eq!(out.at(0, 0, 0), 7.0);
+    }
+
+    /// A per-tap bounds-checked walk (the old `pool2d`, with its max made
+    /// first-wins on ±0 ties like the new one), as an oracle.
+    fn pool_oracle(input: &Tensor, kind: PoolKind, k: usize, s: usize, p: usize) -> Tensor {
+        let [c, ih, iw] = input.shape();
+        let (oh, ow) = ((ih + 2 * p - k) / s + 1, (iw + 2 * p - k) / s + 1);
+        Tensor::from_fn([c, oh, ow], |ch, oy, ox| {
+            let (mut best, mut sum) = (f32::NEG_INFINITY, 0.0f32);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let iy = (oy * s + ky) as isize - p as isize;
+                    let ix = (ox * s + kx) as isize - p as isize;
+                    let inside = iy >= 0 && ix >= 0 && iy < ih as isize && ix < iw as isize;
+                    let v = if inside {
+                        input.at(ch, iy as usize, ix as usize)
+                    } else {
+                        0.0
+                    };
+                    best = if v > best { v } else { best };
+                    sum += v;
+                }
+            }
+            match kind {
+                PoolKind::Max => best,
+                PoolKind::Avg => sum / (k * k) as f32,
+            }
+        })
+    }
+
+    #[test]
+    fn pool_fast_paths_match_checked_walk_bitwise() {
+        let mut seed = 0x9e37_79b9u32;
+        let input = Tensor::from_fn([3, 13, 21], |_, _, _| {
+            seed ^= seed << 13;
+            seed ^= seed >> 17;
+            seed ^= seed << 5;
+            match seed % 17 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => f32::NEG_INFINITY,
+                r => (r as f32 - 9.0) * 0.37,
+            }
+        });
+        for (k, s, p) in [
+            (3, 1, 1),
+            (3, 2, 1),
+            (2, 2, 0),
+            (3, 2, 0),
+            (5, 1, 2),
+            (5, 3, 2),
+        ] {
+            for kind in [PoolKind::Max, PoolKind::Avg] {
+                let got = pool2d(&input, kind, k, s, p);
+                let want = pool_oracle(&input, kind, k, s, p);
+                assert_eq!(got.shape(), want.shape());
+                for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} k{k} s{s} p{p} elem {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! SIMD lane-array convolution micro-kernels with per-tactic data layouts.
 //!
 //! The hot inner loops of [`crate::numeric::PreparedConv`] are written here
-//! as branch-free `[f32; 8]` *lane arrays*: eight output channels advance in
-//! lockstep through the kernel taps, so LLVM lowers each step to a handful
+//! as branch-free `[f32; 8]` *lane arrays*: eight output channels advance
+//! in lockstep through the kernel taps, so LLVM lowers each step to a handful
 //! of 256-bit vector instructions (the build sets `-C target-cpu=native`).
 //! This is the simulator's analog of TensorRT's tactic-specific
 //! `h884cudnn…nhwc` kernels — and like them, each kernel prefers a physical
@@ -16,6 +16,12 @@
 //!   gathers), so the plan-time layout assignment is free to leave a value
 //!   canonical when converts would cost more than they save.
 //!
+//! Output pixels are walked in *bands*: maximal rectangles of rows × columns
+//! whose kernel windows keep the same taps in bounds. Each band carries the
+//! sub-list of its in-bounds taps with precomputed physical input deltas, so
+//! border pixels run the same multi-pixel tile kernel as the interior, with
+//! no per-tap bounds checks anywhere.
+//!
 //! # Bit-exactness
 //!
 //! Results are bit-identical to the scalar reference walks in
@@ -24,19 +30,15 @@
 //! * FP32 lanes accumulate in *exactly* the reference tap order with the
 //!   bias as the initial accumulator — the same f32 operations in the same
 //!   order, so even non-finite inputs propagate identically.
-//! * FP16 lanes round every product and partial sum with `round8`, a
-//!   branch-free blend that equals [`round_f16`] everywhere on
-//!   `|v| ≤ 32768`: the Veltkamp split covers the normal range, and a
-//!   magic-number add (`(v + 0.75) - 0.75`) lands subnormals on the
-//!   binary16 grid exactly (f32 ulp in `[0.5, 1)` is 2⁻²⁴ — the binary16
-//!   subnormal quantum — and ties-to-even agrees). Each tile tracks the
-//!   max magnitude it fed the rounder; if any value left the valid range
-//!   the whole tile is redone with the exact scalar [`round_f16`] path
-//!   (counted by [`crate::numeric::fp16_redo_events`]).
+//! * FP16 lanes round every product and partial sum with `round8`, an
+//!   exact binary16 round trip equal to [`round_f16`] for every `f32`
+//!   input — overflow to ±inf and NaN included — so no value ever needs a
+//!   scalar redo. Band tap lists skip out-of-bounds taps, so split-K chunk
+//!   positions count in-bounds taps only, as the reference walk does.
 //!
-//! Values produced by the vector path and by scalar walks (redos, dense
-//! fallbacks, legacy prepared kernels) are tallied process-wide and
-//! exported by the core telemetry bridge as
+//! Values produced by the vector path and by scalar walks (dense fallbacks
+//! for non-finite operands, legacy prepared kernels) are tallied
+//! process-wide and exported by the core telemetry bridge as
 //! `trtsim_kernel_vector_lanes_total` / `trtsim_kernel_scalar_fallback_total`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,21 +48,16 @@ use trtsim_ir::graph::{Activation, ConvParams};
 use trtsim_ir::layout::{Layout, LANES};
 use trtsim_util::f16::round_f16;
 
-use crate::numeric::{apply_act, fold_chunk, note_fp16_redo, veltkamp_f16, ConvGeom, Interior};
+use crate::numeric::{apply_act, fold_chunk, ConvGeom};
 use crate::tactic::{AccumOrder, Tactic};
 
-/// Lower edge of the Veltkamp fast range (2⁻¹⁴, the smallest normal f16).
-pub(crate) const F16_LO: f32 = 6.103_515_6e-5;
-/// Upper edge of the Veltkamp fast range.
-pub(crate) const F16_HI: f32 = 32_768.0;
-
-/// Output-pixel positions advanced together by the interior micro-kernel.
+/// Output-pixel positions advanced together by the tile micro-kernel.
 const TILE: usize = 4;
 
 /// Output values produced by the vectorized lane-array path.
 static VECTOR_LANES: AtomicU64 = AtomicU64::new(0);
-/// Output values produced by scalar walks: borders redone after a range
-/// trap, dense fallbacks, and the legacy (non-lane) prepared kernels.
+/// Output values produced by scalar walks: dense fallbacks for non-finite
+/// operands and the legacy (non-lane) prepared kernels.
 static SCALAR_FALLBACK: AtomicU64 = AtomicU64::new(0);
 
 /// Monotone count of output values computed by the vector lane path.
@@ -85,43 +82,84 @@ pub(crate) fn note_scalar_values(n: u64) {
     }
 }
 
-/// Branch-free round-to-binary16 of 8 lanes; bit-identical to [`round_f16`]
-/// for every `|v| ≤ 32768` (callers trap larger magnitudes and redo in
-/// scalar). Normals take the Veltkamp split; subnormals take the magic add,
-/// whose zero results get the argument's sign back so even `-0.0` matches.
+/// Round-to-nearest-even binary16 round trip of 8 lanes, bit-identical to
+/// [`round_f16`] for every `f32` input: NaN becomes the canonical quiet NaN
+/// `sign | 0x7fc0_0000`, magnitudes from 65520 up become ±inf.
+///
+/// With F16C this is one `vcvtps2ph`/`vcvtph2ps` pair plus a NaN blend;
+/// other targets take [`round8_portable`].
+#[cfg(all(target_arch = "x86_64", target_feature = "f16c"))]
 #[inline(always)]
-pub(crate) fn round8(v: [f32; LANES]) -> [f32; LANES] {
+pub fn round8(v: [f32; LANES]) -> [f32; LANES] {
+    use std::arch::x86_64::*;
+    // SAFETY: the cfg guarantees AVX and F16C; loads and stores stay within
+    // the two 8-element arrays.
+    unsafe {
+        let x = _mm256_loadu_ps(v.as_ptr());
+        let r = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x));
+        let sign = _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN)));
+        let qnan = _mm256_or_ps(sign, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc0_0000)));
+        let r = _mm256_blendv_ps(r, qnan, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
+        let mut out = [0.0f32; LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), r);
+        out
+    }
+}
+
+/// Round-to-nearest-even binary16 round trip of 8 lanes (see the F16C
+/// variant); targets without F16C take [`round8_portable`].
+#[cfg(not(all(target_arch = "x86_64", target_feature = "f16c")))]
+#[inline(always)]
+pub fn round8(v: [f32; LANES]) -> [f32; LANES] {
+    round8_portable(v)
+}
+
+/// Branch-free software body of [`round8`]. Normals take the Veltkamp split
+/// (`c = v·(2¹³+1); c − (c − v)` rounds the significand to 11 bits); a
+/// magic-number add (`(v + 0.75) − 0.75`) lands subnormals on the binary16
+/// grid (f32 ulp in `[0.5, 1)` is 2⁻²⁴, the binary16 subnormal quantum),
+/// with zero results given the argument's sign back; results past 65504
+/// (or NaN from an overflowed split) select ±inf, or the canonical NaN for
+/// a NaN argument.
+#[inline(always)]
+pub fn round8_portable(v: [f32; LANES]) -> [f32; LANES] {
     let mut r = [0.0f32; LANES];
     for l in 0..LANES {
         let x = v[l];
-        let rn = veltkamp_f16(x);
+        let c = x * 8193.0;
+        let rn = c - (c - x);
         let mut rs = (x + 0.75) - 0.75;
         if rs == 0.0 {
             rs = 0.0f32.copysign(x);
         }
-        r[l] = if x.abs() < F16_LO { rs } else { rn };
+        let big = if x.is_nan() {
+            f32::from_bits((x.to_bits() & 0x8000_0000) | 0x7fc0_0000)
+        } else {
+            f32::INFINITY.copysign(x)
+        };
+        r[l] = if x.abs() < 6.103_515_6e-5 {
+            rs
+        } else if rn.abs() <= 65_504.0 {
+            rn
+        } else {
+            big
+        };
     }
     r
 }
 
 /// Rounds a slice onto the binary16 grid in place, 8 lanes at a time;
-/// bit-identical to mapping [`round_f16`] (chunks holding a magnitude above
-/// the fast range — including non-finite values — are redone in scalar).
-/// Returns whether every rounded value is finite.
+/// bit-identical to mapping [`round_f16`]. Returns whether every rounded
+/// value is finite.
 pub(crate) fn round_f16_slice(buf: &mut [f32]) -> bool {
     let mut finite = true;
     let mut chunks = buf.chunks_exact_mut(LANES);
     for c in &mut chunks {
-        let v: [f32; LANES] = c.try_into().unwrap();
-        // NaN fails `<=`, so non-finite lanes land in the scalar redo too.
-        if v.iter().all(|x| x.abs() <= F16_HI) {
-            c.copy_from_slice(&round8(v));
-        } else {
-            for x in c.iter_mut() {
-                *x = round_f16(*x);
-                finite &= x.is_finite();
-            }
+        let r = round8(c.try_into().unwrap());
+        for v in r {
+            finite &= v.is_finite();
         }
+        c.copy_from_slice(&r);
     }
     for x in chunks.into_remainder() {
         *x = round_f16(*x);
@@ -130,37 +168,83 @@ pub(crate) fn round_f16_slice(buf: &mut [f32]) -> bool {
     finite
 }
 
+/// Output rows (or columns) `[lo, hi)` whose kernel windows keep exactly
+/// the taps `[k_lo, k_hi)` along that axis in bounds.
+#[derive(Debug, Clone, Copy)]
+struct Band {
+    lo: usize,
+    hi: usize,
+    k_lo: usize,
+    k_hi: usize,
+}
+
+/// Splits `0..out` into maximal runs of positions with the same in-bounds
+/// kernel range (interior positions form one band; each border position
+/// with its own clipping forms another).
+fn bands(out: usize, inp: usize, k: usize, s: usize, pad: isize) -> Vec<Band> {
+    let mut v: Vec<Band> = Vec::new();
+    for o in 0..out {
+        let start = (o * s) as isize - pad;
+        let k_lo = (-start).clamp(0, k as isize) as usize;
+        let k_hi = (inp as isize - start).clamp(0, k as isize) as usize;
+        match v.last_mut() {
+            Some(b) if (b.k_lo, b.k_hi) == (k_lo, k_hi) => b.hi = o + 1,
+            _ => v.push(Band {
+                lo: o,
+                hi: o + 1,
+                k_lo,
+                k_hi,
+            }),
+        }
+    }
+    v
+}
+
 /// A convolution lowered onto the lane-array micro-kernels.
 ///
 /// Weights are packed `[oc_block][tap] -> [f32; 8]` (output-channel lanes;
 /// channel lanes for depthwise), in the exact tap order of the dense
-/// reference walk. Input addressing is layout-parameterized: interior taps
-/// use precomputed physical deltas from the window origin, border taps go
-/// through [`Layout::index`] with bounds checks.
+/// reference walk. Input addressing is layout-parameterized through
+/// per-band tap lists of `(tap, physical delta from the window origin)`.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneConv {
     pub(crate) layout_in: Layout,
     pub(crate) layout_out: Layout,
     pub(crate) fp16: bool,
     depthwise: bool,
-    /// FP16 weights contain non-finite values: the Veltkamp/maxabs trap
-    /// cannot see `0·∞`, so every run takes the exact dense fallback.
+    /// FP16 weights contain non-finite values: NaN payloads would then
+    /// depend on operand order, so every run takes the exact dense walk.
     pub(crate) force_dense: bool,
     /// Split-K flush period in taps (`usize::MAX`: never flush).
     chunk: usize,
     /// Physical elements per one-pixel step along x in `layout_in`.
     in_mul: usize,
-    /// Interior input offset of each tap from the window origin (std only).
-    deltas: Vec<isize>,
-    /// `(c_in, dy, dx)` of each tap in dense order (`c_in` unused for
-    /// depthwise, where the channel is the lane).
-    taps: Vec<(usize, isize, isize)>,
+    rows: Vec<Band>,
+    cols: Vec<Band>,
+    /// `[row band × column band]`: the in-bounds taps in dense order, each
+    /// as `(tap, input delta from the window origin)`.
+    subs: Vec<Vec<(u32, i32)>>,
     /// `[block][tap]` weight lanes; lanes past the real channel count are 0.
     w: Vec<Vec<[f32; LANES]>>,
     /// Per-block bias lanes; pad lanes are 0.
     bias_v: Vec<[f32; LANES]>,
     /// Dense CHW-ordered weights (FP16: pre-rounded) for the fallback path.
     pub(crate) rdense: Vec<f32>,
+}
+
+/// Per-block operands of one lane-conv run, shared by every tile.
+struct BlockCtx<'a> {
+    x: &'a [f32],
+    wb: &'a [[f32; LANES]],
+    bv: [f32; LANES],
+    b: usize,
+    real: usize,
+    /// Depthwise: input elements between channel lanes, and the block's
+    /// channel offset.
+    ls: usize,
+    boff: isize,
+    chunk: usize,
+    act: Option<Activation>,
 }
 
 impl LaneConv {
@@ -195,44 +279,49 @@ impl LaneConv {
         let force_dense = fp16 && rdense.iter().any(|v| !v.is_finite());
 
         let [ic, ih, iw] = g.in_shape;
-        let (iwi, ihiw) = (iw as isize, (ih * iw) as isize);
-        let mut taps = Vec::new();
-        let mut deltas = Vec::new();
-        let taps_per_oc = if depthwise {
-            g.kh * g.kw
-        } else {
-            ic * g.kh * g.kw
-        };
-        for c_in in 0..if depthwise { 1 } else { ic } {
-            for ky in 0..g.kh {
-                for kx in 0..g.kw {
-                    let dy = ky as isize - g.ph;
-                    let dx = kx as isize - g.pw;
-                    taps.push((c_in, dy, dx));
-                    if !depthwise {
-                        deltas.push(match layout_in {
-                            Layout::Chw => c_in as isize * ihiw + dy * iwi + dx,
-                            Layout::Chwc8 => {
-                                ((c_in / LANES) as isize * ihiw + dy * iwi + dx) * LANES as isize
-                                    + (c_in % LANES) as isize
-                            }
-                            Layout::Nhwc => (dy * iwi + dx) * ic as isize + c_in as isize,
-                        });
-                    }
-                }
-            }
-        }
         let in_mul = match layout_in {
             Layout::Chw => 1,
             Layout::Chwc8 => LANES,
             Layout::Nhwc => ic,
         };
+        // Each band's in-bounds taps in dense `(c_in, ky, kx)` order, with
+        // their input delta from the window origin. Depthwise deltas are
+        // spatial only (the channel is the lane); standard ones add the
+        // input channel's physical offset.
+        let c_ins = if depthwise { 1 } else { ic };
+        let ntaps = c_ins * g.kh * g.kw;
+        let rows = bands(g.oh, ih, g.kh, g.s, g.ph);
+        let cols = bands(g.ow, iw, g.kw, g.s, g.pw);
+        let mut subs = Vec::with_capacity(rows.len() * cols.len());
+        for r in &rows {
+            for c in &cols {
+                let area = r.k_hi.saturating_sub(r.k_lo) * c.k_hi.saturating_sub(c.k_lo);
+                let mut sub = Vec::with_capacity(c_ins * area);
+                for c_in in 0..c_ins {
+                    let c_off = match layout_in {
+                        _ if depthwise => 0,
+                        Layout::Chw => c_in * ih * iw,
+                        Layout::Chwc8 => (c_in / LANES) * ih * iw * LANES + c_in % LANES,
+                        Layout::Nhwc => c_in,
+                    } as isize;
+                    for ky in r.k_lo..r.k_hi {
+                        for kx in c.k_lo..c.k_hi {
+                            let (dy, dx) = (ky as isize - g.ph, kx as isize - g.pw);
+                            let delta = c_off + (dy * iw as isize + dx) * in_mul as isize;
+                            let tap = (c_in * g.kh + ky) * g.kw + kx;
+                            sub.push((tap as u32, i32::try_from(delta).expect("conv too large")));
+                        }
+                    }
+                }
+                subs.push(sub);
+            }
+        }
 
         let blocks = g.out_channels.div_ceil(LANES);
         let mut w = Vec::with_capacity(blocks);
         let mut bias_v = Vec::with_capacity(blocks);
         for b in 0..blocks {
-            let mut wb = vec![[0.0f32; LANES]; taps.len()];
+            let mut wb = vec![[0.0f32; LANES]; ntaps];
             let mut bv = [0.0f32; LANES];
             for l in 0..LANES {
                 let oc = b * LANES + l;
@@ -241,7 +330,7 @@ impl LaneConv {
                 }
                 bv[l] = bias.get(oc).copied().unwrap_or(0.0);
                 for (tap, lane) in wb.iter_mut().enumerate() {
-                    lane[l] = rdense[oc * taps_per_oc + tap];
+                    lane[l] = rdense[oc * ntaps + tap];
                 }
             }
             w.push(wb);
@@ -260,8 +349,9 @@ impl LaneConv {
                 usize::MAX
             },
             in_mul,
-            deltas,
-            taps,
+            rows,
+            cols,
+            subs,
             w,
             bias_v,
             rdense,
@@ -270,175 +360,102 @@ impl LaneConv {
 
     /// Executes the lane kernels. `x` is the physical input in `layout_in`
     /// (already rounded to binary16 and verified finite for FP16); `out` is
-    /// the physical output buffer in `layout_out`, pre-zeroed by the arena.
-    pub(crate) fn run(
-        &self,
-        g: &ConvGeom,
-        it: &Interior,
-        bias: &[f32],
-        activation: Option<Activation>,
-        x: &[f32],
-        out: &mut [f32],
-    ) {
+    /// the physical output buffer in `layout_out`.
+    pub(crate) fn run(&self, g: &ConvGeom, act: Option<Activation>, x: &[f32], out: &mut [f32]) {
         match (self.depthwise, self.fp16) {
-            (false, true) => self.run_std::<true>(g, it, bias, activation, x, out),
-            (false, false) => self.run_std::<false>(g, it, bias, activation, x, out),
-            (true, true) => self.run_dw::<true>(g, it, bias, activation, x, out),
-            (true, false) => self.run_dw::<false>(g, it, bias, activation, x, out),
+            (false, true) => self.run_typed::<true, false>(g, act, x, out),
+            (false, false) => self.run_typed::<false, false>(g, act, x, out),
+            (true, true) => self.run_typed::<true, true>(g, act, x, out),
+            (true, false) => self.run_typed::<false, true>(g, act, x, out),
         }
+        note_vector_values((g.out_channels * g.oh * g.ow) as u64);
     }
 
-    fn run_std<const FP16: bool>(
+    fn run_typed<const FP16: bool, const DW: bool>(
         &self,
         g: &ConvGeom,
-        it: &Interior,
-        bias: &[f32],
         act: Option<Activation>,
         x: &[f32],
         out: &mut [f32],
     ) {
-        let blocks = g.out_channels.div_ceil(LANES);
-        let xs = self.in_mul * g.s;
-        let (mut nvec, mut nscal) = (0u64, 0u64);
-        for b in 0..blocks {
-            let real = (g.out_channels - b * LANES).min(LANES);
-            let wb = &self.w[b];
-            let bv = self.bias_v[b];
-            for oy in 0..g.oh {
-                let interior_row = oy >= it.oy_lo && oy < it.oy_hi && it.ox_lo < it.ox_hi;
-                if interior_row {
-                    let row0 = (oy * g.s) * g.iw;
-                    let mut ox = it.ox_lo;
-                    while ox + TILE <= it.ox_hi {
-                        let base = (row0 + ox * g.s) * self.in_mul;
-                        let (vals, bad) =
-                            std_tile::<TILE, FP16>(x, wb, &self.deltas, base, xs, bv, self.chunk);
-                        self.commit_tile(g, bias, act, x, b, real, oy, ox, &vals, bad, out);
-                        if bad {
-                            nscal += (TILE * real) as u64;
-                        } else {
-                            nvec += (TILE * real) as u64;
+        let plane = g.ih * g.iw;
+        let ls = match self.layout_in {
+            Layout::Chw => plane,
+            Layout::Chwc8 | Layout::Nhwc => 1,
+        };
+        for b in 0..g.out_channels.div_ceil(LANES) {
+            let boff = match self.layout_in {
+                _ if !DW => 0,
+                Layout::Chw | Layout::Chwc8 => b * LANES * plane,
+                Layout::Nhwc => b * LANES,
+            };
+            let cx = BlockCtx {
+                x,
+                wb: &self.w[b],
+                bv: self.bias_v[b],
+                b,
+                real: (g.out_channels - b * LANES).min(LANES),
+                ls,
+                boff: boff as isize,
+                chunk: self.chunk,
+                act,
+            };
+            for (ri, r) in self.rows.iter().enumerate() {
+                for (ci, c) in self.cols.iter().enumerate() {
+                    // Every pixel of the band shares its tap list, so tiles
+                    // run across row ends: a one-column border band still
+                    // advances `TILE` pixels at a time down the column.
+                    let sub = &self.subs[ri * self.cols.len() + ci];
+                    let mut pixels =
+                        (r.lo..r.hi).flat_map(|oy| (c.lo..c.hi).map(move |ox| (oy, ox)));
+                    loop {
+                        let mut at = [(0, 0); TILE];
+                        let n = at.iter_mut().zip(&mut pixels).map(|(a, p)| *a = p).count();
+                        match n {
+                            0 => break,
+                            1 => self.emit::<1, FP16, DW>(g, &cx, sub, &at, out),
+                            2 => self.emit::<2, FP16, DW>(g, &cx, sub, &at, out),
+                            3 => self.emit::<3, FP16, DW>(g, &cx, sub, &at, out),
+                            _ => self.emit::<TILE, FP16, DW>(g, &cx, sub, &at, out),
                         }
-                        ox += TILE;
-                    }
-                    while ox < it.ox_hi {
-                        let base = (row0 + ox * g.s) * self.in_mul;
-                        let (vals, bad) =
-                            std_tile::<1, FP16>(x, wb, &self.deltas, base, xs, bv, self.chunk);
-                        self.commit_tile(g, bias, act, x, b, real, oy, ox, &vals, bad, out);
-                        if bad {
-                            nscal += real as u64;
-                        } else {
-                            nvec += real as u64;
-                        }
-                        ox += 1;
-                    }
-                }
-                let cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
-                } else {
-                    Box::new(0..g.ow)
-                };
-                for ox in cols {
-                    let (vals, bad) = self.border_pixel::<FP16>(x, g, wb, bv, b, real, oy, ox);
-                    self.commit_tile(g, bias, act, x, b, real, oy, ox, &[vals], bad, out);
-                    if bad {
-                        nscal += real as u64;
-                    } else {
-                        nvec += real as u64;
                     }
                 }
             }
         }
-        note_vector_values(nvec);
-        note_scalar_values(nscal);
     }
 
-    fn run_dw<const FP16: bool>(
+    /// Computes and stores the output pixels `at[..T]` (all in one band).
+    #[inline(always)]
+    fn emit<const T: usize, const FP16: bool, const DW: bool>(
         &self,
         g: &ConvGeom,
-        it: &Interior,
-        bias: &[f32],
-        act: Option<Activation>,
-        x: &[f32],
+        cx: &BlockCtx,
+        sub: &[(u32, i32)],
+        at: &[(usize, usize); TILE],
         out: &mut [f32],
     ) {
-        let blocks = g.out_channels.div_ceil(LANES);
-        let (mut nvec, mut nscal) = (0u64, 0u64);
-        for b in 0..blocks {
-            let real = (g.out_channels - b * LANES).min(LANES);
-            let wb = &self.w[b];
-            let bv = self.bias_v[b];
-            for oy in 0..g.oh {
-                for ox in 0..g.ow {
-                    let _ = it; // depthwise walks every pixel bounds-checked
-                    let (vals, bad) = self.border_pixel::<FP16>(x, g, wb, bv, b, real, oy, ox);
-                    self.commit_tile(g, bias, act, x, b, real, oy, ox, &[vals], bad, out);
-                    if bad {
-                        nscal += real as u64;
-                    } else {
-                        nvec += real as u64;
-                    }
-                }
-            }
-        }
-        note_vector_values(nvec);
-        note_scalar_values(nscal);
-    }
-
-    /// Stores a good tile, or redoes every pixel of a trapped one through
-    /// the exact scalar path.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_tile(
-        &self,
-        g: &ConvGeom,
-        bias: &[f32],
-        act: Option<Activation>,
-        x: &[f32],
-        b: usize,
-        real: usize,
-        oy: usize,
-        ox0: usize,
-        vals: &[[f32; LANES]],
-        bad: bool,
-        out: &mut [f32],
-    ) {
-        if bad {
-            note_fp16_redo();
-            for (t, _) in vals.iter().enumerate() {
-                for l in 0..real {
-                    let oc = b * LANES + l;
-                    let sum = self.scalar_pixel_f16(x, g, oc, oy, ox0 + t);
-                    let v = sum + bias.get(oc).copied().unwrap_or(0.0);
-                    out[self.out_index(g, oc, oy, ox0 + t)] = apply_act(act, v);
-                }
-            }
-        } else {
-            for (t, v) in vals.iter().enumerate() {
-                self.store8(g, act, b, real, oy, ox0 + t, v, out);
-            }
+        let bases: [isize; T] = std::array::from_fn(|t| {
+            let (oy, ox) = at[t];
+            (((oy * g.iw + ox) * g.s) * self.in_mul) as isize + cx.boff
+        });
+        let vals = tile::<T, FP16, DW>(cx, sub, &bases);
+        for (t, v) in vals.iter().enumerate() {
+            let (oy, ox) = at[t];
+            self.store8(g, cx, oy, ox, v, out);
         }
     }
 
     #[inline(always)]
-    fn out_index(&self, g: &ConvGeom, oc: usize, oy: usize, ox: usize) -> usize {
-        self.layout_out
-            .index([g.out_channels, g.oh, g.ow], oc, oy, ox)
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn store8(
         &self,
         g: &ConvGeom,
-        act: Option<Activation>,
-        b: usize,
-        real: usize,
+        cx: &BlockCtx,
         oy: usize,
         ox: usize,
         vals: &[f32; LANES],
         out: &mut [f32],
     ) {
+        let (act, b, real) = (cx.act, cx.b, cx.real);
         match self.layout_out {
             Layout::Chw => {
                 for (l, &v) in vals.iter().enumerate().take(real) {
@@ -463,179 +480,32 @@ impl LaneConv {
             }
         }
     }
-
-    /// One output pixel with bounds-checked taps, 8 lanes wide. Serves
-    /// border pixels of standard convs and every depthwise pixel. In-bounds
-    /// taps follow the exact dense order; FP16 chunk positions count only
-    /// in-bounds taps, matching the reference border semantics.
-    #[allow(clippy::too_many_arguments)]
-    fn border_pixel<const FP16: bool>(
-        &self,
-        x: &[f32],
-        g: &ConvGeom,
-        wb: &[[f32; LANES]],
-        bv: [f32; LANES],
-        b: usize,
-        real: usize,
-        oy: usize,
-        ox: usize,
-    ) -> ([f32; LANES], bool) {
-        let mut acc = if FP16 { [0.0f32; LANES] } else { bv };
-        let mut carry = [0.0f64; LANES];
-        let mut maxa = [0.0f32; LANES];
-        let mut ic = 0usize;
-        for (tap, &(c_in, dy, dx)) in self.taps.iter().enumerate() {
-            let iy = (oy * g.s) as isize + dy;
-            let ix = (ox * g.s) as isize + dx;
-            if iy < 0 || iy >= g.ih as isize || ix < 0 || ix >= g.iw as isize {
-                continue;
-            }
-            let (iy, ix) = (iy as usize, ix as usize);
-            let xv: [f32; LANES] = if self.depthwise {
-                self.dw_load(x, g, b, real, iy, ix)
-            } else {
-                [x[self.layout_in.index(g.in_shape, c_in, iy, ix)]; LANES]
-            };
-            let wv = wb[tap];
-            let mut p = [0.0f32; LANES];
-            for l in 0..LANES {
-                p[l] = xv[l] * wv[l];
-            }
-            if FP16 {
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(p[l].abs());
-                }
-                let p = round8(p);
-                let mut s = [0.0f32; LANES];
-                for l in 0..LANES {
-                    s[l] = acc[l] + p[l];
-                }
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(s[l].abs());
-                }
-                acc = round8(s);
-                ic += 1;
-                if ic == self.chunk {
-                    for l in 0..LANES {
-                        carry[l] += f64::from(acc[l]);
-                        acc[l] = 0.0;
-                    }
-                    ic = 0;
-                }
-            } else {
-                for l in 0..LANES {
-                    acc[l] += p[l];
-                }
-            }
-        }
-        if FP16 {
-            let mut vals = [0.0f32; LANES];
-            let mut bad = false;
-            for l in 0..LANES {
-                vals[l] = (carry[l] + f64::from(acc[l])) as f32 + bv[l];
-                bad |= maxa[l] > F16_HI;
-            }
-            (vals, bad)
-        } else {
-            (acc, false)
-        }
-    }
-
-    /// 8 channel lanes of a depthwise input pixel; lanes past the real
-    /// channel count are zero (their weights are zero too).
-    #[inline(always)]
-    fn dw_load(
-        &self,
-        x: &[f32],
-        g: &ConvGeom,
-        b: usize,
-        real: usize,
-        iy: usize,
-        ix: usize,
-    ) -> [f32; LANES] {
-        let mut v = [0.0f32; LANES];
-        match self.layout_in {
-            Layout::Nhwc => {
-                let o = (iy * g.iw + ix) * g.in_shape[0] + b * LANES;
-                v[..real].copy_from_slice(&x[o..o + real]);
-            }
-            Layout::Chw => {
-                for (l, lane) in v.iter_mut().enumerate().take(real) {
-                    *lane = x[((b * LANES + l) * g.ih + iy) * g.iw + ix];
-                }
-            }
-            Layout::Chwc8 => {
-                for (l, lane) in v.iter_mut().enumerate().take(real) {
-                    *lane = x[Layout::Chwc8.index(g.in_shape, b * LANES + l, iy, ix)];
-                }
-            }
-        }
-        v
-    }
-
-    /// Exact scalar redo of one output pixel (pre-bias sum), byte-for-byte
-    /// the reference folded walk: [`round_f16`] on every product and
-    /// partial, chunk positions counting in-bounds taps only.
-    pub(crate) fn scalar_pixel_f16(
-        &self,
-        x: &[f32],
-        g: &ConvGeom,
-        oc: usize,
-        oy: usize,
-        ox: usize,
-    ) -> f32 {
-        let (b, l) = (oc / LANES, oc % LANES);
-        let mut carry = 0.0f64;
-        let mut acc = 0.0f32;
-        let mut ic = 0usize;
-        for (tap, &(c_in, dy, dx)) in self.taps.iter().enumerate() {
-            let iy = (oy * g.s) as isize + dy;
-            let ix = (ox * g.s) as isize + dx;
-            if iy < 0 || iy >= g.ih as isize || ix < 0 || ix >= g.iw as isize {
-                continue;
-            }
-            let c = if self.depthwise { oc } else { c_in };
-            let xv = x[self
-                .layout_in
-                .index(g.in_shape, c, iy as usize, ix as usize)];
-            acc = round_f16(acc + round_f16(xv * self.w[b][tap][l]));
-            ic += 1;
-            if ic == self.chunk {
-                carry += f64::from(acc);
-                acc = 0.0;
-                ic = 0;
-            }
-        }
-        (carry + f64::from(acc)) as f32
-    }
 }
 
-/// The interior micro-kernel: `T` output pixels × 8 output channels advance
-/// through every tap with precomputed physical deltas (no bounds checks).
-/// Returns biased pre-activation values and the FP16 range-trap flag.
+/// The tile micro-kernel: `T` output pixels × 8 lanes advance through a
+/// band's in-bounds taps (no bounds checks). FP16 flushes the accumulator
+/// into an f64 carry every `chunk` taps of the list. Returns biased
+/// pre-activation values.
 #[inline(always)]
-fn std_tile<const T: usize, const FP16: bool>(
-    x: &[f32],
-    wb: &[[f32; LANES]],
-    deltas: &[isize],
-    base: usize,
-    xs: usize,
-    bv: [f32; LANES],
-    chunk: usize,
-) -> ([[f32; LANES]; T], bool) {
+fn tile<const T: usize, const FP16: bool, const DW: bool>(
+    cx: &BlockCtx,
+    sub: &[(u32, i32)],
+    bases: &[isize; T],
+) -> [[f32; LANES]; T] {
     let mut acc = [[0.0f32; LANES]; T];
     if !FP16 {
-        acc.fill(bv);
+        acc.fill(cx.bv);
     }
     let mut carry = [[0.0f64; LANES]; T];
-    let mut maxa = [0.0f32; LANES];
-    let ntaps = deltas.len();
-    let full = if FP16 { ntaps / chunk } else { 0 };
-    let mut tap = 0usize;
-    for _ in 0..full {
-        for _ in 0..chunk {
-            std_step::<T, FP16>(x, wb[tap], deltas[tap], base, xs, &mut acc, &mut maxa);
-            tap += 1;
+    let flushed = if FP16 {
+        sub.len() / cx.chunk * cx.chunk
+    } else {
+        0
+    };
+    let (chunks, rest) = sub.split_at(flushed);
+    for chunk in chunks.chunks_exact(cx.chunk) {
+        for &(tap, delta) in chunk {
+            step::<T, FP16, DW>(cx, tap, delta as isize, bases, &mut acc);
         }
         for t in 0..T {
             for l in 0..LANES {
@@ -644,58 +514,54 @@ fn std_tile<const T: usize, const FP16: bool>(
             }
         }
     }
-    while tap < ntaps {
-        std_step::<T, FP16>(x, wb[tap], deltas[tap], base, xs, &mut acc, &mut maxa);
-        tap += 1;
+    for &(tap, delta) in rest {
+        step::<T, FP16, DW>(cx, tap, delta as isize, bases, &mut acc);
     }
-    let mut bad = false;
     if FP16 {
         let mut vals = [[0.0f32; LANES]; T];
         for t in 0..T {
             for l in 0..LANES {
-                vals[t][l] = (carry[t][l] + f64::from(acc[t][l])) as f32 + bv[l];
+                vals[t][l] = (carry[t][l] + f64::from(acc[t][l])) as f32 + cx.bv[l];
             }
         }
-        for m in maxa {
-            bad |= m > F16_HI;
-        }
-        (vals, bad)
+        vals
     } else {
-        (acc, false)
+        acc
     }
 }
 
-/// One tap of the interior micro-kernel: broadcast the input value of each
-/// tile position, multiply against 8 weight lanes, round (FP16) and
-/// accumulate. `maxa` records every magnitude fed to [`round8`].
+/// One tap of the tile micro-kernel: load the input lanes of each tile
+/// position (a broadcast for standard convs, the block's channels for
+/// depthwise), multiply against 8 weight lanes, round (FP16) and accumulate.
 #[inline(always)]
-fn std_step<const T: usize, const FP16: bool>(
-    x: &[f32],
-    wv: [f32; LANES],
+fn step<const T: usize, const FP16: bool, const DW: bool>(
+    cx: &BlockCtx,
+    tap: u32,
     delta: isize,
-    base: usize,
-    xs: usize,
+    bases: &[isize; T],
     acc: &mut [[f32; LANES]; T],
-    maxa: &mut [f32; LANES],
 ) {
-    let src = (base as isize + delta) as usize;
+    let wv = cx.wb[tap as usize];
     for t in 0..T {
-        let xv = x[src + t * xs];
+        let o = (bases[t] + delta) as usize;
+        let xv = if DW {
+            let mut v = [0.0f32; LANES];
+            for (l, lane) in v.iter_mut().enumerate().take(cx.real) {
+                *lane = cx.x[o + l * cx.ls];
+            }
+            v
+        } else {
+            [cx.x[o]; LANES]
+        };
         let mut p = [0.0f32; LANES];
         for l in 0..LANES {
-            p[l] = xv * wv[l];
+            p[l] = xv[l] * wv[l];
         }
         if FP16 {
-            for l in 0..LANES {
-                maxa[l] = maxa[l].max(p[l].abs());
-            }
             let p = round8(p);
             let mut s = [0.0f32; LANES];
             for l in 0..LANES {
                 s[l] = acc[t][l] + p[l];
-            }
-            for l in 0..LANES {
-                maxa[l] = maxa[l].max(s[l].abs());
             }
             acc[t] = round8(s);
         } else {
@@ -709,55 +575,62 @@ fn std_step<const T: usize, const FP16: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trtsim_util::rng::Pcg32;
+
+    /// Checks both `round8` bodies against `round_f16` on 8 bit patterns.
+    fn check8(bits: [u32; LANES]) {
+        let v = bits.map(f32::from_bits);
+        for (name, got) in [("round8", round8(v)), ("portable", round8_portable(v))] {
+            for l in 0..LANES {
+                let want = round_f16(v[l]);
+                assert_eq!(
+                    got[l].to_bits(),
+                    want.to_bits(),
+                    "{name}({:#010x} = {:e}) = {:e}, want {want:e}",
+                    bits[l],
+                    v[l],
+                    got[l]
+                );
+            }
+        }
+    }
 
     #[test]
-    fn round_f16_slice_matches_scalar_round_f16() {
-        let mut vals: Vec<f32> = vec![
-            0.0,
-            -0.0,
-            1.0,
-            1.0 / 3.0,
-            -1.0 / 3.0,
-            6.103_515_6e-5, // smallest normal f16
-            -6.103_515_6e-5,
-            5.960_464_5e-8, // smallest subnormal f16
-            2.980_232_2e-8, // exactly half the smallest subnormal: tie
-            -2.980_232_3e-8,
-            1e-9,
-            -1e-9,
-            32_768.0,
-            -32_768.0,
-            40_000.0,
-            65_504.0,
-            65_520.0, // overflow boundary
-            70_000.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            f32::MIN_POSITIVE,
-            -f32::MIN_POSITIVE,
-        ];
-        let mut rng = Pcg32::seed_from_u64(99);
-        for _ in 0..4096 {
-            vals.push(rng.normal() as f32);
-            vals.push((rng.normal() as f32) * 1e-5); // subnormal-heavy
-            vals.push((rng.normal() as f32) * 1e4);
+    #[ignore = "exhaustive 2^32 sweep; run with --release -- --ignored"]
+    fn round8_matches_round_f16_exhaustively() {
+        let mut b = [0u32; LANES];
+        for hi in 0..=u32::MAX >> 3 {
+            for (l, lane) in b.iter_mut().enumerate() {
+                *lane = hi << 3 | l as u32;
+            }
+            check8(b);
         }
+    }
+
+    #[test]
+    fn round_f16_slice_matches_and_reports_finiteness() {
+        let vals: Vec<f32> = (0..1001)
+            .map(|i| (i as f32 - 500.0) * 131.7)
+            .chain([f32::NAN, 1e-9])
+            .collect();
         let mut lanes = vals.clone();
-        let finite = round_f16_slice(&mut lanes);
-        assert!(!finite, "infinities must be reported non-finite");
+        assert!(!round_f16_slice(&mut lanes), "65520+ overflows to inf");
         for (&src, &got) in vals.iter().zip(&lanes) {
-            let want = round_f16(src);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "round_f16_slice({src:e}) = {got:e}, want {want:e}"
-            );
+            assert_eq!(got.to_bits(), round_f16(src).to_bits(), "{src:e}");
         }
-        // All-finite slices report finite.
         let mut small = vec![1.5f32, -0.25, 3.0e4, 1.0e-6, 0.0];
         assert!(round_f16_slice(&mut small));
+    }
+
+    #[test]
+    fn bands_split_borders_from_interior() {
+        // k3 s1 p1 on 5: clipped left, full interior, clipped right.
+        let b = bands(5, 5, 3, 1, 1);
+        let got: Vec<_> = b.iter().map(|b| (b.lo, b.hi, b.k_lo, b.k_hi)).collect();
+        assert_eq!(got, [(0, 1, 1, 3), (1, 4, 0, 3), (4, 5, 0, 2)]);
+        // k5 p2 on 2: every position clipped on both sides.
+        let b = bands(2, 2, 5, 1, 2);
+        let got: Vec<_> = b.iter().map(|b| (b.k_lo, b.k_hi)).collect();
+        assert_eq!(got, [(2, 4), (1, 3)]);
     }
 
     #[test]

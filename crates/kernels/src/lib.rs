@@ -20,7 +20,7 @@
 //!   labels differ across engine builds).
 //! * [`lanes`] — branch-free `[f32; 8]` lane-array micro-kernels behind the
 //!   prepared conv/FC paths, with per-tactic blocked data layouts (`CHWc8`,
-//!   `NHWC`) and an exact scalar-redo fallback that keeps FP16 rounding
+//!   `NHWC`) and an exact 8-lane binary16 rounder that keeps FP16 results
 //!   bit-identical to the reference path.
 //! * [`generic`] — the un-optimized framework path: one naive im2col+GEMM
 //!   FP32 kernel per layer, with framework-glue overheads. This is the

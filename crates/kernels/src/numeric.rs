@@ -18,27 +18,8 @@ use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::Weights;
 use trtsim_util::f16::{round_f16, QuantParams};
 
-use crate::lanes::{
-    note_scalar_values, note_vector_values, round8, round_f16_slice, LaneConv, F16_HI,
-};
+use crate::lanes::{note_scalar_values, note_vector_values, round8, round_f16_slice, LaneConv};
 use crate::tactic::{AccumOrder, Tactic};
-
-/// Times the FP16 Veltkamp fast path hit a value outside its exact range and
-/// fell back to an exact scalar redo (a lane-kernel tile, or the legacy
-/// snapshot path in `f16_interior_row`). Process lifetime, telemetry-only;
-/// the kernels crate stays free of the metrics dependency by exposing a raw
-/// monotonic count for upper layers to bridge.
-static FP16_REDOS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Process-lifetime count of FP16 fast-path rollback/redo events.
-pub fn fp16_redo_events() -> u64 {
-    FP16_REDOS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Records one FP16 rollback/redo event (lane tiles trap per tile).
-pub(crate) fn note_fp16_redo() {
-    FP16_REDOS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Calibration scales for INT8 execution of one layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -218,11 +199,11 @@ impl ConvGeom {
 /// region where precomputed input offsets are valid and no per-tap bounds
 /// check is needed.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Interior {
-    pub(crate) oy_lo: usize,
-    pub(crate) oy_hi: usize,
-    pub(crate) ox_lo: usize,
-    pub(crate) ox_hi: usize,
+struct Interior {
+    oy_lo: usize,
+    oy_hi: usize,
+    ox_lo: usize,
+    ox_hi: usize,
 }
 
 impl Interior {
@@ -259,25 +240,6 @@ pub(crate) fn apply_act(activation: Option<Activation>, v: f32) -> f32 {
         Some(a) => a.apply(v),
         None => v,
     }
-}
-
-/// Branch-free round-to-binary16 via the Veltkamp split `round_f16` uses on
-/// its fast path. Only valid where [`fast_f16_ok`] holds — callers must
-/// check the predicate and fall back to [`round_f16`] otherwise.
-#[inline(always)]
-pub(crate) fn veltkamp_f16(v: f32) -> f32 {
-    let c = v * 8193.0;
-    c - (c - v)
-}
-
-/// True when [`veltkamp_f16`] is bit-identical to [`round_f16`]: `v` is ±0
-/// (both are the identity there) or its magnitude lies in the normal-f16
-/// range covered by `round_f16`'s fast path. NaN, infinities, and
-/// subnormal/overflow magnitudes all fail the check.
-#[inline(always)]
-fn fast_f16_ok(v: f32) -> bool {
-    let a = v.abs();
-    (6.103_515_6e-5..=32_768.0).contains(&a) || v == 0.0
 }
 
 fn conv_fp16(
@@ -872,8 +834,8 @@ impl PreparedConv {
                     self.run_f32(sparse, input.as_slice(), params.activation, &mut out);
                 } else {
                     // 0·∞ = NaN: zero elision is unsound, take the dense path.
-                    arena.release(out);
-                    return trtsim_ir::ops::conv2d(input, dense, &self.bias, params);
+                    let dense_out = trtsim_ir::ops::conv2d(input, dense, &self.bias, params);
+                    out.as_mut_slice().copy_from_slice(dense_out.as_slice());
                 }
             }
             PreparedKind::Fp16 {
@@ -937,8 +899,8 @@ impl PreparedConv {
     /// The lane-array fast path. FP32 runs unconditionally (exact reference
     /// order, non-finite values propagate identically); FP16 rounds the
     /// input onto the binary16 grid first and drops to the exact dense CHW
-    /// walk when the input or weights carry non-finite values (`0·∞` is
-    /// invisible to the lane kernels' magnitude trap).
+    /// walk when the input or weights carry non-finite values (NaN payloads
+    /// from `0·∞` or NaN operands would depend on operand order).
     fn run_lanes(
         &self,
         lanes: &LaneConv,
@@ -946,12 +908,12 @@ impl PreparedConv {
         input: &Tensor,
         arena: &mut TensorArena,
     ) -> Tensor {
-        let mut out = arena.alloc_zeroed(self.out_physical_shape());
+        // The lane kernels write every physical element, pad lanes included.
+        let shape = self.out_physical_shape();
+        let mut out = Tensor::from_vec(shape, arena.take_buffer(shape.iter().product()));
         if !lanes.fp16 {
             lanes.run(
                 &self.geom,
-                &self.interior,
-                &self.bias,
                 params.activation,
                 input.as_slice(),
                 out.as_mut_slice(),
@@ -962,14 +924,7 @@ impl PreparedConv {
         rx.copy_from_slice(input.as_slice());
         let finite = round_f16_slice(&mut rx);
         if finite && !lanes.force_dense {
-            lanes.run(
-                &self.geom,
-                &self.interior,
-                &self.bias,
-                params.activation,
-                &rx,
-                out.as_mut_slice(),
-            );
+            lanes.run(&self.geom, params.activation, &rx, out.as_mut_slice());
         } else {
             // Exact dense fallback in canonical CHW, converted at the edges
             // (conversion is a pure permutation, so bit-exactness holds).
@@ -1089,20 +1044,12 @@ impl PreparedConv {
         let width = it.ox_hi.saturating_sub(it.ox_lo);
         let mut acc_row = vec![0.0f32; width];
         let mut carry_row = vec![0.0f64; width];
-        let mut snap_row = vec![0.0f32; width];
         for (oc, entries) in sparse.iter().enumerate() {
             let b = self.bias.get(oc).copied().unwrap_or(0.0);
             for oy in 0..g.oh {
                 let interior_row = width > 0 && oy >= it.oy_lo && oy < it.oy_hi;
                 if interior_row {
-                    self.f16_interior_row(
-                        entries,
-                        rx,
-                        oy,
-                        &mut acc_row,
-                        &mut carry_row,
-                        &mut snap_row,
-                    );
+                    self.f16_interior_row(entries, rx, oy, &mut acc_row, &mut carry_row);
                     for (i, ox) in (it.ox_lo..it.ox_hi).enumerate() {
                         let sum = (carry_row[i] + f64::from(acc_row[i])) as f32;
                         *out.at_mut(oc, oy, ox) = apply_act(activation, sum + b);
@@ -1125,15 +1072,10 @@ impl PreparedConv {
     }
 
     /// One whole interior output row of a folded FP16 convolution,
-    /// entry-outer: each nonzero tap streams across every pixel in the row.
-    ///
-    /// The hot loop replaces `round_f16`'s branchy range dispatch with the
-    /// branch-free Veltkamp split ([`veltkamp_f16`]) and folds a validity
-    /// mask across the row; lanes where the product or the updated
-    /// accumulator leave the fast range ([`fast_f16_ok`]) force a rollback
-    /// to a pre-entry snapshot and an exact scalar redo of that one entry.
-    /// The result is bit-identical to the dense per-pixel walk: zero taps
-    /// are *not* skipped here, so even ±0 signs match the naive order.
+    /// entry-outer: each nonzero tap streams across every pixel in the row,
+    /// eight pixels per [`round8`] pair and the remainder through
+    /// [`round_f16`]. Both round exactly, so the row is bit-identical to the
+    /// dense per-pixel walk.
     fn f16_interior_row(
         &self,
         entries: &[SparseEntry<f32>],
@@ -1141,10 +1083,8 @@ impl PreparedConv {
         oy: usize,
         acc: &mut [f32],
         carry: &mut [f64],
-        snap: &mut [f32],
     ) {
-        let g = self.geom;
-        let width = acc.len();
+        let s = self.geom.s;
         acc.fill(0.0);
         carry.fill(0.0);
         for e in entries {
@@ -1154,41 +1094,19 @@ impl PreparedConv {
                     *a = 0.0;
                 }
             }
-            let w = e.w;
             let src = (self.row_base(oy) + e.delta) as usize;
-            snap.copy_from_slice(acc);
-            let mut bad = 0u32;
-            if g.s == 1 {
-                for (a, &x) in acc.iter_mut().zip(&rx[src..src + width]) {
-                    let t0 = x * w;
-                    bad |= u32::from(!fast_f16_ok(t0));
-                    let t = veltkamp_f16(t0);
-                    let s = *a + t;
-                    bad |= u32::from(!fast_f16_ok(s));
-                    *a = veltkamp_f16(s);
-                }
-            } else {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let t0 = rx[src + i * g.s] * w;
-                    bad |= u32::from(!fast_f16_ok(t0));
-                    let t = veltkamp_f16(t0);
-                    let s = *a + t;
-                    bad |= u32::from(!fast_f16_ok(s));
-                    *a = veltkamp_f16(s);
-                }
+            let x = |i: usize| rx[src + i * s];
+            let mut chunks = acc.chunks_exact_mut(LANES);
+            let mut i = 0;
+            for a in &mut chunks {
+                let p = round8(std::array::from_fn(|l| x(i + l) * e.w));
+                let sum: [f32; LANES] = std::array::from_fn(|l| a[l] + p[l]);
+                a.copy_from_slice(&round8(sum));
+                i += LANES;
             }
-            if bad != 0 {
-                FP16_REDOS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                acc.copy_from_slice(snap);
-                if g.s == 1 {
-                    for (a, &x) in acc.iter_mut().zip(&rx[src..src + width]) {
-                        *a = round_f16(*a + round_f16(x * w));
-                    }
-                } else {
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        *a = round_f16(*a + round_f16(rx[src + i * g.s] * w));
-                    }
-                }
+            for a in chunks.into_remainder() {
+                *a = round_f16(*a + round_f16(x(i) * e.w));
+                i += 1;
             }
         }
     }
@@ -1329,7 +1247,7 @@ impl PreparedFc {
         let lanes = match tactic.precision {
             Precision::Fp32 => Some(FcLanes::build(&weights, &bias, out_features, usize::MAX)),
             // Pairwise trees can't lane (shape depends on term count);
-            // non-finite rounded weights would hide 0·∞ from the trap.
+            // non-finite rounded weights make NaN payloads order-dependent.
             Precision::Fp16
                 if tactic.accum != AccumOrder::Pairwise
                     && weights.iter().all(|v| v.is_finite()) =>
@@ -1370,30 +1288,20 @@ impl PreparedFc {
             self.out_features * in_features,
             "fc weight mismatch"
         );
+        let mut out = arena.alloc_zeroed([self.out_features, 1, 1]);
         if self.tactic.precision == Precision::Fp32 {
-            // FP32 lanes replay the reference order exactly (bias-start,
-            // sequential taps), so they need no finiteness guard.
-            if let Some(lanes) = &self.lanes {
-                let mut out = arena.alloc_zeroed([self.out_features, 1, 1]);
-                self.run_lanes_f32(lanes, input.as_slice(), activation, &mut out);
-                return out;
-            }
-            note_scalar_values(self.out_features as u64);
-            return trtsim_ir::ops::inner_product(
-                input,
-                &self.weights,
-                &self.bias,
-                self.out_features,
-                activation,
-            );
+            // FP32 lanes (always built) replay the reference order exactly
+            // (bias-start, sequential taps), so they need no finiteness guard.
+            let lanes = self.lanes.as_ref().expect("FP32 FC layers always lane");
+            self.run_lanes_f32(lanes, input.as_slice(), activation, &mut out);
+            return out;
         }
         let mut rx = arena.take_buffer(in_features);
         rx.copy_from_slice(input.as_slice());
         let finite = round_f16_slice(&mut rx);
-        let mut out = arena.alloc_zeroed([self.out_features, 1, 1]);
         match &self.lanes {
-            // Non-finite inputs would hide 0·∞ from the magnitude trap;
-            // take the exact reducer walk instead.
+            // Non-finite inputs make NaN payloads order-dependent; take the
+            // exact reducer walk instead.
             Some(lanes) if finite => self.run_lanes_f16(lanes, &rx, activation, &mut out),
             _ => {
                 note_scalar_values(self.out_features as u64);
@@ -1429,9 +1337,8 @@ impl PreparedFc {
         note_vector_values(self.out_features as u64);
     }
 
-    /// FP16 lane kernel with the magnitude trap: any block that fed a value
-    /// beyond the branch-free rounder's exact range to [`round8`] is redone
-    /// through the exact [`Reducer`] path.
+    /// FP16 lane kernel: 8 output features advance together, every
+    /// product and partial rounded by [`round8`] in reference order.
     fn run_lanes_f16(
         &self,
         lanes: &FcLanes,
@@ -1439,30 +1346,14 @@ impl PreparedFc {
         activation: Option<Activation>,
         out: &mut Tensor,
     ) {
-        let in_features = rx.len();
         for (b, wb) in lanes.w.iter().enumerate() {
             let real = (self.out_features - b * LANES).min(LANES);
             let mut acc = [0.0f32; LANES];
             let mut carry = [0.0f64; LANES];
-            let mut maxa = [0.0f32; LANES];
             let mut ic = 0usize;
             for (wv, &xv) in wb.iter().zip(rx) {
-                let mut p = [0.0f32; LANES];
-                for l in 0..LANES {
-                    p[l] = xv * wv[l];
-                }
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(p[l].abs());
-                }
-                let p = round8(p);
-                let mut s = [0.0f32; LANES];
-                for l in 0..LANES {
-                    s[l] = acc[l] + p[l];
-                }
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(s[l].abs());
-                }
-                acc = round8(s);
+                let p = round8(std::array::from_fn(|l| xv * wv[l]));
+                acc = round8(std::array::from_fn(|l| acc[l] + p[l]));
                 ic += 1;
                 if ic == lanes.chunk {
                     for l in 0..LANES {
@@ -1472,31 +1363,12 @@ impl PreparedFc {
                     ic = 0;
                 }
             }
-            if maxa.iter().any(|&m| m > F16_HI) {
-                note_fp16_redo();
-                note_scalar_values(real as u64);
-                let mut reducer = Reducer::for_tactic(&self.tactic);
-                let mut terms = Vec::with_capacity(in_features);
-                for l in 0..real {
-                    let o = b * LANES + l;
-                    terms.clear();
-                    let row = &self.weights[o * in_features..(o + 1) * in_features];
-                    for (xi, wi) in rx.iter().zip(row) {
-                        terms.push(round_f16(xi * wi));
-                    }
-                    let v = reducer.reduce(&terms) + self.bias.get(o).copied().unwrap_or(0.0);
-                    *out.at_mut(o, 0, 0) = apply_act(activation, v);
-                }
-            } else {
-                note_vector_values(real as u64);
-                for l in 0..real {
-                    let o = b * LANES + l;
-                    let v = (carry[l] + f64::from(acc[l])) as f32
-                        + self.bias.get(o).copied().unwrap_or(0.0);
-                    *out.at_mut(o, 0, 0) = apply_act(activation, v);
-                }
+            for l in 0..real {
+                let v = (carry[l] + f64::from(acc[l])) as f32 + lanes.bias_v[b][l];
+                *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, v);
             }
         }
+        note_vector_values(self.out_features as u64);
     }
 
     /// The legacy exact FP16 walk (`rx` already on the binary16 grid).

@@ -7,13 +7,16 @@
 //! networks and inputs instead of a single zoo model.
 
 use proptest::prelude::*;
+use trtsim::data::SyntheticImageNet;
 use trtsim::engine::{Builder, BuilderConfig, ExecutionContext};
 use trtsim::ir::graph::{Activation, ConvParams, Graph, LayerKind, PoolKind};
 use trtsim::ir::layout::{convert, Layout};
 use trtsim::ir::weights::Weights;
 use trtsim::ir::Tensor;
+use trtsim::models::numeric::{build_classifier, NUMERIC_INPUT};
+use trtsim::models::ModelId;
 use trtsim::util::rng::Pcg32;
-use trtsim::DeviceSpec;
+use trtsim::{DeviceSpec, InferencePlan, PlanScratch};
 
 /// A seeded 3x3 depthwise convolution (`groups == in == out`) — the shape
 /// the autotuner resolves to the NHWC-layout depthwise lane tactic.
@@ -209,4 +212,35 @@ proptest! {
             }
         }
     }
+}
+
+/// Every plan step takes its output from the scratch arena and releases it
+/// back, so a reused scratch reaches its full footprint on the first
+/// execution and never grows after that.
+#[test]
+fn reused_scratch_stops_growing_on_googlenet() {
+    let dataset = SyntheticImageNet::new(4, NUMERIC_INPUT, 17).with_snr(1.0, 1.0);
+    let prototypes: Vec<_> = (0..4).map(|c| dataset.prototype(c)).collect();
+    let network = build_classifier(ModelId::Googlenet, &prototypes, 0.1, 3);
+    let engine = Builder::new(
+        DeviceSpec::xavier_nx(),
+        BuilderConfig::default()
+            .with_build_seed(5)
+            .with_pruning(true),
+    )
+    .build(&network)
+    .expect("builds");
+    let plan = InferencePlan::compile(&engine).expect("compiles");
+    let mut scratch = PlanScratch::new();
+    let mut retained = Vec::new();
+    for i in 0..20 {
+        plan.execute(&prototypes[i % 4], &mut scratch)
+            .expect("runs");
+        retained.push(scratch.arena().retained_bytes());
+    }
+    assert!(retained[1] > 0);
+    assert_eq!(
+        retained[1], retained[19],
+        "retained bytes per execution: {retained:?}"
+    );
 }

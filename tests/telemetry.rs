@@ -219,10 +219,15 @@ fn live_endpoint_covers_every_subsystem() {
         assert!(s.labels.contains_key("stream"));
         assert!((0.0..=100.0).contains(&s.value), "busy% in range");
     }
-    let accepted = value_of(&first, "trtsim_server_accepted_total").expect("accepted");
-    assert_eq!(accepted.labels.get("model").map(String::as_str), {
-        Some(engine.name())
-    });
+    // The registry is process-wide: other tests in this binary publish
+    // their own `model` series, so select this server's by label.
+    let accepted = first
+        .iter()
+        .find(|s| {
+            s.name == "trtsim_server_accepted_total"
+                && s.labels.get("model").map(String::as_str) == Some(engine.name())
+        })
+        .expect("accepted series for this engine");
     assert_eq!(accepted.value, 64.0);
 
     // Histogram invariant on the wire: cumulative buckets are non-decreasing
