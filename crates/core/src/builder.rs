@@ -7,7 +7,7 @@ use crate::autotune::{self, AutotuneOptions};
 use crate::calibrate::{self, CalibrationTable};
 use crate::compress;
 use crate::config::BuilderConfig;
-use crate::engine::{BuildReport, Engine, ExecUnit, IoBytes};
+use crate::engine::{BuildReport, Engine, EngineData, ExecUnit, IoBytes};
 use crate::error::EngineError;
 use crate::passes::{self, PassReport};
 
@@ -135,7 +135,7 @@ impl Builder {
             .collect();
 
         crate::telemetry::record_build(network.name(), build_started.elapsed().as_secs_f64());
-        Ok(Engine {
+        Ok(Engine::new(EngineData {
             name: network.name().to_string(),
             io: IoBytes::of(&g, &shapes),
             graph: g,
@@ -147,7 +147,7 @@ impl Builder {
                 passes: passes_report,
                 compressed_blobs,
             },
-        })
+        }))
     }
 }
 
@@ -295,7 +295,7 @@ mod tests {
                 engine
                     .units()
                     .iter()
-                    .filter_map(|u| u.choice.as_ref().map(|c| c.kernel.name.clone()))
+                    .filter_map(|u| u.choice.as_ref().map(|c| c.kernel.name.to_string()))
                     .collect()
             })
             .collect();

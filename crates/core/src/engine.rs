@@ -1,6 +1,7 @@
 //! The built engine: an optimized graph with kernel assignments.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use trtsim_gpu::device::Platform;
 use trtsim_gpu::kernel::Precision;
@@ -70,8 +71,19 @@ pub struct BuildReport {
 /// [`crate::runtime::ExecutionContext`]. Two engines built from the same
 /// network are **not** guaranteed to be identical — that is the paper's
 /// subject — unless the build seed was pinned.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// An engine is a handle to one shared, never-mutated body: cloning it (a
+/// fleet placing replicas, a server handing the engine to its workers) bumps
+/// a reference count instead of copying the graph and weights. Equality
+/// compares contents, so a clone and a plan round trip both compare equal.
+#[derive(Debug, Clone)]
 pub struct Engine {
+    data: Arc<EngineData>,
+}
+
+/// The immutable body every clone of an [`Engine`] shares.
+#[derive(Debug, PartialEq)]
+pub(crate) struct EngineData {
     pub(crate) name: String,
     pub(crate) graph: Graph,
     pub(crate) shapes: Vec<[usize; 3]>,
@@ -82,52 +94,65 @@ pub struct Engine {
     pub(crate) report: BuildReport,
 }
 
+impl PartialEq for Engine {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.data, &other.data) || self.data == other.data
+    }
+}
+
 impl Engine {
+    /// Wraps a freshly built or deserialized body.
+    pub(crate) fn new(data: EngineData) -> Self {
+        Self {
+            data: Arc::new(data),
+        }
+    }
+
     /// Network name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.data.name
     }
 
     /// The optimized graph this engine executes.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.data.graph
     }
 
     /// Output shape of every optimized node.
     pub fn shapes(&self) -> &[[usize; 3]] {
-        &self.shapes
+        &self.data.shapes
     }
 
     /// Per-node execution assignments (aligned with `graph().nodes()`).
     pub fn units(&self) -> &[ExecUnit] {
-        &self.units
+        &self.data.units
     }
 
     /// Per-frame input/output transfer sizes, memoized at construction.
     pub fn io_bytes(&self) -> IoBytes {
-        self.io
+        self.data.io
     }
 
     /// Platform the engine was built (autotuned) on.
     pub fn build_platform(&self) -> Platform {
-        self.build_platform
+        self.data.build_platform
     }
 
     /// The build's resolved seed (diagnostic; real TensorRT has no analog).
     pub fn build_seed(&self) -> u64 {
-        self.build_seed
+        self.data.build_seed
     }
 
     /// Build statistics.
     pub fn report(&self) -> &BuildReport {
-        &self.report
+        &self.data.report
     }
 
     /// Kernel launch sequence, one name per compute node, in execution order.
     pub fn kernel_names(&self) -> Vec<String> {
-        self.units
+        self.units()
             .iter()
-            .filter_map(|u| u.choice.as_ref().map(|c| c.kernel.name.clone()))
+            .filter_map(|u| u.choice.as_ref().map(|c| c.kernel.name.to_string()))
             .collect()
     }
 
@@ -142,13 +167,13 @@ impl Engine {
 
     /// Number of kernel launches one inference performs.
     pub fn launch_count(&self) -> usize {
-        self.units.iter().filter(|u| u.choice.is_some()).count()
+        self.units().iter().filter(|u| u.choice.is_some()).count()
     }
 
     /// Bytes of weights the plan stores, in each layer's selected precision.
     pub fn stored_weight_bytes(&self) -> u64 {
         let mut total = 0u64;
-        for (node, unit) in self.graph.nodes().iter().zip(&self.units) {
+        for (node, unit) in self.graph().nodes().iter().zip(self.units()) {
             let params = match &node.kind {
                 LayerKind::Conv(c) => Some((c.weights.len(), c.bias.len())),
                 LayerKind::InnerProduct { weights, bias, .. } => Some((weights.len(), bias.len())),
@@ -171,7 +196,7 @@ impl Engine {
     /// Count of compute layers per precision `(fp32, fp16, int8)`.
     pub fn precision_mix(&self) -> (usize, usize, usize) {
         let mut mix = (0, 0, 0);
-        for unit in &self.units {
+        for unit in self.units() {
             if let Some(c) = &unit.choice {
                 match c.tactic.precision {
                     Precision::Fp32 => mix.0 += 1,
@@ -188,13 +213,13 @@ impl Engine {
     pub fn plan_size_bytes(&self) -> u64 {
         self.stored_weight_bytes()
             + self.launch_count() as u64 * NODE_METADATA_BYTES
-            + runtime_payload_bytes(self.build_platform)
+            + runtime_payload_bytes(self.build_platform())
     }
 
     /// Total bytes of all activation bindings at FP16 (execution contexts
     /// allocate every binding).
     pub fn total_activation_bytes(&self) -> u64 {
-        self.shapes
+        self.shapes()
             .iter()
             .skip(1)
             .map(|s| (s[0] * s[1] * s[2]) as u64 * 2)
@@ -205,7 +230,7 @@ impl Engine {
     /// (FP16 activations unless an FP32 layer touches them; conservatively 2
     /// bytes minimum).
     pub fn max_activation_bytes(&self) -> u64 {
-        self.shapes
+        self.shapes()
             .iter()
             .map(|s| (s[0] * s[1] * s[2]) as u64 * 2)
             .max()
@@ -263,7 +288,7 @@ mod tests {
         let e = small_engine(2);
         let (_, fp16, _) = e.precision_mix();
         if fp16 > 0 {
-            assert!(e.stored_weight_bytes() < e.graph.fp32_bytes() as u64);
+            assert!(e.stored_weight_bytes() < e.graph().fp32_bytes() as u64);
         }
     }
 
@@ -272,6 +297,18 @@ mod tests {
         let e = small_engine(3);
         let total: usize = e.kernel_invocations().values().sum();
         assert_eq!(total, e.launch_count());
+    }
+
+    #[test]
+    fn clones_share_one_body_and_compare_by_content() {
+        let e = small_engine(4);
+        let clone = e.clone();
+        assert!(Arc::ptr_eq(&e.data, &clone.data));
+        assert_eq!(clone, e);
+        let round_trip = crate::plan::deserialize(&crate::plan::serialize(&e)).unwrap();
+        assert!(!Arc::ptr_eq(&e.data, &round_trip.data));
+        assert_eq!(round_trip, e);
+        assert_ne!(small_engine(5), e);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use trtsim_gpu::timeline::GpuTimeline;
 use trtsim_metrics::{Counter, LatencyPercentiles, Registry, TelemetryServer};
 
 use crate::engine::Engine;
-use crate::predict::{EngineFeatures, LatencyModel};
+use crate::predict::{EngineFeatures, LatencyModel, PredictedLatency, QueueSignals};
 use crate::reqtrace::{
     FlightRecorder, PhaseKind, PhaseSpan, RequestTrace, TraceCtx, TraceIdGen, TraceOptions,
     TraceOutcome,
@@ -162,6 +162,39 @@ struct Replica {
     /// Static (engine, device) features the predictive score evaluates the
     /// shared model against.
     features: EngineFeatures,
+}
+
+/// One served model's routing table: its replicas, plus per-tenant state
+/// keyed by tenant name so a submit finds it by `&str` without allocating.
+#[derive(Debug, Default)]
+struct ModelRoute {
+    /// Replica indices, in placement order.
+    replicas: Vec<usize>,
+    /// Tenant → admission counters and affinity memory, created on the
+    /// tenant's first request.
+    tenants: Mutex<HashMap<String, TenantRoute>>,
+}
+
+/// One (model, tenant)'s admission counters, cached so the registry lock is
+/// taken once per label set, and the affinity tie-break's memory.
+#[derive(Debug)]
+struct TenantRoute {
+    submitted: Counter,
+    rejected: Counter,
+    /// The replica that served this (model, tenant) most recently.
+    last_replica: Option<usize>,
+}
+
+/// One candidate replica as the router priced it for one request: the
+/// queue signals it read, the warm model's prediction under them, and the
+/// dispatch score. Computed once per submit and reused for the sort, the
+/// tie-break, the trace stamp and the replica's admission.
+#[derive(Debug)]
+struct Priced {
+    replica: usize,
+    signals: QueueSignals,
+    pred: Option<PredictedLatency>,
+    score: f64,
 }
 
 /// Declarative fleet assembly: name devices, place replicas, start.
@@ -301,7 +334,7 @@ impl FleetBuilder {
             0,
         )));
         let mut replicas = Vec::with_capacity(self.replicas.len());
-        let mut by_model: HashMap<String, Vec<usize>> = HashMap::new();
+        let mut by_model: HashMap<String, ModelRoute> = HashMap::new();
         for (device_name, engine, server_config, tenant) in self.replicas {
             let d = devices
                 .iter()
@@ -339,6 +372,7 @@ impl FleetBuilder {
             by_model
                 .entry(model.clone())
                 .or_default()
+                .replicas
                 .push(replicas.len());
             replicas.push(Replica {
                 device: d,
@@ -391,8 +425,6 @@ impl FleetBuilder {
             affinity_metric,
             model: shared_model,
             affinity_epsilon: config.affinity_epsilon,
-            affinity: Mutex::new(HashMap::new()),
-            admission: Mutex::new(HashMap::new()),
             exporter,
             recorder,
             idgen,
@@ -405,7 +437,7 @@ impl FleetBuilder {
 pub struct Fleet {
     devices: Vec<FleetDevice>,
     replicas: Vec<Replica>,
-    by_model: HashMap<String, Vec<usize>>,
+    by_model: HashMap<String, ModelRoute>,
     submitted: AtomicU64,
     rejected: AtomicU64,
     predicted_dispatches: AtomicU64,
@@ -418,12 +450,6 @@ pub struct Fleet {
     /// [`FleetConfig::predictive`] is set.
     model: Option<Arc<LatencyModel>>,
     affinity_epsilon: f64,
-    /// (model, tenant) → index of the replica that served it most recently,
-    /// the affinity tie-break's memory.
-    affinity: Mutex<HashMap<(String, String), usize>>,
-    /// (model, tenant) → (submitted, rejected) counter handles, cached so
-    /// the registry lock is taken once per label set, not per request.
-    admission: Mutex<HashMap<(String, String), (Counter, Counter)>>,
     exporter: Option<TelemetryServer>,
     /// Fleet-shared flight recorder every replica records into.
     recorder: Arc<FlightRecorder>,
@@ -457,14 +483,21 @@ impl Fleet {
         frame: u64,
         arrival_us: f64,
     ) -> Result<(), ServingError> {
-        let Some(candidates) = self.by_model.get(model) else {
+        let Some(route) = self.by_model.get(model) else {
             return Err(ServingError::InvalidConfig(format!(
                 "no replica serves model `{model}`"
             )));
         };
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        let (submitted, rejected) = self.admission_counters(model, tenant);
-        submitted.inc();
+        let (rejected, prev) = {
+            let mut tenants = route.tenants.lock().expect("tenant routes");
+            if !tenants.contains_key(tenant) {
+                tenants.insert(tenant.to_string(), TenantRoute::register(model, tenant));
+            }
+            let entry = &tenants[tenant];
+            entry.submitted.inc();
+            (entry.rejected.clone(), entry.last_replica)
+        };
         // Predicted finish time when the shared model is warm: batch-1 p50
         // under each replica's live queue signals, which folds in batch
         // effects, backlog and busy streams the static heuristic cannot see.
@@ -473,39 +506,38 @@ impl Fleet {
         // service cost. Either way a saturated device's score stays high,
         // steering new load toward devices with headroom.
         let warm_model = self.model.as_ref().filter(|m| m.is_warm()).map(Arc::as_ref);
-        let score = |r: &Replica| -> f64 {
-            warm_model
-                .and_then(|m| m.predict(&r.features, 1, &r.server.queue_signals(Some(arrival_us))))
-                .map_or_else(
-                    || (r.server.queue_depth() as f64 + 1.0) * r.service_us,
+        let mut order: Vec<Priced> = route
+            .replicas
+            .iter()
+            .map(|&r| {
+                let replica = &self.replicas[r];
+                let signals = replica.server.queue_signals(Some(arrival_us));
+                let pred = warm_model.and_then(|m| m.predict(&replica.features, 1, &signals));
+                let score = pred.as_ref().map_or_else(
+                    || (replica.server.queue_depth() as f64 + 1.0) * replica.service_us,
                     |p| p.p50_us,
-                )
-        };
-        let mut order: Vec<usize> = candidates.clone();
-        order.sort_by(|&a, &b| score(&self.replicas[a]).total_cmp(&score(&self.replicas[b])));
+                );
+                Priced {
+                    replica: r,
+                    signals,
+                    pred,
+                    score,
+                }
+            })
+            .collect();
+        order.sort_by(|a, b| a.score.total_cmp(&b.score));
         // Affinity tie-break: when the top scores are within epsilon, prefer
         // the replica that served this (model, tenant) most recently —
         // sticky routing where the scores cannot tell replicas apart.
-        let affinity_key = (model.to_string(), tenant.to_string());
         let mut affinity_choice = None;
-        if order.len() >= 2 {
-            let prev = self
-                .affinity
-                .lock()
-                .expect("affinity map")
-                .get(&affinity_key)
-                .copied();
-            if let Some(prev) = prev {
-                let best = score(&self.replicas[order[0]]);
-                let tie =
-                    |idx: usize| score(&self.replicas[idx]) <= best * (1.0 + self.affinity_epsilon);
-                let ties = order.iter().take_while(|&&i| tie(i)).count();
-                if ties >= 2 {
-                    if let Some(pos) = order[..ties].iter().position(|&i| i == prev) {
-                        order.remove(pos);
-                        order.insert(0, prev);
-                        affinity_choice = Some(prev);
-                    }
+        if let Some(prev) = prev.filter(|_| order.len() >= 2) {
+            let bound = order[0].score * (1.0 + self.affinity_epsilon);
+            let ties = order.iter().take_while(|p| p.score <= bound).count();
+            if ties >= 2 {
+                if let Some(pos) = order[..ties].iter().position(|p| p.replica == prev) {
+                    let chosen = order.remove(pos);
+                    order.insert(0, chosen);
+                    affinity_choice = Some(prev);
                 }
             }
         }
@@ -515,24 +547,18 @@ impl Fleet {
         // of the replica that actually served (or finally refused) it.
         let mut ctx = TraceCtx::new(self.idgen.mint());
         let mut deadline_blocked = false;
-        for &r in &order {
+        for priced in &order {
+            let r = priced.replica;
             let replica = &self.replicas[r];
-            let pred = warm_model.and_then(|m| {
-                m.predict(
-                    &replica.features,
-                    1,
-                    &replica.server.queue_signals(Some(arrival_us)),
-                )
-            });
-            ctx.router_score = pred.as_ref().map_or_else(
-                || (replica.server.queue_depth() as f64 + 1.0) * replica.service_us,
-                |p| p.p50_us,
-            );
-            if let Some(p) = &pred {
+            ctx.router_score = priced.score;
+            if let Some(p) = &priced.pred {
                 ctx.predicted_p50_us = p.p50_us;
                 ctx.predicted_p99_us = p.p99_us;
             }
-            match replica.server.try_submit_traced(frame, arrival_us, ctx) {
+            match replica
+                .server
+                .try_submit_traced(frame, arrival_us, priced.signals, ctx)
+            {
                 Ok(()) => {
                     replica.routed.fetch_add(1, Ordering::Relaxed);
                     replica.routed_metric.inc();
@@ -547,10 +573,11 @@ impl Fleet {
                         self.affinity_hits.fetch_add(1, Ordering::Relaxed);
                         self.affinity_metric.inc();
                     }
-                    self.affinity
-                        .lock()
-                        .expect("affinity map")
-                        .insert(affinity_key, r);
+                    if let Some(entry) =
+                        route.tenants.lock().expect("tenant routes").get_mut(tenant)
+                    {
+                        entry.last_replica = Some(r);
+                    }
                     return Ok(());
                 }
                 Err(ServingError::QueueFull) => continue,
@@ -691,28 +718,26 @@ impl Fleet {
             self.affinity_hits.load(Ordering::Relaxed),
         )
     }
+}
 
-    fn admission_counters(&self, model: &str, tenant: &str) -> (Counter, Counter) {
-        let mut cache = self.admission.lock().expect("admission counter cache");
-        cache
-            .entry((model.to_string(), tenant.to_string()))
-            .or_insert_with(|| {
-                let reg = Registry::global();
-                let labels: &[(&str, &str)] = &[("model", model), ("tenant", tenant)];
-                (
-                    reg.counter(
-                        "trtsim_fleet_submitted_total",
-                        "Requests offered to the fleet router, by model and tenant",
-                        labels,
-                    ),
-                    reg.counter(
-                        "trtsim_fleet_rejected_total",
-                        "Requests refused because every replica queue was full",
-                        labels,
-                    ),
-                )
-            })
-            .clone()
+impl TenantRoute {
+    /// Registers the (model, tenant) admission counters.
+    fn register(model: &str, tenant: &str) -> Self {
+        let reg = Registry::global();
+        let labels: &[(&str, &str)] = &[("model", model), ("tenant", tenant)];
+        Self {
+            submitted: reg.counter(
+                "trtsim_fleet_submitted_total",
+                "Requests offered to the fleet router, by model and tenant",
+                labels,
+            ),
+            rejected: reg.counter(
+                "trtsim_fleet_rejected_total",
+                "Requests refused because every replica queue was full",
+                labels,
+            ),
+            last_replica: None,
+        }
     }
 }
 

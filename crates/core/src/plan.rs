@@ -18,7 +18,7 @@ use trtsim_kernels::tactic::{AccumOrder, Tactic, TacticFamily};
 use trtsim_util::f16::QuantParams;
 
 use crate::autotune::Choice;
-use crate::engine::{BuildReport, Engine, ExecUnit, IoBytes};
+use crate::engine::{BuildReport, Engine, EngineData, ExecUnit, IoBytes};
 use crate::error::EngineError;
 use crate::passes::PassReport;
 
@@ -30,16 +30,16 @@ pub fn serialize(engine: &Engine) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(4096);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
-    buf.put_u8(match engine.build_platform {
+    buf.put_u8(match engine.build_platform() {
         Platform::Nx => 0,
         Platform::Agx => 1,
     });
-    buf.put_u64_le(engine.build_seed);
-    put_string(&mut buf, &engine.name);
-    for d in engine.graph.input_shape() {
+    buf.put_u64_le(engine.build_seed());
+    put_string(&mut buf, engine.name());
+    for d in engine.graph().input_shape() {
         buf.put_u64_le(d as u64);
     }
-    let r = engine.report;
+    let r = engine.report();
     for v in [
         r.passes.removed,
         r.passes.fused,
@@ -48,18 +48,18 @@ pub fn serialize(engine: &Engine) -> Vec<u8> {
     ] {
         buf.put_u64_le(v as u64);
     }
-    buf.put_u64_le((engine.graph.len() - 1) as u64);
-    for node in engine.graph.nodes().iter().skip(1) {
+    buf.put_u64_le((engine.graph().len() - 1) as u64);
+    for node in engine.graph().nodes().iter().skip(1) {
         put_string(&mut buf, &node.name);
         buf.put_u32_le(node.inputs.len() as u32);
         for &i in &node.inputs {
             buf.put_u64_le(i as u64);
         }
         put_kind(&mut buf, &node.kind);
-        put_unit(&mut buf, &engine.units[node.id]);
+        put_unit(&mut buf, &engine.units()[node.id]);
     }
-    buf.put_u32_le(engine.graph.outputs().len() as u32);
-    for &o in engine.graph.outputs() {
+    buf.put_u32_le(engine.graph().outputs().len() as u32);
+    for &o in engine.graph().outputs() {
         buf.put_u64_le(o as u64);
     }
     buf.to_vec()
@@ -139,7 +139,7 @@ pub fn deserialize(data: &[u8]) -> Result<Engine, EngineError> {
     graph
         .validate()
         .map_err(|e| malformed(format!("invalid graph in plan: {e}")))?;
-    Ok(Engine {
+    Ok(Engine::new(EngineData {
         name,
         io: IoBytes::of(&graph, &shapes),
         graph,
@@ -148,7 +148,7 @@ pub fn deserialize(data: &[u8]) -> Result<Engine, EngineError> {
         build_platform: platform,
         build_seed,
         report,
-    })
+    }))
 }
 
 fn malformed(detail: impl Into<String>) -> EngineError {

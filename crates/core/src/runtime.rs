@@ -11,16 +11,21 @@
 //! * enqueue simulated work on a [`GpuTimeline`]
 //!   ([`ExecutionContext::enqueue_inference`]) for latency/throughput
 //!   studies, including the per-run engine upload the paper's harness
-//!   performs (its Table X separates that memcpy out);
+//!   performs (its Table X separates that memcpy out). The first batched
+//!   enqueue of each batch size derives one [`TimedKernel`] row per kernel
+//!   against the context's device and caches the table; later enqueues of
+//!   that size replay it, so serving the same engine again and again costs
+//!   a slice walk rather than a roofline evaluation per kernel;
 //! * summarize itself as an [`EngineProfile`] for the concurrency model.
 
 use std::borrow::Borrow;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock};
 
 use trtsim_gpu::contention::EngineProfile;
 use trtsim_gpu::device::DeviceSpec;
 use trtsim_gpu::kernel::Precision;
-use trtsim_gpu::timeline::{GpuTimeline, ProfilingOverhead, StreamId};
+use trtsim_gpu::timeline::{GpuTimeline, ProfilingOverhead, StreamId, TimedKernel};
 use trtsim_gpu::timing::kernel_busy_us;
 use trtsim_ir::graph::{Graph, LayerKind};
 use trtsim_ir::ops;
@@ -100,6 +105,18 @@ impl TimingOptions {
     }
 }
 
+/// Batch size → the engine's kernel launches timed on the context's device
+/// at that size, one [`TimedKernel`] per compute unit in execution order.
+/// Derived state: a clone copies the rows it has.
+#[derive(Debug, Default)]
+struct BatchTimings(Mutex<BTreeMap<u64, Vec<TimedKernel>>>);
+
+impl Clone for BatchTimings {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.0.lock().expect("batch timings").clone()))
+    }
+}
+
 /// A bound (engine, device) pair ready to run (TensorRT
 /// `IExecutionContext` analog).
 #[derive(Debug, Clone)]
@@ -107,6 +124,7 @@ pub struct ExecutionContext<'e> {
     engine: &'e Engine,
     device: DeviceSpec,
     plan: OnceLock<InferencePlan<'e>>,
+    batch_timings: BatchTimings,
 }
 
 impl<'e> ExecutionContext<'e> {
@@ -118,6 +136,7 @@ impl<'e> ExecutionContext<'e> {
             engine,
             device,
             plan: OnceLock::new(),
+            batch_timings: BatchTimings::default(),
         }
     }
 
@@ -176,7 +195,7 @@ impl<'e> ExecutionContext<'e> {
     ///
     /// Returns [`EngineError::Execution`] on shape mismatch.
     pub fn infer_unplanned(&self, input: &Tensor) -> Result<Vec<Tensor>, EngineError> {
-        let graph: &Graph = &self.engine.graph;
+        let graph: &Graph = self.engine.graph();
         if input.shape() != graph.input_shape() {
             return Err(EngineError::Execution(trtsim_ir::IrError::ShapeMismatch {
                 node: "input".into(),
@@ -190,7 +209,7 @@ impl<'e> ExecutionContext<'e> {
         let mut values: Vec<Option<Tensor>> = vec![None; graph.len()];
         values[Graph::INPUT] = Some(input.clone());
         for node in graph.nodes().iter().skip(1) {
-            let unit = &self.engine.units[node.id];
+            let unit = &self.engine.units()[node.id];
             let get = |i: usize| -> &Tensor {
                 values[node.inputs[i]].as_ref().expect("producer computed")
             };
@@ -271,7 +290,7 @@ impl<'e> ExecutionContext<'e> {
                 LayerKind::Slice { begin, len } => ops::slice_channels(get(0), *begin, *len),
                 LayerKind::Dropout { .. } | LayerKind::Identity => get(0).clone(),
             };
-            debug_assert_eq!(out.shape(), self.engine.shapes[node.id]);
+            debug_assert_eq!(out.shape(), self.engine.shapes()[node.id]);
             // Keep NaN out of downstream argmaxes if an fp16 overflowed.
             if out.as_slice().iter().any(|v| v.is_nan()) {
                 out.map_inplace(|v| if v.is_nan() { 0.0 } else { v });
@@ -401,13 +420,35 @@ impl<'e> ExecutionContext<'e> {
         let batch = batch.max(1) as u64;
         let io = self.engine.io_bytes();
         timeline.enqueue_h2d(stream, io.input_bytes * batch);
-        for unit in &self.engine.units {
-            if let Some(choice) = &unit.choice {
-                timeline.enqueue_batched_kernel(stream, &choice.kernel, batch);
-            }
+        let mut cache;
+        let uncached;
+        let rows: &[TimedKernel] = if timeline.device() == &self.device {
+            cache = self.batch_timings.0.lock().expect("batch timings");
+            cache
+                .entry(batch)
+                .or_insert_with(|| self.batch_timing(batch, &self.device))
+        } else {
+            // A timeline on another device times the kernels against its
+            // own device, through the same derivation, uncached.
+            uncached = self.batch_timing(batch, timeline.device());
+            &uncached
+        };
+        for row in rows {
+            timeline.enqueue_timed(stream, row);
         }
         timeline.enqueue_d2h(stream, (io.output_bytes * batch).max(4));
         timeline.host_span(stream, "host_glue", opts.host_glue_us)
+    }
+
+    /// The engine's kernel launches scaled to `batch` and timed on `device`,
+    /// in execution order.
+    fn batch_timing(&self, batch: u64, device: &DeviceSpec) -> Vec<TimedKernel> {
+        self.engine
+            .units()
+            .iter()
+            .filter_map(|u| u.choice.as_ref())
+            .map(|c| TimedKernel::derive(&c.kernel, batch, device))
+            .collect()
     }
 
     /// Measures `runs` end-to-end latencies (µs) under the paper's harness
@@ -430,7 +471,7 @@ impl<'e> ExecutionContext<'e> {
     /// GPU busy time of one inference (kernel roofline sum, no launches), µs.
     pub fn gpu_busy_us(&self) -> f64 {
         self.engine
-            .units
+            .units()
             .iter()
             .filter_map(|u| u.choice.as_ref())
             .map(|c| kernel_busy_us(&c.kernel, &self.device))
@@ -440,7 +481,7 @@ impl<'e> ExecutionContext<'e> {
     /// Total post-cache DRAM traffic of one inference, bytes.
     pub fn dram_bytes_per_inference(&self) -> u64 {
         self.engine
-            .units
+            .units()
             .iter()
             .filter_map(|u| u.choice.as_ref())
             .map(|c| c.kernel.dram_bytes)

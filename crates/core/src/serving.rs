@@ -820,7 +820,7 @@ impl InferenceServer {
             labels.device.as_deref(),
             labels.tenant.as_deref(),
         );
-        let engine = Arc::new(engine.clone());
+        let engine = engine.clone();
         let timeline = shared_timeline
             .unwrap_or_else(|| Arc::new(Mutex::new(GpuTimeline::new(device.clone()))));
         let streams: Vec<StreamId> = {
@@ -851,7 +851,7 @@ impl InferenceServer {
             // so admission control stays at the submission queue.
             let (batch_tx, batch_rx) = mpsc::sync_channel::<Batch>(1);
             worker_txs.push(batch_tx);
-            let engine = Arc::clone(&engine);
+            let engine = engine.clone();
             let device = device.clone();
             let timeline = Arc::clone(&timeline);
             let stats = Arc::clone(&stats);
@@ -887,6 +887,7 @@ impl InferenceServer {
             let depth = Arc::clone(&depth);
             let high_water = Arc::clone(&high_water);
             let max_batch = config.max_batch_size;
+            let queue_capacity = config.queue_capacity;
             let batch_timeout_us = config.batch_timeout_us;
             let arrivals = ArrivalClock::new(config.arrival_period_us, config.arrival_process);
             let metrics = metrics.clone();
@@ -904,6 +905,7 @@ impl InferenceServer {
                     &submission_rx,
                     &worker_txs,
                     max_batch,
+                    queue_capacity,
                     batch_timeout_us,
                     arrivals,
                     &depth,
@@ -1062,32 +1064,40 @@ impl InferenceServer {
     }
 
     /// Fleet entry point: submit with a router-minted trace context (score
-    /// and predictions already stamped) instead of minting a fresh one. A
-    /// refusal here records no trace — the router may still place the frame
-    /// on another replica, and it records the single rejection trace itself
-    /// only when every replica refuses.
+    /// and predictions already stamped) and the queue signals the router
+    /// priced this replica under, instead of minting and reading fresh
+    /// ones. A refusal here records no trace — the router may still place
+    /// the frame on another replica, and it records the single rejection
+    /// trace itself only when every replica refuses.
     pub(crate) fn try_submit_traced(
         &self,
         frame: u64,
         arrival_us: f64,
+        signals: QueueSignals,
         trace: TraceCtx,
     ) -> Result<(), ServingError> {
-        self.try_submit_with(frame, Some(arrival_us), trace, false)
+        self.try_submit_with(frame, Some(arrival_us), signals, trace, false)
     }
 
     fn try_submit_inner(&self, frame: u64, arrival_us: Option<f64>) -> Result<(), ServingError> {
-        self.try_submit_with(frame, arrival_us, TraceCtx::new(self.idgen.mint()), true)
+        self.try_submit_with(
+            frame,
+            arrival_us,
+            self.queue_signals(arrival_us),
+            TraceCtx::new(self.idgen.mint()),
+            true,
+        )
     }
 
     fn try_submit_with(
         &self,
         frame: u64,
         arrival_us: Option<f64>,
+        signals: QueueSignals,
         mut trace: TraceCtx,
         record_rejects: bool,
     ) -> Result<(), ServingError> {
         let tx = self.tx.as_ref().ok_or(ServingError::Stopped)?;
-        let signals = self.queue_signals(arrival_us);
         if let Err(e) = self.admit(&signals, &mut trace) {
             if record_rejects {
                 self.sink.record_rejected(
@@ -1114,13 +1124,7 @@ impl InferenceServer {
         let depth_now = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
         match tx.try_send(submission) {
             Ok(()) => {
-                let prev_max = self.high_water.fetch_max(depth_now, Ordering::SeqCst);
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.accepted.inc();
-                self.metrics.queue_depth.set(depth_now as f64);
-                self.metrics
-                    .queue_high_water
-                    .set(prev_max.max(depth_now) as f64);
+                self.note_accepted(depth_now);
                 Ok(())
             }
             Err(TrySendError::Full(_)) => {
@@ -1144,6 +1148,22 @@ impl InferenceServer {
         }
     }
 
+    /// Counts an accepted frame and records the queue depth it saw.
+    /// `depth_now` was taken when the frame reserved its slot; the batcher
+    /// may have popped frames since, and a concurrent submit may have
+    /// reserved one it will not get, so the high-water mark is clamped to
+    /// what the queue can hold plus the frame the batcher has in hand.
+    fn note_accepted(&self, depth_now: usize) {
+        let depth_now = depth_now.min(self.config.queue_capacity + 1);
+        let prev_max = self.high_water.fetch_max(depth_now, Ordering::SeqCst);
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.metrics.accepted.inc();
+        self.metrics.queue_depth.set(depth_now as f64);
+        self.metrics
+            .queue_high_water
+            .set(prev_max.max(depth_now) as f64);
+    }
+
     /// Submits a frame, blocking while the bounded queue is full.
     ///
     /// # Errors
@@ -1160,13 +1180,7 @@ impl InferenceServer {
             trace: TraceCtx::new(self.idgen.mint()),
         }) {
             Ok(()) => {
-                let prev_max = self.high_water.fetch_max(depth_now, Ordering::SeqCst);
-                self.accepted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.accepted.inc();
-                self.metrics.queue_depth.set(depth_now as f64);
-                self.metrics
-                    .queue_high_water
-                    .set(prev_max.max(depth_now) as f64);
+                self.note_accepted(depth_now);
                 Ok(())
             }
             Err(_) => {
@@ -1380,6 +1394,7 @@ fn batcher_loop(
     rx: &Receiver<Submission>,
     worker_txs: &[SyncSender<Batch>],
     max_batch: usize,
+    queue_capacity: usize,
     batch_timeout_us: f64,
     mut arrivals: ArrivalClock,
     depth: &AtomicUsize,
@@ -1397,8 +1412,12 @@ fn batcher_loop(
         // or blocked on a full worker rendezvous were never observed by the
         // submit path alone (a submit may have recorded a smaller depth
         // before this pop, then raced with other submits), so the coalesce
-        // point is the second place the true maximum can surface.
-        let observed = depth.load(Ordering::SeqCst);
+        // point is the second place the true maximum can surface. A submit
+        // whose `try_send` is about to fail has already bumped `depth` for a
+        // frame that never enters the queue; the queue plus the frame in hand
+        // never exceeds `queue_capacity + 1`, so that transient is clamped
+        // out.
+        let observed = depth.load(Ordering::SeqCst).min(queue_capacity + 1);
         let prev_max = high_water.fetch_max(observed, Ordering::SeqCst);
         let remaining = depth.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
         metrics.queue_depth.set(remaining as f64);

@@ -12,7 +12,7 @@
 //! costs one cached load plus a map probe instead of re-folding the name
 //! string every time.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Numeric precision a kernel computes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +65,9 @@ impl Precision {
 #[derive(Debug, Clone)]
 pub struct KernelDesc {
     /// Kernel symbol name (TensorRT-style, produced by the tactic catalog).
-    pub name: String,
+    /// Shared: clones, batch-scaled copies and every timeline record of this
+    /// kernel point at one allocation.
+    pub name: Arc<str>,
     /// Thread blocks in the grid.
     pub grid_blocks: u64,
     /// Threads per block.
@@ -167,7 +169,7 @@ impl Fold2 {
 
 impl KernelDesc {
     /// Creates an empty kernel with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         Self {
             name: name.into(),
             grid_blocks: 1,

@@ -5,6 +5,17 @@
 //! stream serializes; separate streams advance independently (the device-wide
 //! saturation effects of many concurrent streams are modeled analytically in
 //! [`crate::contention`]).
+//!
+//! Every kernel record is appended by one primitive,
+//! [`GpuTimeline::enqueue_timed`], which takes a [`TimedKernel`]: a launch
+//! whose roofline busy time and SM occupancy were already derived against a
+//! device. [`GpuTimeline::enqueue_kernel`] derives that row on the spot;
+//! callers that launch the same kernels again and again (an execution
+//! context serving batches) derive the rows once and replay them. A record
+//! shares its kernel's name (`Arc<str>`), so appending one allocates
+//! nothing beyond the record vector's own growth.
+
+use std::sync::Arc;
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
@@ -48,8 +59,8 @@ pub enum CopyKind {
 /// One executed kernel, as the profiler sees it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRecord {
-    /// Kernel symbol name.
-    pub name: String,
+    /// Kernel symbol name, shared with the [`KernelDesc`] it came from.
+    pub name: Arc<str>,
     /// Stream it ran on.
     pub stream: StreamId,
     /// Start time (µs since timeline creation).
@@ -100,6 +111,44 @@ pub struct HostSpanRecord {
     pub duration_us: f64,
     /// Per-stream span sequence number (see [`SpanSeq`]).
     pub seq: SpanSeq,
+}
+
+/// One kernel launch with its device timing already derived: the row
+/// [`GpuTimeline::enqueue_timed`] appends.
+///
+/// The busy time is the raw roofline time, before any profiling inflation;
+/// the timeline applies its own launch cost and
+/// [`ProfilingOverhead::busy_multiplier`] when it appends the row.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimedKernel {
+    /// Kernel symbol name.
+    pub name: Arc<str>,
+    /// Grid size.
+    pub grid_blocks: u64,
+    /// Roofline busy time on the device, µs ([`kernel_busy_us`]).
+    pub busy_us: f64,
+    /// Fraction of SM slots occupied while resident
+    /// ([`sm_occupancy_fraction`]).
+    pub sm_occupancy: f64,
+}
+
+impl TimedKernel {
+    /// Derives the timing row of `kernel` scaled to `batch` inputs (see
+    /// [`KernelDesc::with_batch`]; `batch <= 1` is the kernel as given) on
+    /// `device`.
+    pub fn derive(kernel: &KernelDesc, batch: u64, device: &DeviceSpec) -> Self {
+        let row = |k: &KernelDesc| Self {
+            name: Arc::clone(&k.name),
+            grid_blocks: k.grid_blocks,
+            busy_us: kernel_busy_us(k, device),
+            sm_occupancy: sm_occupancy_fraction(k, device),
+        };
+        if batch <= 1 {
+            row(kernel)
+        } else {
+            row(&kernel.clone().with_batch(batch))
+        }
+    }
 }
 
 /// Profiling instrumentation attached to a timeline.
@@ -224,22 +273,7 @@ impl GpuTimeline {
     ///
     /// Panics if the stream does not exist.
     pub fn enqueue_kernel(&mut self, stream: StreamId, kernel: &KernelDesc) -> f64 {
-        let launch = self.device.kernel_launch_us + self.overhead.per_launch_us;
-        let busy = kernel_busy_us(kernel, &self.device) * self.overhead.busy_multiplier;
-        let start = self.stream_cursor[stream] + launch;
-        let end = start + busy;
-        let seq = self.bump_seq(stream);
-        self.kernels.push(KernelRecord {
-            name: kernel.name.clone(),
-            stream,
-            start_us: start,
-            duration_us: busy,
-            grid_blocks: kernel.grid_blocks,
-            sm_occupancy: sm_occupancy_fraction(kernel, &self.device),
-            seq,
-        });
-        self.stream_cursor[stream] = end;
-        end
+        self.enqueue_batched_kernel(stream, kernel, 1)
     }
 
     /// Enqueues one kernel launch covering `batch` inputs; returns its
@@ -259,11 +293,36 @@ impl GpuTimeline {
         kernel: &KernelDesc,
         batch: u64,
     ) -> f64 {
-        if batch <= 1 {
-            self.enqueue_kernel(stream, kernel)
-        } else {
-            self.enqueue_kernel(stream, &kernel.clone().with_batch(batch))
-        }
+        let row = TimedKernel::derive(kernel, batch, &self.device);
+        self.enqueue_timed(stream, &row)
+    }
+
+    /// Appends one launch whose timing was derived up front (see
+    /// [`TimedKernel`]), charging this timeline's launch cost and profiling
+    /// multiplier; returns its completion time (µs). Every kernel record,
+    /// [`GpuTimeline::enqueue_kernel`]'s included, is appended here. The row
+    /// should have been derived against this timeline's device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream does not exist.
+    pub fn enqueue_timed(&mut self, stream: StreamId, kernel: &TimedKernel) -> f64 {
+        let launch = self.device.kernel_launch_us + self.overhead.per_launch_us;
+        let busy = kernel.busy_us * self.overhead.busy_multiplier;
+        let start = self.stream_cursor[stream] + launch;
+        let end = start + busy;
+        let seq = self.bump_seq(stream);
+        self.kernels.push(KernelRecord {
+            name: Arc::clone(&kernel.name),
+            stream,
+            start_us: start,
+            duration_us: busy,
+            grid_blocks: kernel.grid_blocks,
+            sm_occupancy: kernel.sm_occupancy,
+            seq,
+        });
+        self.stream_cursor[stream] = end;
+        end
     }
 
     /// Enqueues a host→device copy; returns its completion time (µs).
@@ -564,6 +623,48 @@ mod tests {
         plain.enqueue_kernel(s1, &kernel(6));
         batched.enqueue_batched_kernel(s2, &kernel(6), 1);
         assert_eq!(plain.kernels(), batched.kernels());
+    }
+
+    #[test]
+    fn launches_charge_launch_cost_and_profiling_multiplier() {
+        let dev = DeviceSpec::xavier_nx();
+        let nvprof = ProfilingOverhead::nvprof();
+        let mut tl = GpuTimeline::with_overhead(dev.clone(), nvprof);
+        let s = tl.create_stream();
+        let k = kernel(6);
+        let end = tl.enqueue_kernel(s, &k);
+        let r = &tl.kernels()[0];
+        assert_eq!(r.start_us, dev.kernel_launch_us + nvprof.per_launch_us);
+        assert_eq!(
+            r.duration_us,
+            kernel_busy_us(&k, &dev) * nvprof.busy_multiplier
+        );
+        assert_eq!(r.sm_occupancy, sm_occupancy_fraction(&k, &dev));
+        assert_eq!(end, r.start_us + r.duration_us);
+    }
+
+    #[test]
+    fn replayed_rows_match_fresh_launches_and_share_names() {
+        let dev = DeviceSpec::xavier_agx();
+        let mut fresh = GpuTimeline::with_overhead(dev.clone(), ProfilingOverhead::nvprof());
+        let mut replayed = GpuTimeline::with_overhead(dev.clone(), ProfilingOverhead::nvprof());
+        let s1 = fresh.create_stream();
+        let s2 = replayed.create_stream();
+        let k = kernel(6);
+        let rows: Vec<TimedKernel> = (1..=3).map(|b| TimedKernel::derive(&k, b, &dev)).collect();
+        for _ in 0..2 {
+            for (b, row) in (1..=3).zip(&rows) {
+                assert_eq!(
+                    fresh.enqueue_batched_kernel(s1, &k, b),
+                    replayed.enqueue_timed(s2, row)
+                );
+            }
+        }
+        assert_eq!(fresh.kernels(), replayed.kernels());
+        assert!(replayed
+            .kernels()
+            .iter()
+            .all(|r| Arc::ptr_eq(&r.name, &k.name)));
     }
 
     #[test]

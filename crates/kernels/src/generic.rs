@@ -122,8 +122,8 @@ mod tests {
         let cost = layer_cost(&kind, &[[32, 28, 28]], [64, 28, 28]);
         let ks = framework_kernels(&kind, &cost, [64, 28, 28]);
         assert_eq!(ks.len(), 3);
-        assert_eq!(ks[0].name, "im2col4d_kernel");
-        assert_eq!(ks[1].name, "sgemm_128x128_nn");
+        assert_eq!(&*ks[0].name, "im2col4d_kernel");
+        assert_eq!(&*ks[1].name, "sgemm_128x128_nn");
         assert!(ks.iter().all(|k| k.precision == Precision::Fp32));
     }
 

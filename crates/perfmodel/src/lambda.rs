@@ -43,7 +43,7 @@ impl LambdaTable {
             // Average λ across invocations of the same symbol.
             let lambda = raw / measured;
             entries
-                .entry(choice.kernel.name.clone())
+                .entry(choice.kernel.name.to_string())
                 .and_modify(|l: &mut f64| *l = (*l + lambda) / 2.0)
                 .or_insert(lambda);
         }

@@ -226,12 +226,12 @@ pub fn kernel_slowdowns(timeline: &GpuTimeline, config: &DetectorConfig) -> Vec<
         .kernels()
         .iter()
         .filter_map(|k| {
-            let &med = medians.get(k.name.as_str())?;
+            let &med = medians.get(&*k.name)?;
             if med <= 0.0 || k.duration_us < config.slowdown_ratio * med {
                 return None;
             }
             Some(KernelSlowdown {
-                name: k.name.clone(),
+                name: k.name.to_string(),
                 stream: k.stream,
                 seq: k.seq,
                 duration_us: k.duration_us,
@@ -253,7 +253,7 @@ pub fn kernel_set_diff(a: &GpuTimeline, b: &GpuTimeline) -> KernelSetDiff {
     let count = |tl: &GpuTimeline| -> BTreeMap<String, usize> {
         let mut m = BTreeMap::new();
         for k in tl.kernels() {
-            *m.entry(k.name.clone()).or_insert(0) += 1;
+            *m.entry(k.name.to_string()).or_insert(0) += 1;
         }
         m
     };

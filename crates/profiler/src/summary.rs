@@ -67,7 +67,7 @@ pub fn summarize(timeline: &GpuTimeline) -> ProfileSummary {
     let mut by_name: BTreeMap<&str, KernelSummary> = BTreeMap::new();
     for k in timeline.kernels() {
         let entry = by_name.entry(&k.name).or_insert_with(|| KernelSummary {
-            name: k.name.clone(),
+            name: k.name.to_string(),
             calls: 0,
             total_us: 0.0,
             avg_us: 0.0,

@@ -4,6 +4,8 @@
 //! paper reads per-invocation runtimes out of this view (its Table XIII
 //! shows the same kernel taking different times per invocation).
 
+use std::sync::Arc;
+
 use trtsim_gpu::timeline::GpuTimeline;
 
 /// One chronological trace entry.
@@ -19,8 +21,8 @@ pub struct TraceEntry {
     pub seq: u64,
     /// Grid size.
     pub grid_blocks: u64,
-    /// Kernel symbol.
-    pub name: String,
+    /// Kernel symbol, shared with the timeline record.
+    pub name: Arc<str>,
 }
 
 /// Extracts the chronological kernel trace from a finished timeline.
@@ -48,7 +50,7 @@ pub fn gpu_trace(timeline: &GpuTimeline) -> Vec<TraceEntry> {
 pub fn invocation_durations(timeline: &GpuTimeline, kernel: &str) -> Vec<f64> {
     gpu_trace(timeline)
         .into_iter()
-        .filter(|e| e.name == kernel)
+        .filter(|e| &*e.name == kernel)
         .map(|e| e.duration_us)
         .collect()
 }

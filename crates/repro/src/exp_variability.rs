@@ -235,7 +235,7 @@ mod tests {
         // At least one pair of builds must differ in the kernel records, the
         // drift Table XIII counts.
         let names = |tl: &GpuTimeline| {
-            let mut v: Vec<String> = tl.kernels().iter().map(|k| k.name.clone()).collect();
+            let mut v: Vec<_> = tl.kernels().iter().map(|k| k.name.clone()).collect();
             v.sort();
             v
         };

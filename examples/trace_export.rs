@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|k| {
             k.stream == slowest.worker && (slowest.span_lo..slowest.span_hi).contains(&k.seq)
         })
-        .map(|k| k.name.as_str())
+        .map(|k| &*k.name)
         .collect();
     println!(
         "\nslowest request: frame {} ({:.2} ms on worker {}, batch {}, spans {}..{})",
