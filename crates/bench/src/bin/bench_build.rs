@@ -20,24 +20,29 @@ use std::time::Instant;
 
 use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_core::autotune::candidate_kernels;
-use trtsim_core::{Builder, BuilderConfig, Engine, TimingCache};
+use trtsim_core::{
+    publish_build, publish_timing_cache, Builder, BuilderConfig, Engine, TimingCache,
+};
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_gpu::kernel::KernelDesc;
 use trtsim_gpu::timing::kernel_time_us;
 use trtsim_kernels::catalog::PrecisionPolicy;
-use trtsim_metrics::CacheStats;
+use trtsim_metrics::{CacheStats, Registry};
 use trtsim_models::ModelId;
 use trtsim_repro::support::EngineFarm;
 
+/// Builds every request in order, publishing each build into `registry`.
 fn build_all(
     requests: &[(ModelId, Platform)],
     cache: &Arc<TimingCache>,
     threads: usize,
+    registry: &Registry,
 ) -> Vec<Engine> {
     requests
         .iter()
         .map(|&(model, platform)| {
-            Builder::new(
+            let started = Instant::now();
+            let engine = Builder::new(
                 DeviceSpec::pinned_clock(platform),
                 BuilderConfig::default()
                     .with_build_seed(trtsim_repro::support::zoo_seed(model, platform, 0))
@@ -45,7 +50,10 @@ fn build_all(
                     .with_timing_cache(cache.clone()),
             )
             .build(&model.descriptor())
-            .expect("zoo models build")
+            .expect("zoo models build");
+            let seconds = started.elapsed().as_secs_f64();
+            publish_build(registry, engine.name(), engine.report(), seconds);
+            engine
         })
         .collect()
 }
@@ -100,11 +108,12 @@ fn main() {
         .collect();
     let threads = trtsim_util::pool::auto_threads();
     let mut phases: Vec<PhaseReport> = Vec::new();
+    let registry = Registry::new();
 
     // Phase 1: cold sequential — fresh timing cache, one build at a time.
     let seq_cache = Arc::new(TimingCache::new());
     let t = Instant::now();
-    let reference = build_all(&requests, &seq_cache, 1);
+    let reference = build_all(&requests, &seq_cache, 1, &registry);
     let cold_stats = seq_cache.stats();
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     phases.push(phase(
@@ -117,7 +126,7 @@ fn main() {
     // Phase 2: warm-cache sequential rebuild — same cache, every timing query
     // should now hit.
     let t = Instant::now();
-    let warm_engines = build_all(&requests, &seq_cache, 1);
+    let warm_engines = build_all(&requests, &seq_cache, 1, &registry);
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
     let warm_stats = seq_cache.stats().since(cold_stats);
     phases.push(phase(
@@ -301,7 +310,9 @@ fn main() {
         ],
         bit_identical: true,
     };
-    report.write(&out_path);
+    publish_timing_cache(&registry, &seq_cache.stats());
+    farm.publish(&registry);
+    report.write(&out_path, &registry);
 
     for p in &report.phases {
         println!(

@@ -22,6 +22,7 @@ use trtsim_core::runtime::TimingOptions;
 use trtsim_core::serving::{InferenceServer, ServerConfig};
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::device::{DeviceSpec, Platform};
+use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_repro::support::EngineFarm;
 use trtsim_util::pool::auto_threads;
@@ -57,7 +58,9 @@ struct TraceRun {
     solo: Vec<(&'static str, f64, f64)>,
 }
 
-fn run_trace(model: ModelId, trace: &ArrivalTrace, queue: usize) -> TraceRun {
+/// Replays `trace` on each board alone and on the fleet, absorbing every
+/// server's and the fleet's final series into `registry`.
+fn run_trace(model: ModelId, trace: &ArrivalTrace, queue: usize, registry: &Registry) -> TraceRun {
     let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
     // Each board alone, fed the identical trace.
     let mut solo = Vec::new();
@@ -68,12 +71,14 @@ fn run_trace(model: ModelId, trace: &ArrivalTrace, queue: usize) -> TraceRun {
         for (i, &t) in trace.arrivals_us.iter().enumerate() {
             let _ = server.try_submit_at(i as u64, t);
         }
+        let server_registry = server.registry();
         let stats = server.drain();
         solo.push((
             device,
             stats.aggregate_fps,
             started.elapsed().as_secs_f64() * 1e3,
         ));
+        registry.absorb(&server_registry);
     }
     // The whole cluster behind the router, same trace.
     let started = std::time::Instant::now();
@@ -88,10 +93,13 @@ fn run_trace(model: ModelId, trace: &ArrivalTrace, queue: usize) -> TraceRun {
     }
     let fleet = builder.start(FleetConfig::default()).expect("fleet starts");
     fleet.replay(engine.name(), &trace.arrivals_us, 0);
+    let fleet_registry = fleet.registry();
     let stats = fleet.drain();
+    let fleet_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    registry.absorb(&fleet_registry);
     TraceRun {
         fleet: stats,
-        fleet_wall_ms: started.elapsed().as_secs_f64() * 1e3,
+        fleet_wall_ms,
         solo,
     }
 }
@@ -121,8 +129,9 @@ fn main() {
     let mut summary = Vec::new();
     let mut all_pass = true;
     let mut fleet_fps_by_trace = Vec::new();
+    let registry = Registry::new();
     for (name, trace) in &traces {
-        let run = run_trace(model, trace, queue);
+        let run = run_trace(model, trace, queue, &registry);
         let fleet_fps = run.fleet.aggregate_fps;
         let best_solo = run
             .solo
@@ -205,7 +214,8 @@ fn main() {
         summary,
         bit_identical: all_pass,
     };
-    report.write(&out_path);
+    EngineFarm::global().publish(&registry);
+    report.write(&out_path, &registry);
     println!("-> {out_path}");
     assert!(all_pass, "fleet benchmark invariants failed");
 }

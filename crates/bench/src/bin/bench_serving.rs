@@ -28,6 +28,7 @@ use trtsim_core::runtime::TimingOptions;
 use trtsim_core::serving::ServerConfig;
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::device::{DeviceSpec, Platform};
+use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_perfmodel::learned::bsp_cross_build_error_percent;
 use trtsim_repro::support::EngineFarm;
@@ -137,6 +138,7 @@ fn run_arm(
     warmup: &ArrivalTrace,
     deadline_us: f64,
     predictive: bool,
+    registry: &Registry,
 ) -> ArmResult {
     let started = std::time::Instant::now();
     let queue = warmup.len() + trace.len();
@@ -165,7 +167,9 @@ fn run_arm(
     let shifted: Vec<f64> = trace.arrivals_us.iter().map(|t| t + offset_us).collect();
     let (deadline_rejected, queue_rejected) =
         paced_replay(&fleet, engine, &shifted, warmup.len() as u64);
+    let fleet_registry = fleet.registry();
     let stats = fleet.drain();
+    registry.absorb(&fleet_registry);
     // Window accounting from per-request records: measured frames are
     // exactly those arriving at or after the shift.
     let mut completed = 0u64;
@@ -206,9 +210,10 @@ fn median_arm(
     warmup: &ArrivalTrace,
     deadline_us: f64,
     predictive: bool,
+    reg: &Registry,
 ) -> ArmResult {
     let mut runs: Vec<ArmResult> = (0..5)
-        .map(|_| run_arm(engine, model, trace, warmup, deadline_us, predictive))
+        .map(|_| run_arm(engine, model, trace, warmup, deadline_us, predictive, reg))
         .collect();
     let mut miss_rates: Vec<f64> = runs.iter().map(|r| r.miss_rate).collect();
     miss_rates.sort_by(f64::total_cmp);
@@ -246,6 +251,7 @@ fn trace_probe(
     trace: &ArrivalTrace,
     warmup: &ArrivalTrace,
     deadline_us: f64,
+    registry: &Registry,
 ) -> PhaseReport {
     let started = std::time::Instant::now();
     let queue = warmup.len() + trace.len();
@@ -317,7 +323,9 @@ fn trace_probe(
         .with_counter("traces_sampled", recorder.sampled())
         .with_counter("traces_evicted", recorder.evicted())
         .with_counter("deadline_missed_traces", recorder.deadline_missed_seen());
+    let fleet_registry = fleet.registry();
     fleet.drain();
+    registry.absorb(&fleet_registry);
     phase
 }
 
@@ -366,9 +374,20 @@ fn main() {
     let mut phases = Vec::new();
     let mut summary = Vec::new();
     let mut all_pass = true;
+    let registry = Registry::new();
     for (name, trace) in &traces {
-        let heuristic = median_arm(&engine, model, trace, &warmup, deadline_us, false);
-        let predictive = median_arm(&engine, model, trace, &warmup, deadline_us, true);
+        let arm = |predictive| {
+            median_arm(
+                &engine,
+                model,
+                trace,
+                &warmup,
+                deadline_us,
+                predictive,
+                &registry,
+            )
+        };
+        let (heuristic, predictive) = (arm(false), arm(true));
         for (arm, r) in [("heuristic", &heuristic), ("predictive", &predictive)] {
             phases.push(
                 PhaseReport::new(format!("{name}_{arm}"), r.wall_ms)
@@ -410,7 +429,7 @@ fn main() {
     // recorder's HTTP routes live and assert the tracing contract (tail
     // retention, phase accounting, /traces routes, histogram exemplars).
     let (_, burst) = &traces[1];
-    let probe = trace_probe(&engine, model, burst, &warmup, deadline_us);
+    let probe = trace_probe(&engine, model, burst, &warmup, deadline_us, &registry);
     for (k, v) in &probe.counters {
         summary.push((format!("trace_probe_{k}"), *v as f64));
     }
@@ -456,7 +475,8 @@ fn main() {
         summary,
         bit_identical: all_pass,
     };
-    report.write(&out_path);
+    EngineFarm::global().publish(&registry);
+    report.write(&out_path, &registry);
     println!("-> {out_path}");
     assert!(
         all_pass,

@@ -32,6 +32,8 @@
 //! time is always milliseconds; the per-benchmark throughput unit is named
 //! once at the top level.
 
+use trtsim_metrics::{json_string, Registry};
+
 /// One timed phase of a benchmark run.
 #[derive(Debug, Clone)]
 pub struct PhaseReport {
@@ -103,34 +105,32 @@ impl BenchReport {
         let mut out = String::from("{\n");
         out.push_str("  \"tool\": \"trtsim-bench\",\n");
         out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!(
-            "  \"benchmark\": \"{}\",\n",
-            json_escape(&self.benchmark)
-        ));
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        out.push_str(&format!(
-            "  \"git_rev\": \"{}\",\n",
-            json_escape(&self.git_rev)
-        ));
+        for (key, value) in [
+            ("benchmark", &self.benchmark),
+            ("mode", &self.mode),
+            ("git_rev", &self.git_rev),
+        ] {
+            out.push_str(&format!("  \"{key}\": {},\n", json_string(value)));
+        }
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str("  \"wall_unit\": \"ms\",\n");
         out.push_str(&format!(
-            "  \"throughput_unit\": \"{}\",\n",
-            self.throughput_unit
+            "  \"throughput_unit\": {},\n",
+            json_string(&self.throughput_unit)
         ));
         out.push_str("  \"context\": {");
         for (i, (k, v)) in self.context.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+            out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
         }
         out.push_str("},\n");
         out.push_str("  \"phases\": [\n");
         for (i, p) in self.phases.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"throughput\": {}, \"counters\": {{",
-                json_escape(&p.name),
+                "    {{\"name\": {}, \"wall_ms\": {:.3}, \"throughput\": {}, \"counters\": {{",
+                json_string(&p.name),
                 p.wall_ms,
                 match p.throughput {
                     Some(t) => format!("{t:.3}"),
@@ -141,7 +141,7 @@ impl BenchReport {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\": {v}", json_escape(k)));
+                out.push_str(&format!("{}: {v}", json_string(k)));
             }
             out.push_str("}}");
             if i + 1 < self.phases.len() {
@@ -155,7 +155,7 @@ impl BenchReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {v:.3}", json_escape(k)));
+            out.push_str(&format!("{}: {v:.3}", json_string(k)));
         }
         out.push_str("},\n");
         out.push_str(&format!(
@@ -165,16 +165,18 @@ impl BenchReport {
         out
     }
 
-    /// Writes the JSON report to `path`, plus the process telemetry
-    /// snapshot next to it (see [`telemetry_path_for`]).
+    /// Writes the JSON report to `path`, plus the run's telemetry snapshot
+    /// — `registry`, into which the binary published or absorbed what its
+    /// servers, fleets, farms and plans counted — next to it (see
+    /// [`telemetry_path_for`]).
     ///
     /// # Panics
     ///
     /// Panics if either file cannot be written — a bench run whose report
     /// is lost should fail loudly.
-    pub fn write(&self, path: &str) {
+    pub fn write(&self, path: &str, registry: &Registry) {
         std::fs::write(path, self.to_json()).expect("write bench report");
-        trtsim_metrics::Registry::global()
+        registry
             .write_json(telemetry_path_for(path))
             .expect("write telemetry snapshot");
     }
@@ -217,10 +219,6 @@ fn rev_parse_head() -> Option<String> {
     (!rev.is_empty()).then_some(rev)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,6 +251,28 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
+    }
+
+    #[test]
+    fn keys_with_control_characters_stay_valid_json() {
+        let nasty = "a\nb\t\u{1}\"";
+        let report = BenchReport {
+            benchmark: nasty.into(),
+            mode: "smoke".into(),
+            git_rev: "abc123".into(),
+            threads: 1,
+            throughput_unit: "items_per_sec".into(),
+            context: vec![(nasty.into(), nasty.into())],
+            phases: vec![PhaseReport::new(nasty, 1.0).with_counter(nasty, 1)],
+            summary: vec![(nasty.into(), 1.0)],
+            bit_identical: true,
+        };
+        let json = report.to_json();
+        let escaped = r#""a\nb\t\u0001\"""#;
+        assert_eq!(json.matches(escaped).count(), 6, "{json}");
+        // RFC 8259: no raw control character may appear inside a string;
+        // the only ones left are the pretty-printer's newlines.
+        assert!(json.chars().all(|c| c == '\n' || !c.is_control()));
     }
 
     #[test]

@@ -176,7 +176,6 @@ fn select_node(
             None => kernel_time_us(&kernel, device),
         };
         let measured_us = measure(true_us, &mut rng, opts.noise_sd, opts.samples);
-        crate::telemetry::autotune_measurements_counter().add(u64::from(opts.samples.max(1)));
         if best.as_ref().is_none_or(|b| measured_us < b.measured_us) {
             best = Some(Choice {
                 tactic,

@@ -61,7 +61,6 @@ impl Builder {
     /// Returns [`EngineError`] if the network is invalid, a layer has no
     /// tactic, or INT8 calibration fails.
     pub fn build(&self, network: &Graph) -> Result<Engine, EngineError> {
-        let build_started = std::time::Instant::now();
         let build_seed = self.config.resolve_seed();
 
         // Figure 2, steps 1-3 (each independently ablatable).
@@ -134,7 +133,13 @@ impl Builder {
             })
             .collect();
 
-        crate::telemetry::record_build(network.name(), build_started.elapsed().as_secs_f64());
+        // Each candidate is timed `samples` times (at least once).
+        let autotune_measurements = units
+            .iter()
+            .filter_map(|u| u.choice.as_ref())
+            .map(|c| c.candidates as u64)
+            .sum::<u64>()
+            * u64::from(self.config.timing_samples.max(1));
         Ok(Engine::new(EngineData {
             name: network.name().to_string(),
             io: IoBytes::of(&g, &shapes),
@@ -146,6 +151,7 @@ impl Builder {
             report: BuildReport {
                 passes: passes_report,
                 compressed_blobs,
+                autotune_measurements,
             },
         }))
     }

@@ -56,13 +56,18 @@ impl IoBytes {
     }
 }
 
-/// What the build did (pass statistics), kept for reporting.
+/// What the build did (pass statistics), kept for reporting. Every field
+/// is a deterministic function of the network, configuration and device, so
+/// parallel and sequential builds (cached or not) report the same values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuildReport {
     /// Pass counters.
     pub passes: PassReport,
     /// Weight blobs compressed by clustering/pruning.
     pub compressed_blobs: usize,
+    /// Noisy tactic timing measurements the autotuner took: the candidates
+    /// timed per node times the samples per candidate.
+    pub autotune_measurements: u64,
 }
 
 /// An immutable, runnable inference engine (TensorRT `ICudaEngine` analog).

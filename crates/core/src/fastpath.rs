@@ -41,6 +41,7 @@ use trtsim_ir::ops;
 use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::MATERIALIZE_LIMIT;
 use trtsim_ir::IrError;
+use trtsim_kernels::lanes::PathCounts;
 use trtsim_kernels::numeric::{apply_precision, lane_layout, PreparedConv, PreparedFc};
 use trtsim_metrics::memory::ArenaStats;
 
@@ -125,13 +126,40 @@ struct Step<'e> {
     free_after: Vec<NodeId>,
 }
 
-/// Reusable per-thread execution state: value slots plus the recycling
-/// buffer arena. One scratch serves any number of sequential
-/// [`InferencePlan::execute`] calls; batch APIs keep one per worker.
+/// What plan executions through one [`PlanScratch`] did: plain counts,
+/// summed per call by [`InferencePlan::execute`] and published by whoever
+/// owns the scratch ([`crate::telemetry::publish_plan`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanStats {
+    /// Inferences executed.
+    pub executions: u64,
+    /// Identity/Dropout/Flatten inputs forwarded by move instead of copied.
+    pub zero_copy_forwards: u64,
+    /// Reformat (layout-convert) steps executed.
+    pub layout_converts: u64,
+    /// Output values the conv/FC kernels produced on the SIMD lanes and on
+    /// scalar walks (dense fallbacks, legacy kernels).
+    pub lanes: PathCounts,
+}
+
+impl std::ops::AddAssign for PlanStats {
+    fn add_assign(&mut self, other: Self) {
+        self.executions += other.executions;
+        self.zero_copy_forwards += other.zero_copy_forwards;
+        self.layout_converts += other.layout_converts;
+        self.lanes += other.lanes;
+    }
+}
+
+/// Reusable per-thread execution state: value slots, the recycling buffer
+/// arena, and the [`PlanStats`] of every execution run through it. One
+/// scratch serves any number of sequential [`InferencePlan::execute`]
+/// calls; batch APIs keep one per worker.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     slots: Vec<Option<Tensor>>,
     arena: TensorArena,
+    stats: PlanStats,
 }
 
 impl PlanScratch {
@@ -143,6 +171,11 @@ impl PlanScratch {
     /// The buffer arena (for allocation statistics).
     pub fn arena(&self) -> &TensorArena {
         &self.arena
+    }
+
+    /// Counts accumulated by every execution through this scratch.
+    pub fn stats(&self) -> PlanStats {
+        self.stats
     }
 }
 
@@ -183,7 +216,9 @@ pub struct InferencePlan<'e> {
     slot_count: usize,
     stats: ArenaStats,
     layout_converts_per_execution: u64,
-    metrics: crate::telemetry::PlanMetrics,
+    /// Statically counted `move_input` steps per execution, so the hot loop
+    /// adds one precomputed number instead of branching per step.
+    moves_per_execution: u64,
 }
 
 impl<'e> InferencePlan<'e> {
@@ -452,17 +487,14 @@ impl<'e> InferencePlan<'e> {
             });
         }
 
-        crate::telemetry::record_plan_compile(engine.name(), &stats);
-        let moves_per_execution = steps.iter().filter(|s| s.move_input).count() as u64;
-        let layout_converts_per_execution = steps.iter().map(|s| s.converts.len() as u64).sum();
         Ok(Self {
             engine,
-            steps,
             slot_of: slots.slot_of,
             slot_count: slots.slot_count,
             stats,
-            layout_converts_per_execution,
-            metrics: crate::telemetry::PlanMetrics::register(engine.name(), moves_per_execution),
+            layout_converts_per_execution: steps.iter().map(|s| s.converts.len() as u64).sum(),
+            moves_per_execution: steps.iter().filter(|s| s.move_input).count() as u64,
+            steps,
         })
     }
 
@@ -496,7 +528,8 @@ impl<'e> InferencePlan<'e> {
     ///
     /// `scratch` carries the value slots and buffer arena between calls;
     /// reusing one across a batch serves every allocation of the steady
-    /// state from recycled buffers.
+    /// state from recycled buffers. The call's counts land in
+    /// [`PlanScratch::stats`].
     ///
     /// # Errors
     ///
@@ -522,7 +555,12 @@ impl<'e> InferencePlan<'e> {
         // prepared kernels make the matching dense-fallback choice.
         let scrub_all = input.as_slice().iter().any(|v| !v.is_finite());
 
-        let PlanScratch { slots, arena } = scratch;
+        let PlanScratch {
+            slots,
+            arena,
+            stats,
+        } = scratch;
+        let mut lanes = PathCounts::default();
         if slots.len() < self.slot_count {
             slots.resize_with(self.slot_count, || None);
         }
@@ -550,14 +588,20 @@ impl<'e> InferencePlan<'e> {
                             .expect("producer computed")
                     })
             };
-            let mut out = match &step.op {
+            let (mut out, counts) = match &step.op {
                 StepOp::Conv { params, prepared } => prepared.run(params, read(0), arena),
                 StepOp::Fc {
                     prepared,
                     activation,
                 } => prepared.run(read(0), *activation, arena),
-                StepOp::Flatten => self.forward(step, slots, arena, &mut tmps).into_flat(),
-                StepOp::Forward => self.forward(step, slots, arena, &mut tmps),
+                StepOp::Flatten => (
+                    self.forward(step, slots, arena, &mut tmps).into_flat(),
+                    PathCounts::default(),
+                ),
+                StepOp::Forward => (
+                    self.forward(step, slots, arena, &mut tmps),
+                    PathCounts::default(),
+                ),
                 op => {
                     // Every other op writes a recycled arena buffer, so a
                     // reused scratch reaches a fixed footprint.
@@ -605,9 +649,13 @@ impl<'e> InferencePlan<'e> {
                         | StepOp::Flatten
                         | StepOp::Forward => unreachable!("handled above"),
                     }
-                    Tensor::from_vec(step.phys_shape, buf)
+                    (
+                        Tensor::from_vec(step.phys_shape, buf),
+                        PathCounts::default(),
+                    )
                 }
             };
+            lanes += counts;
             for (_, t) in tmps {
                 arena.release(t);
             }
@@ -652,14 +700,12 @@ impl<'e> InferencePlan<'e> {
                 arena.release(t);
             }
         }
-        self.metrics.executions.inc();
-        if self.metrics.moves_per_execution > 0 {
-            self.metrics
-                .zero_copy_forwards
-                .add(self.metrics.moves_per_execution);
-        }
-        crate::telemetry::sync_lane_counters();
-        crate::telemetry::sync_trace_counters();
+        *stats += PlanStats {
+            executions: 1,
+            zero_copy_forwards: self.moves_per_execution,
+            layout_converts: self.layout_converts_per_execution,
+            lanes,
+        };
         Ok(outputs)
     }
 
@@ -884,15 +930,18 @@ mod tests {
         let c2 = g.add_layer("c2", LayerKind::conv_seeded(8, 8, 3, 1, 1, 2), &[e]);
         g.mark_output(c2);
         let engine = build(&g, 17);
-        let plan = InferencePlan::compile(&engine).unwrap();
-        let before = trtsim_ir::layout::layout_convert_events();
         assert_bit_identical(&engine, &random_input([3, 16, 16], 23));
-        // Every reformat the plan schedules really executes (other tests
-        // may bump the process-wide counter concurrently, so >=).
-        assert!(
-            trtsim_ir::layout::layout_convert_events() - before
-                >= 2 * plan.layout_converts_per_execution(),
-            "scheduled reformats should run on both passes"
+        let plan = InferencePlan::compile(&engine).unwrap();
+        let mut scratch = PlanScratch::new();
+        for _ in 0..2 {
+            plan.execute(&random_input([3, 16, 16], 23), &mut scratch)
+                .unwrap();
+        }
+        // Every reformat the plan schedules executes on both passes.
+        assert!(plan.layout_converts_per_execution() > 0);
+        assert_eq!(
+            scratch.stats().layout_converts,
+            2 * plan.layout_converts_per_execution()
         );
     }
 
@@ -950,9 +999,15 @@ mod tests {
         assert_eq!(moved, forwards, "single-consumer forwards should move");
         let ctx = ExecutionContext::new(&engine, DeviceSpec::xavier_nx());
         let input = random_input([4, 8, 8], 15);
+        let mut scratch = PlanScratch::new();
         assert_eq!(
-            plan.execute(&input, &mut PlanScratch::new()).unwrap(),
+            plan.execute(&input, &mut scratch).unwrap(),
             ctx.infer_unplanned(&input).unwrap()
         );
+        // The scratch counts exactly what this one execution did.
+        let stats = scratch.stats();
+        assert_eq!(stats.executions, 1);
+        assert_eq!(stats.zero_copy_forwards, moved as u64);
+        assert_eq!(stats.lanes.vector + stats.lanes.scalar, 4 * 8 * 8);
     }
 }

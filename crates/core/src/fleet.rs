@@ -34,9 +34,10 @@
 //!   order with non-blocking submission; only when *every* replica's
 //!   bounded queue is full does it return [`ServingError::QueueFull`] and
 //!   count a fleet-level rejection.
-//! * **Observability** — every replica server publishes the standard
-//!   serving series with `device=` (and optional `tenant=`) labels, the
-//!   router adds `trtsim_fleet_*` counters, and
+//! * **Observability** — the fleet owns one registry
+//!   ([`Fleet::registry`]): every replica server publishes the standard
+//!   serving series there with `device=` (and optional `tenant=`) labels,
+//!   the router adds `trtsim_fleet_*` counters, and
 //!   [`FleetConfig::telemetry_addr`] binds one scrape endpoint for the
 //!   whole fleet. [`FleetStats`] aggregates per-device and fleet-wide
 //!   p50/p90/p99 plus reject/drop accounting.
@@ -59,7 +60,7 @@ use crate::reqtrace::{
     TraceOutcome,
 };
 use crate::runtime::ExecutionContext;
-use crate::serving::{InferenceServer, ServerConfig, ServerStats, ServingError, ServingLabels};
+use crate::serving::{FleetShared, InferenceServer, ServerConfig, ServerStats, ServingError};
 
 /// Fleet-wide knobs.
 #[derive(Debug, Clone)]
@@ -315,7 +316,9 @@ impl FleetBuilder {
                 spec,
             });
         }
-        let reg = Registry::global();
+        // One registry for the whole fleet: the router's counters and every
+        // replica's serving and trace series, device-labelled.
+        let reg = Arc::new(Registry::new());
         // One model for the whole fleet: every replica's completions train
         // it, so a device class the router has barely used still benefits
         // from what similar replicas observed.
@@ -327,7 +330,7 @@ impl FleetBuilder {
         // One flight recorder and one id mint for the whole fleet: a request
         // owns exactly one trace id no matter which replica serves it, and
         // every device's retained traces share one `GET /traces` index.
-        let recorder = Arc::new(FlightRecorder::new(config.trace));
+        let recorder = Arc::new(FlightRecorder::new(config.trace, &reg));
         let idgen = Arc::new(TraceIdGen::new(trtsim_util::derive_seed(
             config.predictor_seed,
             "reqtrace",
@@ -341,18 +344,19 @@ impl FleetBuilder {
                 .position(|dev| dev.name == device_name)
                 .expect("checked in replica()");
             let device = &devices[d];
-            let mut labels = ServingLabels::device(device.name.clone());
-            if let Some(tenant) = &tenant {
-                labels = labels.with_tenant(tenant.clone());
-            }
             let server = InferenceServer::start_on_timeline(
                 &engine,
                 &device.spec,
                 server_config,
-                &labels,
-                Arc::clone(&device.timeline),
-                shared_model.clone(),
-                Some((Arc::clone(&recorder), Arc::clone(&idgen))),
+                FleetShared {
+                    device: Some(device.name.clone()),
+                    tenant: tenant.clone(),
+                    timeline: Arc::clone(&device.timeline),
+                    model: shared_model.clone(),
+                    recorder: Arc::clone(&recorder),
+                    idgen: Arc::clone(&idgen),
+                    registry: Arc::clone(&reg),
+                },
             )?;
             let features =
                 EngineFeatures::measure(&engine, &device.spec, server_config.timing.host_glue_us);
@@ -402,12 +406,8 @@ impl FleetBuilder {
         );
         let exporter = match config.telemetry_addr {
             Some(addr) => Some(
-                TelemetryServer::bind_with_routes(
-                    addr,
-                    Arc::clone(Registry::global()),
-                    recorder.route_handler(),
-                )
-                .map_err(|e| ServingError::Telemetry(format!("bind {addr}: {e}")))?,
+                TelemetryServer::bind_with_routes(addr, Arc::clone(&reg), recorder.route_handler())
+                    .map_err(|e| ServingError::Telemetry(format!("bind {addr}: {e}")))?,
             ),
             None => None,
         };
@@ -417,9 +417,6 @@ impl FleetBuilder {
             by_model,
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            predicted_dispatches: AtomicU64::new(0),
-            heuristic_dispatches: AtomicU64::new(0),
-            affinity_hits: AtomicU64::new(0),
             predicted_metric,
             heuristic_metric,
             affinity_metric,
@@ -428,6 +425,7 @@ impl FleetBuilder {
             exporter,
             recorder,
             idgen,
+            registry: reg,
         })
     }
 }
@@ -440,9 +438,8 @@ pub struct Fleet {
     by_model: HashMap<String, ModelRoute>,
     submitted: AtomicU64,
     rejected: AtomicU64,
-    predicted_dispatches: AtomicU64,
-    heuristic_dispatches: AtomicU64,
-    affinity_hits: AtomicU64,
+    /// Dispatch counters in the fleet's registry — the only count of these
+    /// fleet-level events; [`FleetStats`] reads them back at drain.
     predicted_metric: Counter,
     heuristic_metric: Counter,
     affinity_metric: Counter,
@@ -455,6 +452,9 @@ pub struct Fleet {
     recorder: Arc<FlightRecorder>,
     /// Fleet-wide trace-id mint, so ids are unique across replicas.
     idgen: Arc<TraceIdGen>,
+    /// The fleet's own registry: router counters plus every replica's
+    /// device-labelled serving and trace series.
+    registry: Arc<Registry>,
 }
 
 impl Fleet {
@@ -492,7 +492,10 @@ impl Fleet {
         let (rejected, prev) = {
             let mut tenants = route.tenants.lock().expect("tenant routes");
             if !tenants.contains_key(tenant) {
-                tenants.insert(tenant.to_string(), TenantRoute::register(model, tenant));
+                tenants.insert(
+                    tenant.to_string(),
+                    TenantRoute::register(&self.registry, model, tenant),
+                );
             }
             let entry = &tenants[tenant];
             entry.submitted.inc();
@@ -563,14 +566,11 @@ impl Fleet {
                     replica.routed.fetch_add(1, Ordering::Relaxed);
                     replica.routed_metric.inc();
                     if warm_model.is_some() {
-                        self.predicted_dispatches.fetch_add(1, Ordering::Relaxed);
                         self.predicted_metric.inc();
                     } else {
-                        self.heuristic_dispatches.fetch_add(1, Ordering::Relaxed);
                         self.heuristic_metric.inc();
                     }
                     if affinity_choice == Some(r) {
-                        self.affinity_hits.fetch_add(1, Ordering::Relaxed);
                         self.affinity_metric.inc();
                     }
                     if let Some(entry) =
@@ -635,6 +635,14 @@ impl Fleet {
     /// from every replica (see [`crate::reqtrace`]).
     pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.recorder)
+    }
+
+    /// The fleet's registry: router counters (`trtsim_fleet_*`) plus every
+    /// replica's `trtsim_server_*{device}` and the shared recorder's
+    /// `trtsim_trace_*` series. Take it before [`Fleet::drain`] to publish
+    /// or [`absorb`](Registry::absorb) the final counts.
+    pub fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.registry)
     }
 
     /// The fleet-shared online latency model, when
@@ -713,17 +721,16 @@ impl Fleet {
             replicas,
             self.submitted.load(Ordering::Relaxed),
             self.rejected.load(Ordering::Relaxed),
-            self.predicted_dispatches.load(Ordering::Relaxed),
-            self.heuristic_dispatches.load(Ordering::Relaxed),
-            self.affinity_hits.load(Ordering::Relaxed),
+            self.predicted_metric.get(),
+            self.heuristic_metric.get(),
+            self.affinity_metric.get(),
         )
     }
 }
 
 impl TenantRoute {
-    /// Registers the (model, tenant) admission counters.
-    fn register(model: &str, tenant: &str) -> Self {
-        let reg = Registry::global();
+    /// Registers the (model, tenant) admission counters in `reg`.
+    fn register(reg: &Registry, model: &str, tenant: &str) -> Self {
         let labels: &[(&str, &str)] = &[("model", model), ("tenant", tenant)];
         Self {
             submitted: reg.counter(

@@ -67,7 +67,7 @@ pub use builder::Builder;
 pub use config::BuilderConfig;
 pub use engine::{Engine, ExecUnit, IoBytes};
 pub use error::EngineError;
-pub use fastpath::{InferencePlan, PlanScratch};
+pub use fastpath::{InferencePlan, PlanScratch, PlanStats};
 pub use fleet::{Fleet, FleetBuilder, FleetConfig, FleetStats, ReplicaStats};
 pub use predict::{EngineFeatures, LatencyModel, PredictedLatency, QueueSignals};
 pub use reqtrace::{
@@ -75,8 +75,8 @@ pub use reqtrace::{
 };
 pub use runtime::{ExecutionContext, TimingOptions};
 pub use serving::{
-    serve, InferenceServer, KernelTime, ProfileOptions, RequestRecord, ServerConfig, ServerStats,
-    ServingError, ServingLabels, ServingReport,
+    InferenceServer, KernelTime, ProfileOptions, RequestRecord, ServerConfig, ServerStats,
+    ServingError,
 };
-pub use telemetry::GpuSampler;
+pub use telemetry::{publish_build, publish_plan, publish_timing_cache, GpuSampler};
 pub use timing_cache::TimingCache;

@@ -23,7 +23,7 @@ use crate::error::EngineError;
 use crate::passes::PassReport;
 
 const MAGIC: &[u8; 8] = b"TRTSPLAN";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Serializes an engine to a plan blob.
 pub fn serialize(engine: &Engine) -> Vec<u8> {
@@ -48,6 +48,7 @@ pub fn serialize(engine: &Engine) -> Vec<u8> {
     ] {
         buf.put_u64_le(v as u64);
     }
+    buf.put_u64_le(r.autotune_measurements);
     buf.put_u64_le((engine.graph().len() - 1) as u64);
     for node in engine.graph().nodes().iter().skip(1) {
         put_string(&mut buf, &node.name);
@@ -96,6 +97,7 @@ pub fn deserialize(data: &[u8]) -> Result<Engine, EngineError> {
             merged: r.u64()? as usize,
         },
         compressed_blobs: r.u64()? as usize,
+        autotune_measurements: r.u64()?,
     };
 
     let node_count = r.u64()? as usize;

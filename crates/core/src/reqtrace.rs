@@ -31,9 +31,10 @@
 //!   (OpenMetrics exemplar syntax), so a dashboard's p99 bucket links
 //!   straight to an explaining trace.
 //!
-//! Recorder activity is counted in process-wide raw atomics bridged into
-//! `trtsim_trace_{recorded,retained,sampled,evicted}_total` by
-//! [`crate::telemetry`], the same pattern the kernel crates use.
+//! Recorder activity is counted once, in
+//! `trtsim_trace_{recorded,retained,sampled,evicted}_total` counters the
+//! recorder registers in its owner's registry (the server's or the
+//! fleet's); the recorder's accessors read those same counters.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -42,6 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use trtsim_gpu::timeline::SpanSeq;
+use trtsim_metrics::{json_string, Counter, Registry};
 use trtsim_util::derive_seed;
 
 /// A request-scoped trace identifier: 64 bits, rendered as 16 lowercase hex
@@ -526,37 +528,6 @@ pub fn chrome_trace_all(traces: &[RequestTrace]) -> String {
     out
 }
 
-// --- process-wide recorder activity, bridged into the metric registry ---
-//
-// Raw atomics rather than registry handles so recording never touches the
-// registry lock; `crate::telemetry::sync_trace_counters` folds the deltas
-// into `trtsim_trace_*_total` (same pattern as the kernel-crate bridges).
-
-static RECORDED_EVENTS: AtomicU64 = AtomicU64::new(0);
-static RETAINED_EVENTS: AtomicU64 = AtomicU64::new(0);
-static SAMPLED_EVENTS: AtomicU64 = AtomicU64::new(0);
-static EVICTED_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of traces offered to any recorder.
-pub fn recorded_events() -> u64 {
-    RECORDED_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of traces any recorder kept (pinned or sampled).
-pub fn retained_events() -> u64 {
-    RETAINED_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of non-tail traces kept by 1-in-N sampling.
-pub fn sampled_events() -> u64 {
-    SAMPLED_EVENTS.load(Ordering::Relaxed)
-}
-
-/// Process-wide count of traces evicted from any recorder's ring.
-pub fn evicted_events() -> u64 {
-    EVICTED_EVENTS.load(Ordering::Relaxed)
-}
-
 /// Latency histogram for the running slowest-decile estimate: power-of-two
 /// buckets over µs, so the p90 threshold is exact to within one octave —
 /// all the resolution "pin the slowest decile" needs, in 64 fixed words.
@@ -575,10 +546,6 @@ struct RecorderInner {
     lat_total: u64,
     /// Deterministic 1-in-N tick over non-tail candidates.
     sample_tick: u64,
-    recorded: u64,
-    retained: u64,
-    sampled: u64,
-    evicted: u64,
     completed_seen: u64,
     dropped_seen: u64,
     rejected_seen: u64,
@@ -611,22 +578,45 @@ impl RecorderInner {
 pub struct FlightRecorder {
     opts: TraceOptions,
     inner: Mutex<RecorderInner>,
+    /// Retention counters in the owner's registry, bumped under `inner`'s
+    /// lock so a reader holding the lock sees them consistent.
+    recorded: Counter,
+    retained: Counter,
+    sampled: Counter,
+    evicted: Counter,
 }
 
 impl FlightRecorder {
-    /// An empty recorder with the given knobs.
-    pub fn new(opts: TraceOptions) -> Self {
+    /// An empty recorder with the given knobs, counting its activity in
+    /// `registry` (`trtsim_trace_*_total`).
+    pub fn new(opts: TraceOptions, registry: &Registry) -> Self {
         Self {
+            recorded: registry.counter(
+                "trtsim_trace_recorded_total",
+                "Request traces offered to a flight recorder",
+                &[],
+            ),
+            retained: registry.counter(
+                "trtsim_trace_retained_total",
+                "Request traces retained in a flight-recorder ring (pinned or sampled)",
+                &[],
+            ),
+            sampled: registry.counter(
+                "trtsim_trace_sampled_total",
+                "Non-tail request traces retained by 1-in-N sampling",
+                &[],
+            ),
+            evicted: registry.counter(
+                "trtsim_trace_evicted_total",
+                "Request traces evicted from a flight-recorder ring",
+                &[],
+            ),
             opts,
             inner: Mutex::new(RecorderInner {
                 ring: VecDeque::with_capacity(opts.capacity.min(1024)),
                 lat_counts: [0; LAT_BUCKETS],
                 lat_total: 0,
                 sample_tick: 0,
-                recorded: 0,
-                retained: 0,
-                sampled: 0,
-                evicted: 0,
                 completed_seen: 0,
                 dropped_seen: 0,
                 rejected_seen: 0,
@@ -648,8 +638,7 @@ impl FlightRecorder {
             return false;
         }
         let mut inner = self.inner.lock().expect("flight recorder lock");
-        inner.recorded += 1;
-        RECORDED_EVENTS.fetch_add(1, Ordering::Relaxed);
+        self.recorded.inc();
         match trace.outcome {
             TraceOutcome::Completed { deadline_missed } => {
                 inner.completed_seen += 1;
@@ -683,11 +672,9 @@ impl FlightRecorder {
         if !keep {
             return false;
         }
-        inner.retained += 1;
-        RETAINED_EVENTS.fetch_add(1, Ordering::Relaxed);
+        self.retained.inc();
         if !pinned {
-            inner.sampled += 1;
-            SAMPLED_EVENTS.fetch_add(1, Ordering::Relaxed);
+            self.sampled.inc();
         }
         inner.ring.push_back((pinned, trace));
         while inner.ring.len() > self.opts.capacity.max(1) {
@@ -699,8 +686,7 @@ impl FlightRecorder {
                 .position(|(pinned, _)| !pinned)
                 .unwrap_or(0);
             inner.ring.remove(victim);
-            inner.evicted += 1;
-            EVICTED_EVENTS.fetch_add(1, Ordering::Relaxed);
+            self.evicted.inc();
         }
         true
     }
@@ -729,22 +715,22 @@ impl FlightRecorder {
 
     /// Traces offered to this recorder.
     pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("flight recorder lock").recorded
+        self.recorded.get()
     }
 
     /// Traces this recorder kept (pinned or sampled), cumulative.
     pub fn retained(&self) -> u64 {
-        self.inner.lock().expect("flight recorder lock").retained
+        self.retained.get()
     }
 
     /// Non-tail traces kept by 1-in-N sampling, cumulative.
     pub fn sampled(&self) -> u64 {
-        self.inner.lock().expect("flight recorder lock").sampled
+        self.sampled.get()
     }
 
     /// Traces evicted from the ring, cumulative.
     pub fn evicted(&self) -> u64 {
-        self.inner.lock().expect("flight recorder lock").evicted
+        self.evicted.get()
     }
 
     /// Completed traces seen (retained or not).
@@ -784,10 +770,10 @@ impl FlightRecorder {
     pub fn index_json(&self) -> String {
         let inner = self.inner.lock().expect("flight recorder lock");
         let mut out = String::from("{");
-        out.push_str(&format!("\"recorded\":{},", inner.recorded));
-        out.push_str(&format!("\"retained\":{},", inner.retained));
-        out.push_str(&format!("\"sampled\":{},", inner.sampled));
-        out.push_str(&format!("\"evicted\":{},", inner.evicted));
+        out.push_str(&format!("\"recorded\":{},", self.recorded.get()));
+        out.push_str(&format!("\"retained\":{},", self.retained.get()));
+        out.push_str(&format!("\"sampled\":{},", self.sampled.get()));
+        out.push_str(&format!("\"evicted\":{},", self.evicted.get()));
         out.push_str(&format!(
             "\"deadline_missed_seen\":{},",
             inner.deadline_missed_seen
@@ -812,9 +798,6 @@ impl FlightRecorder {
     ///
     /// Returns `None` (→ 404) for unknown paths or evicted/unknown ids.
     pub fn route(&self, path: &str) -> Option<(String, String)> {
-        // Scrape-time sync so `trtsim_trace_*` counters on the same
-        // endpoint are no staler than the trace list being served.
-        crate::telemetry::sync_trace_counters();
         if path == "/traces" {
             return Some(("application/json".to_string(), self.index_json()));
         }
@@ -1014,28 +997,6 @@ fn json_opt_string(v: Option<&str>) -> String {
     }
 }
 
-/// RFC 8259 string escaping (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1084,6 +1045,7 @@ mod tests {
     fn phases_partition_the_end_to_end_latency() {
         let rec = Arc::new(FlightRecorder::new(
             TraceOptions::default().with_sample_every(1),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(1);
@@ -1107,6 +1069,7 @@ mod tests {
             TraceOptions::default()
                 .with_capacity(16)
                 .with_sample_every(2),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(9);
@@ -1139,6 +1102,7 @@ mod tests {
             TraceOptions::default()
                 .with_capacity(32)
                 .with_sample_every(1_000_000),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(5);
@@ -1156,6 +1120,7 @@ mod tests {
     fn disabled_recorder_keeps_nothing() {
         let rec = Arc::new(FlightRecorder::new(
             TraceOptions::default().with_enabled(false),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(2);
@@ -1166,7 +1131,10 @@ mod tests {
 
     #[test]
     fn rejected_and_dropped_traces_are_recorded_and_counted() {
-        let rec = Arc::new(FlightRecorder::new(TraceOptions::default()));
+        let rec = Arc::new(FlightRecorder::new(
+            TraceOptions::default(),
+            &Registry::new(),
+        ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(3);
         s.record_rejected(
@@ -1197,6 +1165,7 @@ mod tests {
     fn routes_serve_index_trace_and_chrome() {
         let rec = Arc::new(FlightRecorder::new(
             TraceOptions::default().with_sample_every(1),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(4);
@@ -1227,6 +1196,7 @@ mod tests {
     fn chrome_export_stitches_devices_into_processes() {
         let rec = Arc::new(FlightRecorder::new(
             TraceOptions::default().with_sample_every(1),
+            &Registry::new(),
         ));
         let gen = TraceIdGen::new(6);
         let nx = TraceSink::new(Arc::clone(&rec), "m", Some("nx0"), None);
@@ -1251,6 +1221,7 @@ mod tests {
         ctx.predicted_p50_us = 1200.0;
         let rec = Arc::new(FlightRecorder::new(
             TraceOptions::default().with_sample_every(1),
+            &Registry::new(),
         ));
         let s = sink(&rec);
         s.record_completed(ctx, 0, 0.0, 1000.0, 500.0, 0.0, 0, 0, 0, 1, 0, 1, false);

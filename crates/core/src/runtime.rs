@@ -36,7 +36,7 @@ use trtsim_util::rng::Pcg32;
 
 use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::fastpath::{InferencePlan, PlanScratch};
+use crate::fastpath::{InferencePlan, PlanScratch, PlanStats};
 
 /// cuDNN workspace each kernel reserves in an execution context (calibrated
 /// against the thread counts of the paper's Figures 3/4).
@@ -105,15 +105,14 @@ impl TimingOptions {
     }
 }
 
-/// Batch size → the engine's kernel launches timed on the context's device
-/// at that size, one [`TimedKernel`] per compute unit in execution order.
-/// Derived state: a clone copies the rows it has.
+/// State a context derives through `&self` as it runs, behind a mutex; a
+/// clone copies what it holds.
 #[derive(Debug, Default)]
-struct BatchTimings(Mutex<BTreeMap<u64, Vec<TimedKernel>>>);
+struct Derived<T>(Mutex<T>);
 
-impl Clone for BatchTimings {
+impl<T: Clone> Clone for Derived<T> {
     fn clone(&self) -> Self {
-        Self(Mutex::new(self.0.lock().expect("batch timings").clone()))
+        Self(Mutex::new(self.0.lock().expect("derived state").clone()))
     }
 }
 
@@ -124,7 +123,13 @@ pub struct ExecutionContext<'e> {
     engine: &'e Engine,
     device: DeviceSpec,
     plan: OnceLock<InferencePlan<'e>>,
-    batch_timings: BatchTimings,
+    /// Batch size → the engine's kernel launches timed on the context's
+    /// device at that size, one [`TimedKernel`] per compute unit in
+    /// execution order.
+    batch_timings: Derived<BTreeMap<u64, Vec<TimedKernel>>>,
+    /// The summed [`PlanStats`] of every scratch the context's numeric
+    /// inferences ran through.
+    plan_totals: Derived<PlanStats>,
 }
 
 impl<'e> ExecutionContext<'e> {
@@ -136,7 +141,8 @@ impl<'e> ExecutionContext<'e> {
             engine,
             device,
             plan: OnceLock::new(),
-            batch_timings: BatchTimings::default(),
+            batch_timings: Derived::default(),
+            plan_totals: Derived::default(),
         }
     }
 
@@ -156,6 +162,20 @@ impl<'e> ExecutionContext<'e> {
         // deterministic and identical, so either one serves.
         let _ = self.plan.set(compiled);
         Ok(self.plan.get().expect("plan just set"))
+    }
+
+    /// What the context's planned inferences ([`ExecutionContext::infer`]
+    /// and the batch APIs) did so far: executions, zero-copy forwards,
+    /// layout converts and lane-path output values, summed over every
+    /// scratch they ran through. Publish it with
+    /// [`crate::telemetry::publish_plan`].
+    pub fn plan_stats(&self) -> PlanStats {
+        *self.plan_totals.0.lock().expect("plan totals")
+    }
+
+    /// Folds a finished scratch's counts into [`ExecutionContext::plan_stats`].
+    fn fold(&self, scratch: &PlanScratch) {
+        *self.plan_totals.0.lock().expect("plan totals") += scratch.stats();
     }
 
     /// The engine.
@@ -180,7 +200,10 @@ impl<'e> ExecutionContext<'e> {
     /// Returns [`EngineError::Execution`] on shape mismatch or if the engine
     /// holds descriptor-scale weights too large to materialize.
     pub fn infer(&self, input: &Tensor) -> Result<Vec<Tensor>, EngineError> {
-        self.plan()?.execute(input, &mut PlanScratch::new())
+        let mut scratch = PlanScratch::new();
+        let out = self.plan()?.execute(input, &mut scratch);
+        self.fold(&scratch);
+        out
     }
 
     /// Numeric inference through the reference interpreter: every call
@@ -337,10 +360,12 @@ impl<'e> ExecutionContext<'e> {
             let start = (w * chunk).min(inputs.len());
             let end = ((w + 1) * chunk).min(inputs.len());
             let mut scratch = PlanScratch::new();
-            inputs[start..end]
+            let out = inputs[start..end]
                 .iter()
                 .map(|t| f(plan, &mut scratch, t.borrow()))
-                .collect::<Result<Vec<R>, EngineError>>()
+                .collect::<Result<Vec<R>, EngineError>>();
+            self.fold(&scratch);
+            out
         });
         let mut out = Vec::with_capacity(inputs.len());
         for chunk in chunks {

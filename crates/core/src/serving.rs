@@ -40,10 +40,10 @@
 //!   to the exact timeline records that served it, and the stats gain a
 //!   per-kernel time breakdown plus the full captured timeline — ready for
 //!   `trtsim_profiler`'s chrome-trace export and anomaly detectors.
-//!
-//! The original one-shot [`serve`] entry point survives as a thin wrapper
-//! (batch size 1, blocking submission) so the Figure 3/4 harness
-//! configuration keeps working unchanged.
+//! * **Telemetry** — each server owns a [`Registry`] (a fleet replica uses
+//!   its fleet's) holding its `trtsim_server_*` and `trtsim_trace_*`
+//!   series; [`InferenceServer::registry`] hands it out and the optional
+//!   `/metrics` endpoint scrapes it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -156,7 +156,7 @@ pub struct KernelTime {
 
 /// How simulated arrival timestamps are assigned to accepted frames.
 ///
-/// The arrival clock is what [`ServingReport`] latencies are measured
+/// The arrival clock is what [`ServerStats`] latencies are measured
 /// against: a frame's reported latency is its completion time minus its
 /// arrival time, so an open-loop source charges queueing delay to bursts
 /// the way a real camera feed would.
@@ -422,35 +422,6 @@ impl ServerConfig {
     }
 }
 
-/// Telemetry identity of one server beyond its model: which fleet device it
-/// runs on and which tenant it is dedicated to. The default (no device, no
-/// tenant) keeps the legacy single-device `{model=...}` series names stable;
-/// a fleet names every member so two devices serving the same model publish
-/// distinct series.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServingLabels {
-    /// `device=` label value, e.g. the fleet device name.
-    pub device: Option<String>,
-    /// `tenant=` label value for tenant-dedicated servers.
-    pub tenant: Option<String>,
-}
-
-impl ServingLabels {
-    /// Labels naming the fleet device this server runs on.
-    pub fn device(name: impl Into<String>) -> Self {
-        Self {
-            device: Some(name.into()),
-            tenant: None,
-        }
-    }
-
-    /// Adds a tenant label.
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.tenant = Some(tenant.into());
-        self
-    }
-}
-
 /// One completed request, for order/latency audits and trace attribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
@@ -534,24 +505,6 @@ impl ServerStats {
             self.completed as f64 / self.batches as f64
         }
     }
-}
-
-/// Outcome of a serving run (the original aggregate report; kept for the
-/// Figure 3/4 harness configuration and produced by [`serve`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingReport {
-    /// Worker (= stream) count.
-    pub threads: usize,
-    /// Total frames processed.
-    pub frames: u64,
-    /// Simulated wall time consumed, seconds.
-    pub simulated_seconds: f64,
-    /// Aggregate throughput, frames per simulated second.
-    pub aggregate_fps: f64,
-    /// Frames each worker processed.
-    pub frames_per_thread: Vec<u64>,
-    /// Mean GR3D utilization over the run, percent.
-    pub gr3d_percent: f64,
 }
 
 /// A frame travelling from the submit path to the batcher: the caller's
@@ -642,6 +595,23 @@ struct StatsInner {
     completions: Vec<RequestRecord>,
 }
 
+/// What a fleet hands each replica it starts: the device's timeline, the
+/// fleet-wide latency model (when predictive), one flight recorder and
+/// trace-id mint, the fleet's registry, and the replica's `device=` and
+/// `tenant=` labels, so two devices serving the same model publish distinct
+/// series. A standalone server makes its own of each and has no labels
+/// beyond `model=`.
+#[derive(Debug)]
+pub(crate) struct FleetShared {
+    pub(crate) device: Option<String>,
+    pub(crate) tenant: Option<String>,
+    pub(crate) timeline: Arc<Mutex<GpuTimeline>>,
+    pub(crate) model: Option<Arc<LatencyModel>>,
+    pub(crate) recorder: Arc<FlightRecorder>,
+    pub(crate) idgen: Arc<TraceIdGen>,
+    pub(crate) registry: Arc<Registry>,
+}
+
 /// A running inference server: worker threads with per-worker streams on one
 /// shared simulated timeline, fed through a bounded queue and a dynamic
 /// batcher. See the [module docs](self) for the architecture.
@@ -690,6 +660,8 @@ pub struct InferenceServer {
     abort_flag: Arc<AtomicBool>,
     config: ServerConfig,
     metrics: ServingMetrics,
+    /// Where `metrics` and the recorder's counters live.
+    registry: Arc<Registry>,
     exporter: Option<TelemetryServer>,
     sampler: Option<GpuSampler>,
     /// Always-on flight recorder holding the retained request traces —
@@ -713,72 +685,60 @@ impl InferenceServer {
         device: &DeviceSpec,
         config: ServerConfig,
     ) -> Result<Self, ServingError> {
-        Self::start_inner(
-            engine,
-            device,
-            config,
-            &ServingLabels::default(),
-            None,
-            None,
-            None,
-        )
+        Self::start_inner(engine, device, config, None)
     }
 
-    /// [`InferenceServer::start`] with explicit telemetry labels — what a
-    /// fleet uses so each member device publishes its own metric series.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::InvalidConfig`] if any knob is out of range.
-    pub fn start_with_labels(
-        engine: &Engine,
-        device: &DeviceSpec,
-        config: ServerConfig,
-        labels: &ServingLabels,
-    ) -> Result<Self, ServingError> {
-        Self::start_inner(engine, device, config, labels, None, None, None)
-    }
-
-    /// Starts a server whose workers create their streams on an existing
-    /// shared timeline instead of a fresh one — two replicas on the same
-    /// fleet device genuinely contend for that device's GPU.
+    /// Starts a replica on what its fleet shares: the device's timeline
+    /// (two replicas on one device genuinely contend for its GPU), the
+    /// latency model, the flight recorder and id mint, and the registry.
     pub(crate) fn start_on_timeline(
         engine: &Engine,
         device: &DeviceSpec,
         config: ServerConfig,
-        labels: &ServingLabels,
-        timeline: Arc<Mutex<GpuTimeline>>,
-        shared_model: Option<Arc<LatencyModel>>,
-        shared_trace: Option<(Arc<FlightRecorder>, Arc<TraceIdGen>)>,
+        shared: FleetShared,
     ) -> Result<Self, ServingError> {
-        Self::start_inner(
-            engine,
-            device,
-            config,
-            labels,
-            Some(timeline),
-            shared_model,
-            shared_trace,
-        )
+        Self::start_inner(engine, device, config, Some(shared))
     }
 
     fn start_inner(
         engine: &Engine,
         device: &DeviceSpec,
         config: ServerConfig,
-        labels: &ServingLabels,
-        shared_timeline: Option<Arc<Mutex<GpuTimeline>>>,
-        shared_model: Option<Arc<LatencyModel>>,
-        shared_trace: Option<(Arc<FlightRecorder>, Arc<TraceIdGen>)>,
+        shared: Option<FleetShared>,
     ) -> Result<Self, ServingError> {
         config.validate()?;
+        // A standalone server owns everything a fleet would share, each
+        // derived from the device's timing identity — fully deterministic,
+        // no wall clock anywhere in the trace ids or the model seed.
+        let FleetShared {
+            device: device_label,
+            tenant,
+            timeline,
+            model: shared_model,
+            recorder,
+            idgen,
+            registry,
+        } = shared.unwrap_or_else(|| {
+            let registry = Arc::new(Registry::new());
+            FleetShared {
+                device: None,
+                tenant: None,
+                timeline: Arc::new(Mutex::new(GpuTimeline::new(device.clone()))),
+                model: None,
+                recorder: Arc::new(FlightRecorder::new(config.trace, &registry)),
+                idgen: Arc::new(TraceIdGen::new(trtsim_util::derive_seed(
+                    device.timing_fingerprint(),
+                    "reqtrace",
+                    0,
+                ))),
+                registry,
+            }
+        });
         // The predictor exists when this server schedules predictively or
         // when a fleet shares its model here (so completions on this replica
         // train the fleet-wide model even if local batching stays static).
         let predictor = if config.predictive || shared_model.is_some() {
             let model = shared_model.unwrap_or_else(|| {
-                // Seed derived from the device's timing identity: fully
-                // deterministic, distinct per device class.
                 Arc::new(
                     LatencyModel::new(trtsim_util::derive_seed(
                         device.timing_fingerprint(),
@@ -795,34 +755,10 @@ impl InferenceServer {
         } else {
             None
         };
-        let metrics = ServingMetrics::register(
-            engine.name(),
-            labels.device.as_deref(),
-            labels.tenant.as_deref(),
-        );
-        // A fleet shares one recorder + id generator across its replicas so
-        // every request owns exactly one trace fleet-wide; a standalone
-        // server derives its own from the device's timing identity — fully
-        // deterministic, no wall clock anywhere in the id.
-        let (recorder, idgen) = shared_trace.unwrap_or_else(|| {
-            (
-                Arc::new(FlightRecorder::new(config.trace)),
-                Arc::new(TraceIdGen::new(trtsim_util::derive_seed(
-                    device.timing_fingerprint(),
-                    "reqtrace",
-                    0,
-                ))),
-            )
-        });
-        let sink = TraceSink::new(
-            Arc::clone(&recorder),
-            engine.name(),
-            labels.device.as_deref(),
-            labels.tenant.as_deref(),
-        );
+        let (device_label, tenant) = (device_label.as_deref(), tenant.as_deref());
+        let metrics = ServingMetrics::register(&registry, engine.name(), device_label, tenant);
+        let sink = TraceSink::new(Arc::clone(&recorder), engine.name(), device_label, tenant);
         let engine = engine.clone();
-        let timeline = shared_timeline
-            .unwrap_or_else(|| Arc::new(Mutex::new(GpuTimeline::new(device.clone()))));
         let streams: Vec<StreamId> = {
             let mut tl = timeline.lock().expect("timeline lock");
             (0..config.workers).map(|_| tl.create_stream()).collect()
@@ -922,12 +858,13 @@ impl InferenceServer {
             Some(addr) => {
                 let exporter = TelemetryServer::bind_with_routes(
                     addr,
-                    Arc::clone(Registry::global()),
+                    Arc::clone(&registry),
                     recorder.route_handler(),
                 )
                 .map_err(|e| ServingError::Telemetry(format!("bind {addr}: {e}")))?;
                 let sampler = GpuSampler::spawn(
                     Arc::clone(&timeline),
+                    Arc::clone(&registry),
                     Duration::from_millis(config.telemetry_sample_ms),
                 );
                 (Some(exporter), Some(sampler))
@@ -953,12 +890,21 @@ impl InferenceServer {
             abort_flag,
             config,
             metrics,
+            registry,
             exporter,
             sampler,
             recorder,
             idgen,
             sink,
         })
+    }
+
+    /// The registry this server's metrics live in — its own, or its
+    /// fleet's when it is a replica. The telemetry endpoint scrapes it; a
+    /// binary writing one snapshot of several servers
+    /// [`absorb`](Registry::absorb)s each.
+    pub fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.registry)
     }
 
     /// The flight recorder holding this server's retained request traces —
@@ -1297,7 +1243,6 @@ impl InferenceServer {
             self.metrics.predictor_calibration_p50.set(cal_p50);
             self.metrics.predictor_calibration_p99.set(cal_p99);
         }
-        crate::telemetry::sync_trace_counters();
         ServerStats {
             workers: self.config.workers,
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -1629,42 +1574,6 @@ fn worker_loop(
     }
 }
 
-/// Serves `frames` inferences across `threads` worker threads with blocking
-/// admission and no batching — the original entry point, now a thin wrapper
-/// over [`InferenceServer`]. Field semantics of the returned
-/// [`ServingReport`] are unchanged.
-///
-/// # Errors
-///
-/// Returns [`ServingError::InvalidConfig`] if `threads == 0` (this was a
-/// panic before the serving redesign).
-pub fn serve(
-    engine: &Engine,
-    device: &DeviceSpec,
-    threads: usize,
-    frames: u64,
-    opts: &TimingOptions,
-) -> Result<ServingReport, ServingError> {
-    let config = ServerConfig::default()
-        .with_workers(threads)
-        .with_queue_capacity(threads.saturating_mul(2).max(1))
-        .with_max_batch_size(1)
-        .with_timing(*opts);
-    let server = InferenceServer::start(engine, device, config)?;
-    for frame in 0..frames {
-        server.submit(frame)?;
-    }
-    let stats = server.drain();
-    Ok(ServingReport {
-        threads,
-        frames: stats.completed,
-        simulated_seconds: stats.simulated_seconds,
-        aggregate_fps: stats.aggregate_fps,
-        frames_per_thread: stats.frames_per_worker,
-        gr3d_percent: stats.gr3d_percent,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1696,21 +1605,35 @@ mod tests {
             .with_host_glue_us(200.0)
     }
 
+    /// Serves `frames` on `workers` streams with blocking admission and no
+    /// batching — one frame per thread per call, the Figure 3/4 setup.
+    fn serve(e: &Engine, workers: usize, frames: u64) -> ServerStats {
+        let config = ServerConfig::default()
+            .with_workers(workers)
+            .with_queue_capacity(workers * 2)
+            .with_max_batch_size(1)
+            .with_timing(opts());
+        let server = InferenceServer::start(e, &DeviceSpec::xavier_nx(), config).unwrap();
+        for frame in 0..frames {
+            server.submit(frame).unwrap();
+        }
+        server.drain()
+    }
+
     #[test]
     fn all_frames_are_processed() {
         let e = engine();
-        let report = serve(&e, &DeviceSpec::xavier_nx(), 4, 64, &opts()).unwrap();
-        assert_eq!(report.frames, 64);
-        assert_eq!(report.frames_per_thread.iter().sum::<u64>(), 64);
-        assert!(report.aggregate_fps > 0.0);
+        let stats = serve(&e, 4, 64);
+        assert_eq!(stats.completed, 64);
+        assert_eq!(stats.frames_per_worker.iter().sum::<u64>(), 64);
+        assert!(stats.aggregate_fps > 0.0);
     }
 
     #[test]
     fn more_threads_do_not_lose_throughput() {
         let e = engine();
-        let dev = DeviceSpec::xavier_nx();
-        let one = serve(&e, &dev, 1, 48, &opts()).unwrap();
-        let four = serve(&e, &dev, 4, 48, &opts()).unwrap();
+        let one = serve(&e, 1, 48);
+        let four = serve(&e, 4, 48);
         // Streams overlap on the simulated timeline: aggregate FPS must not
         // regress when adding workers.
         assert!(
@@ -1724,25 +1647,25 @@ mod tests {
     #[test]
     fn work_is_distributed() {
         let e = engine();
-        let report = serve(&e, &DeviceSpec::xavier_nx(), 4, 100, &opts()).unwrap();
-        let active = report.frames_per_thread.iter().filter(|&&n| n > 0).count();
+        let stats = serve(&e, 4, 100);
+        let active = stats.frames_per_worker.iter().filter(|&&n| n > 0).count();
         assert!(
             active >= 2,
             "work stuck on one thread: {:?}",
-            report.frames_per_thread
+            stats.frames_per_worker
         );
     }
 
     #[test]
     fn utilization_is_reported() {
-        let e = engine();
-        let report = serve(&e, &DeviceSpec::xavier_nx(), 2, 32, &opts()).unwrap();
-        assert!(report.gr3d_percent > 0.0 && report.gr3d_percent <= 100.0);
+        let stats = serve(&engine(), 2, 32);
+        assert!(stats.gr3d_percent > 0.0 && stats.gr3d_percent <= 100.0);
     }
 
     #[test]
     fn zero_threads_rejected_as_error() {
-        let err = serve(&engine(), &DeviceSpec::xavier_nx(), 0, 1, &opts()).unwrap_err();
+        let config = ServerConfig::default().with_workers(0);
+        let err = InferenceServer::start(&engine(), &DeviceSpec::xavier_nx(), config).unwrap_err();
         assert!(matches!(err, ServingError::InvalidConfig(_)));
         assert!(err.to_string().contains("at least one worker"));
     }

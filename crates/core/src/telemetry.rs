@@ -1,36 +1,37 @@
-//! Core-side telemetry: metric handle bundles for the instrumented
-//! subsystems and the periodic tegrastats-style GPU sampler.
+//! Core-side telemetry: the serving metric handles, the `publish_*`
+//! helpers for build, timing-cache and plan statistics, and the periodic
+//! tegrastats-style GPU sampler.
 //!
-//! Everything here publishes into [`Registry::global`] so one scrape of the
-//! [`trtsim_metrics::TelemetryServer`] endpoint sees the whole process:
-//! serving counters, build-cache hit rates, fast-path activity, and the
-//! live per-stream GPU utilization the paper reads off `tegrastats` during
-//! its concurrency experiments.
+//! Telemetry is scoped to its owner. An [`crate::InferenceServer`] or a
+//! [`crate::Fleet`] creates its own [`Registry`]: its serving counters,
+//! flight-recorder counters and GPU sampler publish there, and its
+//! `/metrics` endpoint scrapes only that registry. The build, plan and
+//! kernel layers publish nothing themselves; they hand counts back as plain
+//! data ([`crate::engine::BuildReport`], [`crate::TimingCache::stats`],
+//! [`PlanStats`]) and the owner of those objects publishes them with
+//! [`publish_build`], [`publish_timing_cache`] and [`publish_plan`].
 //!
 //! Naming scheme (documented in DESIGN §10): every family is prefixed
 //! `trtsim_`, subsystem second (`server`, `build`, `timing_cache`, `farm`,
 //! `plan`, `gpu`), unit suffixes spelled out (`_us`, `_bytes`, `_mw`),
 //! counters end `_total`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use trtsim_gpu::tegrastats;
 use trtsim_gpu::timeline::GpuTimeline;
-use trtsim_metrics::{log_buckets, Counter, Gauge, Histogram, Registry};
+use trtsim_metrics::{log_buckets, CacheStats, Counter, Gauge, Histogram, Registry};
 
-/// Default latency-histogram bounds: 1 µs to ~33.5 s in ×2 steps. Quantile
-/// estimates are therefore exact to within a factor of 2 — the resolution a
-/// serving dashboard needs, at 27 fixed buckets of memory forever.
-pub fn latency_buckets_us() -> Vec<f64> {
-    log_buckets(1.0, 2.0, 26)
-}
+use crate::engine::BuildReport;
+use crate::fastpath::{InferencePlan, PlanStats};
 
 /// Serving-path metric handles, one bundle per [`crate::InferenceServer`],
-/// labelled `model=<engine name>` plus — when the server is one member of a
-/// fleet — `device=<fleet device name>` and optionally `tenant=<tenant>`.
+/// registered in the server's (or its fleet's) registry and labelled
+/// `model=<engine name>` plus — when the server is one member of a fleet —
+/// `device=<fleet device name>` and optionally `tenant=<tenant>`.
 /// The single-device default (no device label) keeps the legacy
 /// `{model=...}` series stable, while two fleet devices serving the same
 /// model publish two distinct series instead of silently merging into one.
@@ -58,8 +59,12 @@ pub(crate) struct ServingMetrics {
 }
 
 impl ServingMetrics {
-    pub(crate) fn register(model: &str, device: Option<&str>, tenant: Option<&str>) -> Self {
-        let reg = Registry::global();
+    pub(crate) fn register(
+        reg: &Registry,
+        model: &str,
+        device: Option<&str>,
+        tenant: Option<&str>,
+    ) -> Self {
         let mut label_vec: Vec<(&str, &str)> = vec![("model", model)];
         if let Some(device) = device {
             label_vec.push(("device", device));
@@ -114,7 +119,9 @@ impl ServingMetrics {
                 "trtsim_server_latency_us",
                 "Per-request simulated latency, microseconds",
                 labels,
-                &latency_buckets_us(),
+                // 1 µs to ~33.5 s in x2 steps: quantiles exact to within a
+                // factor of 2, at 27 fixed buckets of memory forever.
+                &log_buckets(1.0, 2.0, 26),
             ),
             deadline_missed: reg.counter(
                 "trtsim_server_deadline_missed_total",
@@ -158,242 +165,129 @@ impl ServingMetrics {
     }
 }
 
-/// Fast-path metric handles, registered once per [`crate::InferencePlan`]
-/// compilation.
-#[derive(Debug, Clone)]
-pub(crate) struct PlanMetrics {
-    pub(crate) executions: Counter,
-    pub(crate) zero_copy_forwards: Counter,
-    /// Statically counted `move_input` steps per execution, so the hot loop
-    /// adds one precomputed number instead of branching per step.
-    pub(crate) moves_per_execution: u64,
-}
-
-impl PlanMetrics {
-    pub(crate) fn register(model: &str, moves_per_execution: u64) -> Self {
-        let reg = Registry::global();
-        let labels: &[(&str, &str)] = &[("model", model)];
-        Self {
-            executions: reg.counter(
-                "trtsim_plan_executions_total",
-                "Inferences served through a precompiled plan",
-                labels,
-            ),
-            zero_copy_forwards: reg.counter(
-                "trtsim_plan_zero_copy_forwards_total",
-                "Tensor moves forwarded without a copy by plan steps",
-                labels,
-            ),
-            moves_per_execution,
-        }
+/// Publishes one compiled plan and the [`PlanStats`] its executions
+/// accumulated: the compile counter and arena footprint gauges
+/// (`trtsim_plan_*{model}`) plus the execution, zero-copy-forward,
+/// layout-convert and lane-path counters. Counts one compile per call, so
+/// publish each plan once (e.g. `ctx.plan()` with `ctx.plan_stats()`).
+pub fn publish_plan(registry: &Registry, plan: &InferencePlan<'_>, stats: &PlanStats) {
+    let labels: &[(&str, &str)] = &[("model", plan.engine().name())];
+    registry
+        .counter(
+            "trtsim_plan_compiles_total",
+            "Inference plans compiled",
+            labels,
+        )
+        .inc();
+    let arena = plan.arena_stats();
+    for (name, help, value) in [
+        (
+            "trtsim_plan_arena_peak_live_bytes",
+            "Peak live activation bytes of the plan's tensor arena",
+            arena.peak_live_bytes as f64,
+        ),
+        (
+            "trtsim_plan_arena_total_activation_bytes",
+            "Keep-everything activation bytes the arena avoided",
+            arena.total_activation_bytes as f64,
+        ),
+        (
+            "trtsim_plan_arena_slot_capacity_bytes",
+            "Bytes provisioned for the plan's size-classed arena slots",
+            arena.slot_capacity_bytes as f64,
+        ),
+        (
+            "trtsim_plan_arena_utilization",
+            "Peak live bytes over provisioned slot bytes (1.0 = no slack)",
+            arena.utilization(),
+        ),
+    ] {
+        registry.gauge(name, help, labels).set(value);
+    }
+    for (name, help, labels, value) in [
+        (
+            "trtsim_plan_executions_total",
+            "Inferences served through a precompiled plan",
+            labels,
+            stats.executions,
+        ),
+        (
+            "trtsim_plan_zero_copy_forwards_total",
+            "Tensor moves forwarded without a copy by plan steps",
+            labels,
+            stats.zero_copy_forwards,
+        ),
+        (
+            "trtsim_kernel_layout_converts_total",
+            "Physical-layout (reformat) conversions executed",
+            &[],
+            stats.layout_converts,
+        ),
+        (
+            "trtsim_kernel_vector_lanes_total",
+            "Output values produced by SIMD lane-array kernels",
+            &[],
+            stats.lanes.vector,
+        ),
+        (
+            "trtsim_kernel_scalar_fallback_total",
+            "Output values produced by scalar walks (dense fallbacks, legacy kernels)",
+            &[],
+            stats.lanes.scalar,
+        ),
+    ] {
+        registry.counter(name, help, labels).add(value);
     }
 }
 
-/// Registers plan-compile activity: bumps the compile counter and publishes
-/// the arena footprint gauges for `model`.
-pub(crate) fn record_plan_compile(model: &str, stats: &trtsim_metrics::ArenaStats) {
-    let reg = Registry::global();
+/// Publishes a timing cache's lookup counts as
+/// `trtsim_timing_cache_lookups_total{result="hit"|"miss"}`. Additive:
+/// publish each cache's [`crate::TimingCache::stats`] once.
+pub fn publish_timing_cache(registry: &Registry, stats: &CacheStats) {
+    for (result, count) in [("hit", stats.hits), ("miss", stats.misses)] {
+        registry
+            .counter(
+                "trtsim_timing_cache_lookups_total",
+                "Timing-cache lookups by outcome",
+                &[("result", result)],
+            )
+            .add(count);
+    }
+}
+
+/// Publishes one engine build of `model` that took `seconds` of wall time:
+/// bumps `trtsim_build_total{model}`, observes `trtsim_build_seconds{model}`
+/// and adds the report's autotune measurements to
+/// `trtsim_autotune_measurements_total`. The builder does not time itself;
+/// whoever runs the build (an engine farm, a bench binary) does.
+pub fn publish_build(registry: &Registry, model: &str, report: &BuildReport, seconds: f64) {
     let labels: &[(&str, &str)] = &[("model", model)];
-    reg.counter(
-        "trtsim_plan_compiles_total",
-        "Inference plans compiled",
-        labels,
-    )
-    .inc();
-    reg.gauge(
-        "trtsim_plan_arena_peak_live_bytes",
-        "Peak live activation bytes of the plan's tensor arena",
-        labels,
-    )
-    .set(stats.peak_live_bytes as f64);
-    reg.gauge(
-        "trtsim_plan_arena_total_activation_bytes",
-        "Keep-everything activation bytes the arena avoided",
-        labels,
-    )
-    .set(stats.total_activation_bytes as f64);
-    reg.gauge(
-        "trtsim_plan_arena_slot_capacity_bytes",
-        "Bytes provisioned for the plan's size-classed arena slots",
-        labels,
-    )
-    .set(stats.slot_capacity_bytes as f64);
-    reg.gauge(
-        "trtsim_plan_arena_utilization",
-        "Peak live bytes over provisioned slot bytes (1.0 = no slack)",
-        labels,
-    )
-    .set(stats.utilization());
-}
-
-/// Folds the `[last, now)` delta of a raw monotone count into a registry
-/// counter. Exactly-once under concurrency: a CAS loop claims the delta for
-/// a single caller. This is the bridge pattern for subsystems (`trtsim-ir`,
-/// `trtsim-kernels`) that keep raw atomics instead of depending on metrics.
-fn drain_monotone(last: &AtomicU64, now: u64, counter: &Counter) {
-    let mut seen = last.load(Ordering::Relaxed);
-    while now > seen {
-        match last.compare_exchange_weak(seen, now, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => {
-                counter.add(now - seen);
-                return;
-            }
-            Err(raced) => seen = raced,
-        }
-    }
-}
-
-/// Lane-kernel activity counters, bridged from the raw atomics in
-/// `trtsim-ir` (layout conversions) and `trtsim-kernels` (values produced
-/// by SIMD lanes vs scalar walks).
-fn lane_counters() -> &'static (Counter, Counter, Counter) {
-    static C: OnceLock<(Counter, Counter, Counter)> = OnceLock::new();
-    C.get_or_init(|| {
-        let reg = Registry::global();
-        (
-            reg.counter(
-                "trtsim_kernel_layout_converts_total",
-                "Physical-layout (reformat) conversions executed",
-                &[],
-            ),
-            reg.counter(
-                "trtsim_kernel_vector_lanes_total",
-                "Output values produced by SIMD lane-array kernels",
-                &[],
-            ),
-            reg.counter(
-                "trtsim_kernel_scalar_fallback_total",
-                "Output values produced by scalar walks (dense fallbacks, legacy kernels)",
-                &[],
-            ),
+    registry
+        .counter("trtsim_build_total", "Engine builds completed", labels)
+        .inc();
+    registry
+        .histogram(
+            "trtsim_build_seconds",
+            "Wall-clock engine build time, seconds",
+            labels,
+            // 1 ms to ~65 s in x2 steps.
+            &log_buckets(1e-3, 2.0, 17),
         )
-    })
-}
-
-/// Folds any new layout-convert / vector-lane / scalar-fallback events into
-/// their registry counters.
-pub(crate) fn sync_lane_counters() {
-    static LAYOUT_LAST: AtomicU64 = AtomicU64::new(0);
-    static VECTOR_LAST: AtomicU64 = AtomicU64::new(0);
-    static SCALAR_LAST: AtomicU64 = AtomicU64::new(0);
-    let (converts, vector, scalar) = lane_counters();
-    drain_monotone(
-        &LAYOUT_LAST,
-        trtsim_ir::layout::layout_convert_events(),
-        converts,
-    );
-    drain_monotone(
-        &VECTOR_LAST,
-        trtsim_kernels::lanes::vector_lane_events(),
-        vector,
-    );
-    drain_monotone(
-        &SCALAR_LAST,
-        trtsim_kernels::lanes::scalar_fallback_events(),
-        scalar,
-    );
-}
-
-/// Flight-recorder activity counters, bridged from the raw atomics in
-/// [`crate::reqtrace`] (recording never touches the registry lock).
-fn trace_counters() -> &'static (Counter, Counter, Counter, Counter) {
-    static C: OnceLock<(Counter, Counter, Counter, Counter)> = OnceLock::new();
-    C.get_or_init(|| {
-        let reg = Registry::global();
-        (
-            reg.counter(
-                "trtsim_trace_recorded_total",
-                "Request traces offered to a flight recorder",
-                &[],
-            ),
-            reg.counter(
-                "trtsim_trace_retained_total",
-                "Request traces retained in a flight-recorder ring (pinned or sampled)",
-                &[],
-            ),
-            reg.counter(
-                "trtsim_trace_sampled_total",
-                "Non-tail request traces retained by 1-in-N sampling",
-                &[],
-            ),
-            reg.counter(
-                "trtsim_trace_evicted_total",
-                "Request traces evicted from a flight-recorder ring",
-                &[],
-            ),
-        )
-    })
-}
-
-/// Folds any new flight-recorder events into their registry counters.
-pub(crate) fn sync_trace_counters() {
-    static RECORDED_LAST: AtomicU64 = AtomicU64::new(0);
-    static RETAINED_LAST: AtomicU64 = AtomicU64::new(0);
-    static SAMPLED_LAST: AtomicU64 = AtomicU64::new(0);
-    static EVICTED_LAST: AtomicU64 = AtomicU64::new(0);
-    let (recorded, retained, sampled, evicted) = trace_counters();
-    drain_monotone(&RECORDED_LAST, crate::reqtrace::recorded_events(), recorded);
-    drain_monotone(&RETAINED_LAST, crate::reqtrace::retained_events(), retained);
-    drain_monotone(&SAMPLED_LAST, crate::reqtrace::sampled_events(), sampled);
-    drain_monotone(&EVICTED_LAST, crate::reqtrace::evicted_events(), evicted);
-}
-
-/// The autotuner's per-tactic measurement counter, cached so the parallel
-/// autotune fan-out never touches the registry lock.
-pub(crate) fn autotune_measurements_counter() -> &'static Counter {
-    static C: OnceLock<Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        Registry::global().counter(
+        .observe(seconds);
+    registry
+        .counter(
             "trtsim_autotune_measurements_total",
             "Noisy tactic timing measurements taken by the autotuner",
             &[],
         )
-    })
-}
-
-/// Timing-cache hit/miss counters, labelled `result="hit"|"miss"`. Cached:
-/// `TimingCache::time_us` sits under the autotune fan-out.
-pub(crate) fn timing_cache_counters() -> &'static (Counter, Counter) {
-    static C: OnceLock<(Counter, Counter)> = OnceLock::new();
-    C.get_or_init(|| {
-        let reg = Registry::global();
-        let help = "Timing-cache lookups by outcome";
-        (
-            reg.counter(
-                "trtsim_timing_cache_lookups_total",
-                help,
-                &[("result", "hit")],
-            ),
-            reg.counter(
-                "trtsim_timing_cache_lookups_total",
-                help,
-                &[("result", "miss")],
-            ),
-        )
-    })
-}
-
-/// Records one engine build: bumps the per-model build counter and observes
-/// the wall-clock build time.
-pub(crate) fn record_build(model: &str, seconds: f64) {
-    let reg = Registry::global();
-    let labels: &[(&str, &str)] = &[("model", model)];
-    reg.counter("trtsim_build_total", "Engine builds completed", labels)
-        .inc();
-    reg.histogram(
-        "trtsim_build_seconds",
-        "Wall-clock engine build time, seconds",
-        labels,
-        // 1 ms to ~65 s in x2 steps.
-        &log_buckets(1e-3, 2.0, 17),
-    )
-    .observe(seconds);
+        .add(report.autotune_measurements);
 }
 
 /// A periodic tegrastats-style sampler over a live serving timeline.
 ///
 /// Every `period` of *wall* time it locks the shared [`GpuTimeline`], takes
-/// the simulated window since its previous sample, and publishes:
+/// the simulated window since its previous sample, and publishes into the
+/// given registry:
 ///
 /// * `trtsim_gpu_gr3d_percent` — occupancy-weighted device utilization
 /// * `trtsim_gpu_stream_busy_percent{stream=...}` — per-stream busy fraction
@@ -420,8 +314,12 @@ pub struct GpuSampler {
 
 impl GpuSampler {
     /// Spawns the sampler thread over `timeline` at the given wall-clock
-    /// cadence.
-    pub fn spawn(timeline: Arc<Mutex<GpuTimeline>>, period: Duration) -> Self {
+    /// cadence, publishing into `registry`.
+    pub fn spawn(
+        timeline: Arc<Mutex<GpuTimeline>>,
+        registry: Arc<Registry>,
+        period: Duration,
+    ) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
@@ -429,7 +327,7 @@ impl GpuSampler {
             .spawn(move || {
                 let mut last_us = 0.0f64;
                 loop {
-                    last_us = sample_once(&timeline, last_us);
+                    last_us = sample_once(&timeline, &registry, last_us);
                     if stop_flag.load(Ordering::SeqCst) {
                         return;
                     }
@@ -460,10 +358,9 @@ impl Drop for GpuSampler {
 }
 
 /// Takes one sample over `[last_us, now)`; returns the new cursor.
-fn sample_once(timeline: &Mutex<GpuTimeline>, last_us: f64) -> f64 {
+fn sample_once(timeline: &Mutex<GpuTimeline>, reg: &Registry, last_us: f64) -> f64 {
     let tl = timeline.lock().expect("timeline lock");
     let now_us = tl.elapsed_us();
-    let reg = Registry::global();
     reg.gauge(
         "trtsim_gpu_elapsed_simulated_us",
         "Simulated timeline clock, microseconds",
@@ -532,9 +429,13 @@ mod tests {
                 .precision(Precision::Fp16, true),
         );
         let timeline = Arc::new(Mutex::new(tl));
-        let mut sampler = GpuSampler::spawn(Arc::clone(&timeline), Duration::from_millis(5));
+        let reg = Arc::new(Registry::new());
+        let mut sampler = GpuSampler::spawn(
+            Arc::clone(&timeline),
+            Arc::clone(&reg),
+            Duration::from_millis(5),
+        );
         sampler.stop();
-        let reg = Registry::global();
         let busy = reg.gauge(
             "trtsim_gpu_stream_busy_percent",
             "Per-stream device-busy fraction over the last window, percent",
@@ -550,33 +451,36 @@ mod tests {
     }
 
     #[test]
-    fn trace_counter_sync_tracks_raw_sources() {
-        sync_trace_counters();
-        let (recorded, retained, sampled, evicted) = trace_counters();
-        let before = (recorded.get(), retained.get(), sampled.get(), evicted.get());
-        sync_trace_counters();
-        // Monotone, and never ahead of the raw atomics they mirror.
-        assert!(recorded.get() >= before.0);
-        assert!(retained.get() >= before.1);
-        assert!(recorded.get() <= crate::reqtrace::recorded_events());
-        assert!(retained.get() <= crate::reqtrace::retained_events());
-        assert!(sampled.get() <= crate::reqtrace::sampled_events());
-        assert!(evicted.get() <= crate::reqtrace::evicted_events());
-    }
-
-    #[test]
-    fn lane_counter_sync_tracks_raw_sources() {
-        sync_lane_counters();
-        let (converts, vector, scalar) = lane_counters();
-        let before = (converts.get(), vector.get(), scalar.get());
-        sync_lane_counters();
-        // Monotone, and never ahead of the raw atomics they mirror (other
-        // tests may bump the raw counts concurrently, so no exact equality).
-        assert!(converts.get() >= before.0);
-        assert!(vector.get() >= before.1);
-        assert!(scalar.get() >= before.2);
-        assert!(converts.get() <= trtsim_ir::layout::layout_convert_events());
-        assert!(vector.get() <= trtsim_kernels::lanes::vector_lane_events());
-        assert!(scalar.get() <= trtsim_kernels::lanes::scalar_fallback_events());
+    fn publish_helpers_write_the_given_counts() {
+        let reg = Registry::new();
+        publish_timing_cache(&reg, &CacheStats { hits: 3, misses: 2 });
+        let report = BuildReport {
+            autotune_measurements: 40,
+            ..BuildReport::default()
+        };
+        publish_build(&reg, "m", &report, 0.01);
+        publish_build(&reg, "m", &report, 0.02);
+        let help = "Timing-cache lookups by outcome";
+        let lookups = |result| {
+            reg.counter(
+                "trtsim_timing_cache_lookups_total",
+                help,
+                &[("result", result)],
+            )
+            .get()
+        };
+        assert_eq!((lookups("hit"), lookups("miss")), (3, 2));
+        assert_eq!(
+            reg.counter("trtsim_build_total", "", &[("model", "m")])
+                .get(),
+            2
+        );
+        let seconds = reg.histogram("trtsim_build_seconds", "", &[("model", "m")], &[1.0]);
+        assert_eq!(seconds.count(), 2);
+        assert_eq!(
+            reg.counter("trtsim_autotune_measurements_total", "", &[])
+                .get(),
+            80
+        );
     }
 }

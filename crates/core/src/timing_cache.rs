@@ -347,7 +347,7 @@ impl TimingCache {
 /// [`TimingCache::session`]); the autotuner holds one per measured node.
 ///
 /// Hit/miss counts accumulate in plain cells and flush to the cache's
-/// atomic counters (and the telemetry registry) when the session drops —
+/// atomic counters when the session drops —
 /// the total hit count is the sum of the per-shard cells, so a hit costs
 /// exactly one cell bump — and the per-query hot path performs no atomic
 /// read-modify-writes at all.
@@ -387,9 +387,6 @@ impl Drop for CacheSession<'_> {
         if hits == 0 && misses == 0 {
             return;
         }
-        // Registry counters are process-lifetime monotone; the per-cache
-        // `hits`/`misses` fields stay the resettable view `stats()` reports.
-        let (hit_metric, miss_metric) = crate::telemetry::timing_cache_counters();
         self.cache.hits.fetch_add(hits, Ordering::Relaxed);
         self.cache.misses.fetch_add(misses, Ordering::Relaxed);
         for (cell, total) in self.shard_hits.iter().zip(&self.cache.shard_hits) {
@@ -398,8 +395,6 @@ impl Drop for CacheSession<'_> {
                 total.fetch_add(n, Ordering::Relaxed);
             }
         }
-        hit_metric.add(hits);
-        miss_metric.add(misses);
     }
 }
 

@@ -12,23 +12,11 @@
 //! byte-identical on the `f32` bit patterns — NaN payloads included. The
 //! plan-time layout assignment pass in `trtsim-core` decides which values
 //! live in which layout and inserts the minimal number of these converts;
-//! every executed conversion bumps a process-wide counter that the core
-//! telemetry bridge exports as `trtsim_kernel_layout_converts_total`.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! the plan counts the converts it executes per scratch, and its owner
+//! publishes them as `trtsim_kernel_layout_converts_total`.
 
 /// Channel lane width of the blocked [`Layout::Chwc8`] format.
 pub const LANES: usize = 8;
-
-/// Total layout conversions executed, process-wide. `trtsim-ir` stays
-/// metrics-free; `trtsim-core`'s telemetry bridge drains this into the
-/// registry (same pattern as the kernels' lane counters).
-static LAYOUT_CONVERTS: AtomicU64 = AtomicU64::new(0);
-
-/// Monotone count of layout conversions executed since process start.
-pub fn layout_convert_events() -> u64 {
-    LAYOUT_CONVERTS.load(Ordering::Relaxed)
-}
 
 /// How a logical CHW value is stored in memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -107,7 +95,6 @@ pub fn convert(src: &[f32], shape: [usize; 3], from: Layout, to: Layout) -> Vec<
 pub fn convert_into(src: &[f32], shape: [usize; 3], from: Layout, to: Layout, dst: &mut [f32]) {
     assert_eq!(src.len(), from.physical_len(shape), "src/layout mismatch");
     assert_eq!(dst.len(), to.physical_len(shape), "dst/layout mismatch");
-    LAYOUT_CONVERTS.fetch_add(1, Ordering::Relaxed);
     let [c_total, h, w] = shape;
     if to == Layout::Chwc8 {
         // Pad lanes must come out zero regardless of what `dst` held.
@@ -253,12 +240,5 @@ mod tests {
         let chw = convert(&src, shape, Layout::Nhwc, Layout::Chw);
         let two_hop = convert(&chw, shape, Layout::Chw, Layout::Chwc8);
         assert_eq!(direct, two_hop);
-    }
-
-    #[test]
-    fn convert_counter_is_monotone() {
-        let before = layout_convert_events();
-        let _ = convert(&[0.0; 4], [1, 2, 2], Layout::Chw, Layout::Nhwc);
-        assert!(layout_convert_events() > before);
     }
 }

@@ -36,12 +36,11 @@
 //!   scalar redo. Band tap lists skip out-of-bounds taps, so split-K chunk
 //!   positions count in-bounds taps only, as the reference walk does.
 //!
-//! Values produced by the vector path and by scalar walks (dense fallbacks
-//! for non-finite operands, legacy prepared kernels) are tallied
-//! process-wide and exported by the core telemetry bridge as
-//! `trtsim_kernel_vector_lanes_total` / `trtsim_kernel_scalar_fallback_total`.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Each prepared-kernel call returns how many output values it produced on
+//! the vector path and on scalar walks (dense fallbacks for non-finite
+//! operands, legacy prepared kernels) as a [`PathCounts`]; the plan sums
+//! them, and its owner publishes them as `trtsim_kernel_vector_lanes_total`
+//! / `trtsim_kernel_scalar_fallback_total`.
 
 use trtsim_gpu::kernel::Precision;
 use trtsim_ir::graph::{Activation, ConvParams};
@@ -54,31 +53,40 @@ use crate::tactic::{AccumOrder, Tactic};
 /// Output-pixel positions advanced together by the tile micro-kernel.
 const TILE: usize = 4;
 
-/// Output values produced by the vectorized lane-array path.
-static VECTOR_LANES: AtomicU64 = AtomicU64::new(0);
-/// Output values produced by scalar walks: dense fallbacks for non-finite
-/// operands and the legacy (non-lane) prepared kernels.
-static SCALAR_FALLBACK: AtomicU64 = AtomicU64::new(0);
-
-/// Monotone count of output values computed by the vector lane path.
-pub fn vector_lane_events() -> u64 {
-    VECTOR_LANES.load(Ordering::Relaxed)
+/// Output values one prepared-kernel call produced, by path. The kernels
+/// hand these back to their caller instead of publishing them anywhere;
+/// the inference plan sums them per scratch (DESIGN §10).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathCounts {
+    /// Values produced by the vectorized lane-array path.
+    pub vector: u64,
+    /// Values produced by scalar walks: dense fallbacks for non-finite
+    /// operands and the legacy (non-lane) prepared kernels.
+    pub scalar: u64,
 }
 
-/// Monotone count of output values computed by scalar fallback paths.
-pub fn scalar_fallback_events() -> u64 {
-    SCALAR_FALLBACK.load(Ordering::Relaxed)
-}
+impl PathCounts {
+    /// `n` values from the vector path.
+    pub fn vector(n: usize) -> Self {
+        Self {
+            vector: n as u64,
+            scalar: 0,
+        }
+    }
 
-pub(crate) fn note_vector_values(n: u64) {
-    if n > 0 {
-        VECTOR_LANES.fetch_add(n, Ordering::Relaxed);
+    /// `n` values from a scalar walk.
+    pub fn scalar(n: usize) -> Self {
+        Self {
+            vector: 0,
+            scalar: n as u64,
+        }
     }
 }
 
-pub(crate) fn note_scalar_values(n: u64) {
-    if n > 0 {
-        SCALAR_FALLBACK.fetch_add(n, Ordering::Relaxed);
+impl std::ops::AddAssign for PathCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.vector += other.vector;
+        self.scalar += other.scalar;
     }
 }
 
@@ -368,7 +376,6 @@ impl LaneConv {
             (true, true) => self.run_typed::<true, true>(g, act, x, out),
             (true, false) => self.run_typed::<false, true>(g, act, x, out),
         }
-        note_vector_values((g.out_channels * g.oh * g.ow) as u64);
     }
 
     fn run_typed<const FP16: bool, const DW: bool>(
@@ -631,15 +638,5 @@ mod tests {
         let b = bands(2, 2, 5, 1, 2);
         let got: Vec<_> = b.iter().map(|b| (b.k_lo, b.k_hi)).collect();
         assert_eq!(got, [(2, 4), (1, 3)]);
-    }
-
-    #[test]
-    fn lane_counters_are_monotone() {
-        let v0 = vector_lane_events();
-        let s0 = scalar_fallback_events();
-        note_vector_values(3);
-        note_scalar_values(2);
-        assert!(vector_lane_events() >= v0 + 3);
-        assert!(scalar_fallback_events() >= s0 + 2);
     }
 }

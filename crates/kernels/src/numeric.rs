@@ -18,7 +18,7 @@ use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::Weights;
 use trtsim_util::f16::{round_f16, QuantParams};
 
-use crate::lanes::{note_scalar_values, note_vector_values, round8, round_f16_slice, LaneConv};
+use crate::lanes::{round8, round_f16_slice, LaneConv, PathCounts};
 use crate::tactic::{AccumOrder, Tactic};
 
 /// Calibration scales for INT8 execution of one layer.
@@ -645,8 +645,9 @@ enum PreparedKind {
 /// let tactic = Tactic::conv_hmma(128, 64, "");
 ///
 /// let prepared = PreparedConv::new(&params, input.shape(), &tactic, None);
-/// let fast = prepared.run(&params, &input, &mut TensorArena::new());
+/// let (fast, counts) = prepared.run(&params, &input, &mut TensorArena::new());
 /// assert_eq!(fast, conv_forward(&params, &input, &tactic, None));
+/// assert_eq!(counts.vector + counts.scalar, fast.len() as u64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PreparedConv {
@@ -810,12 +811,18 @@ impl PreparedConv {
 
     /// Executes the convolution; bit-identical (under `f32` equality) to
     /// [`conv_forward`] with the same tactic and calibration, modulo the
-    /// prepared layouts' pure permutation of element positions.
+    /// prepared layouts' pure permutation of element positions. Also
+    /// returns how many output values the vector and scalar paths produced.
     ///
     /// # Panics
     ///
     /// Panics if `input` does not have the prepared physical shape.
-    pub fn run(&self, params: &ConvParams, input: &Tensor, arena: &mut TensorArena) -> Tensor {
+    pub fn run(
+        &self,
+        params: &ConvParams,
+        input: &Tensor,
+        arena: &mut TensorArena,
+    ) -> (Tensor, PathCounts) {
         assert_eq!(
             input.shape(),
             self.in_physical_shape(),
@@ -824,8 +831,6 @@ impl PreparedConv {
         if let PreparedKind::Lanes(lanes) = &self.kind {
             return self.run_lanes(lanes, params, input, arena);
         }
-        // Every value the legacy kinds produce comes from a scalar walk.
-        note_scalar_values((self.geom.out_channels * self.geom.oh * self.geom.ow) as u64);
         let mut out = arena.alloc_zeroed(self.out_shape());
         match &self.kind {
             PreparedKind::Lanes(_) => unreachable!("handled above"),
@@ -893,7 +898,9 @@ impl PreparedConv {
                 self.run_i8(sparse, &qx, *out_scale, params.activation, &mut out);
             }
         }
-        out
+        // Every value the legacy kinds produce comes from a scalar walk.
+        let values = out.len();
+        (out, PathCounts::scalar(values))
     }
 
     /// The lane-array fast path. FP32 runs unconditionally (exact reference
@@ -907,10 +914,11 @@ impl PreparedConv {
         params: &ConvParams,
         input: &Tensor,
         arena: &mut TensorArena,
-    ) -> Tensor {
+    ) -> (Tensor, PathCounts) {
         // The lane kernels write every physical element, pad lanes included.
         let shape = self.out_physical_shape();
         let mut out = Tensor::from_vec(shape, arena.take_buffer(shape.iter().product()));
+        let values = self.geom.out_channels * self.geom.oh * self.geom.ow;
         if !lanes.fp16 {
             lanes.run(
                 &self.geom,
@@ -918,17 +926,17 @@ impl PreparedConv {
                 input.as_slice(),
                 out.as_mut_slice(),
             );
-            return out;
+            return (out, PathCounts::vector(values));
         }
         let mut rx = arena.take_buffer(input.len());
         rx.copy_from_slice(input.as_slice());
         let finite = round_f16_slice(&mut rx);
-        if finite && !lanes.force_dense {
+        let counts = if finite && !lanes.force_dense {
             lanes.run(&self.geom, params.activation, &rx, out.as_mut_slice());
+            PathCounts::vector(values)
         } else {
             // Exact dense fallback in canonical CHW, converted at the edges
             // (conversion is a pure permutation, so bit-exactness holds).
-            note_scalar_values((self.geom.out_channels * self.geom.oh * self.geom.ow) as u64);
             let logical_in = self.geom.in_shape;
             let mut chw = arena.take_buffer(logical_in.iter().product());
             if lanes.layout_in == Layout::Chw {
@@ -959,9 +967,10 @@ impl PreparedConv {
             }
             arena.release(tmp);
             arena.give_buffer(chw);
-        }
+            PathCounts::scalar(values)
+        };
         arena.give_buffer(rx);
-        out
+        (out, counts)
     }
 
     /// Offset of the first interior pixel of output row `oy` in the input
@@ -1270,7 +1279,8 @@ impl PreparedFc {
         }
     }
 
-    /// Executes the layer; bit-identical to [`fc_forward`].
+    /// Executes the layer; bit-identical to [`fc_forward`]. Also returns
+    /// how many output values the vector and scalar paths produced.
     ///
     /// # Panics
     ///
@@ -1281,7 +1291,7 @@ impl PreparedFc {
         input: &Tensor,
         activation: Option<Activation>,
         arena: &mut TensorArena,
-    ) -> Tensor {
+    ) -> (Tensor, PathCounts) {
         let in_features = input.len();
         assert_eq!(
             self.weights.len(),
@@ -1294,22 +1304,25 @@ impl PreparedFc {
             // (bias-start, sequential taps), so they need no finiteness guard.
             let lanes = self.lanes.as_ref().expect("FP32 FC layers always lane");
             self.run_lanes_f32(lanes, input.as_slice(), activation, &mut out);
-            return out;
+            return (out, PathCounts::vector(self.out_features));
         }
         let mut rx = arena.take_buffer(in_features);
         rx.copy_from_slice(input.as_slice());
         let finite = round_f16_slice(&mut rx);
-        match &self.lanes {
+        let counts = match &self.lanes {
             // Non-finite inputs make NaN payloads order-dependent; take the
             // exact reducer walk instead.
-            Some(lanes) if finite => self.run_lanes_f16(lanes, &rx, activation, &mut out),
-            _ => {
-                note_scalar_values(self.out_features as u64);
-                self.run_reducer_f16(&rx, activation, &mut out);
+            Some(lanes) if finite => {
+                self.run_lanes_f16(lanes, &rx, activation, &mut out);
+                PathCounts::vector(self.out_features)
             }
-        }
+            _ => {
+                self.run_reducer_f16(&rx, activation, &mut out);
+                PathCounts::scalar(self.out_features)
+            }
+        };
         arena.give_buffer(rx);
-        out
+        (out, counts)
     }
 
     /// FP32 lane kernel: 8 output features advance together; per feature
@@ -1334,7 +1347,6 @@ impl PreparedFc {
                 *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, a);
             }
         }
-        note_vector_values(self.out_features as u64);
     }
 
     /// FP16 lane kernel: 8 output features advance together, every
@@ -1368,7 +1380,6 @@ impl PreparedFc {
                 *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, v);
             }
         }
-        note_vector_values(self.out_features as u64);
     }
 
     /// The legacy exact FP16 walk (`rx` already on the binary16 grid).
@@ -1590,11 +1601,12 @@ mod tests {
         let want = conv_forward(params, input, tactic, quant);
         let prepared = PreparedConv::new(params, input.shape(), tactic, quant);
         let mut arena = TensorArena::new();
-        let first = prepared.run(params, input, &mut arena);
+        let (first, counts) = prepared.run(params, input, &mut arena);
         assert_eq!(first, want, "prepared mismatch under {:?}", tactic.accum);
+        assert_eq!(counts.vector + counts.scalar, want.len() as u64);
         arena.release(first);
         // A second pass runs on recycled buffers and must still agree.
-        assert_eq!(prepared.run(params, input, &mut arena), want);
+        assert_eq!(prepared.run(params, input, &mut arena), (want, counts));
     }
 
     #[test]
@@ -1652,8 +1664,15 @@ mod tests {
         for tactic in [Tactic::conv_fp32(128, 64), Tactic::conv_hmma(128, 64, "")] {
             let want = conv_forward(&params, &input, &tactic, None);
             let prepared = PreparedConv::new(&params, input.shape(), &tactic, None);
-            let got = prepared.run(&params, &input, &mut TensorArena::new());
+            let (got, counts) = prepared.run(&params, &input, &mut TensorArena::new());
             assert_eq!(got.shape(), want.shape());
+            // FP32 lanes propagate non-finite values themselves; FP16 lanes
+            // hand the whole output to the dense scalar walk.
+            let want_counts = match tactic.precision {
+                Precision::Fp32 => PathCounts::vector(want.len()),
+                _ => PathCounts::scalar(want.len()),
+            };
+            assert_eq!(counts, want_counts, "{:?}", tactic.precision);
             // NaN != NaN, so compare bit patterns.
             for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -1699,7 +1718,7 @@ mod tests {
                     layout::convert(input.as_slice(), input.shape(), Layout::Chw, li),
                 );
                 let mut arena = TensorArena::new();
-                let phys_out = prepared.run(params, &phys_in, &mut arena);
+                let (phys_out, _) = prepared.run(params, &phys_in, &mut arena);
                 assert_eq!(phys_out.shape(), prepared.out_physical_shape());
                 let back = layout::convert(phys_out.as_slice(), want.shape(), lo, Layout::Chw);
                 for (i, (a, b)) in back.iter().zip(want.as_slice()).enumerate() {
@@ -1854,14 +1873,11 @@ mod tests {
                 &tactic,
             );
             let mut arena = TensorArena::new();
-            assert_eq!(
-                prepared.run(&input, Some(Activation::Relu), &mut arena),
-                want
-            );
-            assert_eq!(
-                prepared.run(&input, Some(Activation::Relu), &mut arena),
-                want
-            );
+            for _ in 0..2 {
+                let (got, counts) = prepared.run(&input, Some(Activation::Relu), &mut arena);
+                assert_eq!(got, want);
+                assert_eq!(counts.vector + counts.scalar, out_features as u64);
+            }
         }
     }
 

@@ -72,7 +72,7 @@ fn check_conv(params: &ConvParams, input: &Tensor, tactic: &Tactic) {
             );
             let mut arena = TensorArena::new();
             for pass in 0..2 {
-                let out = prepared.run(params, &phys, &mut arena);
+                let (out, _) = prepared.run(params, &phys, &mut arena);
                 let back = convert(out.as_slice(), want.shape(), lo, Layout::Chw);
                 let what = format!(
                     "{:?} {li:?}->{lo:?} k{} s{} p{} pass {pass}",
@@ -154,7 +154,8 @@ fn fc_lanes_match_reference_through_fp16_overflow() {
             out_features,
             &tactic,
         );
-        let got = prepared.run(&input, None, &mut TensorArena::new());
+        let (got, counts) = prepared.run(&input, None, &mut TensorArena::new());
+        assert_eq!(counts.vector + counts.scalar, out_features as u64);
         assert_bits(got.as_slice(), want.as_slice(), &format!("fc {accum:?}"));
     }
 }

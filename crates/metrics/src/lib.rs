@@ -10,7 +10,7 @@
 //!   layers (timing cache, engine farm).
 //! * [`memory`] — activation-arena footprint accounting for the inference
 //!   fast path (peak live bytes vs keep-everything bytes).
-//! * [`telemetry`] — the process-wide metric [`Registry`] (counters, gauges,
+//! * [`telemetry`] — the per-owner metric [`Registry`] (counters, gauges,
 //!   log-bucket histograms) with Prometheus/JSON exporters and a std-only
 //!   TCP scrape endpoint.
 
@@ -29,6 +29,6 @@ pub use detection::{precision_recall, DetectionEval};
 pub use latency::{fps_from_latency_us, LatencyCell, LatencyPercentiles};
 pub use memory::ArenaStats;
 pub use telemetry::{
-    log_buckets, render_json, render_prometheus, Counter, Gauge, Histogram, Registry, RouteHandler,
-    TelemetryServer,
+    json_string, log_buckets, render_json, render_prometheus, Counter, Gauge, Histogram, Registry,
+    RouteHandler, TelemetryServer,
 };

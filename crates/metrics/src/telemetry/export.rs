@@ -170,15 +170,6 @@ impl Registry {
     pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, render_json(self))
     }
-
-    /// Writes the Prometheus text exposition to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write_prometheus(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, render_prometheus(self))
-    }
 }
 
 /// `{label="value",...}` with Prometheus escaping, plus an optional `le`
@@ -241,8 +232,9 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// JSON string literal with the mandatory RFC 8259 escapes.
-fn json_string(s: &str) -> String {
+/// JSON string literal (quotes included) with the mandatory RFC 8259
+/// escapes: `"`, `\\`, and every control character below U+0020.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

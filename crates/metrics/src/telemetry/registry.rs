@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Metric kind, fixed at first registration of a family name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,17 +57,7 @@ impl Gauge {
 
     /// Adds `delta` (CAS loop; gauges are not hot-path metrics).
     pub fn add(&self, delta: f64) {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        add_f64(&self.0, delta);
     }
 
     /// Current value.
@@ -76,7 +66,18 @@ impl Gauge {
     }
 }
 
-/// Shared state behind a [`Histogram`] handle.
+/// Adds `delta` to an `f64` stored as bits (CAS loop).
+fn add_f64(bits: &AtomicU64, delta: f64) {
+    let mut cur = bits.load(Ordering::Relaxed);
+    loop {
+        let next = (f64::from_bits(cur) + delta).to_bits();
+        match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(seen) => cur = seen,
+        }
+    }
+}
+
 /// One optional `(trace_id, value)` exemplar slot per histogram bucket.
 pub(crate) type ExemplarSlots = Box<[Option<(String, f64)>]>;
 
@@ -114,19 +115,7 @@ impl Histogram {
         let idx = core.bounds.partition_point(|b| *b < value);
         core.buckets[idx].fetch_add(1, Ordering::Relaxed);
         core.count.fetch_add(1, Ordering::Relaxed);
-        let mut cur = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + value).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        add_f64(&core.sum_bits, value);
     }
 
     /// Records one observation and attaches an OpenMetrics exemplar — a
@@ -218,7 +207,8 @@ struct Family {
     series: BTreeMap<Vec<(String, String)>, Series>,
 }
 
-/// A process-wide (or test-local) collection of metric families.
+/// One owner's collection of metric families (a server's, a fleet's, a
+/// benchmark run's).
 ///
 /// Names follow the Prometheus convention `[a-zA-Z_:][a-zA-Z0-9_:]*`; label
 /// names `[a-zA-Z_][a-zA-Z0-9_]*`. Registration panics on invalid names or
@@ -233,12 +223,6 @@ impl Registry {
     /// An empty registry (for tests or scoped collection).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide registry used by the instrumented subsystems.
-    pub fn global() -> &'static Arc<Registry> {
-        static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Registry::new()))
     }
 
     /// Finds or creates the counter `name{labels}`.
@@ -335,6 +319,63 @@ impl Registry {
                 }
             })
             .clone_handle()
+    }
+
+    /// Folds every series of `other` into this registry: counters and
+    /// histogram buckets, sums and counts add; gauges take `other`'s value;
+    /// `other`'s exemplars replace the ones held here. Families missing here
+    /// are registered with `other`'s kind, help and bounds — the way a
+    /// binary merges the registries of the servers, fleets and farms it ran
+    /// into the one snapshot it writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a family exists in both registries under a different kind,
+    /// or as histograms with different bounds.
+    pub fn absorb(&self, other: &Registry) {
+        for family in other.snapshot() {
+            for series in family.series {
+                let labels: Vec<(&str, &str)> = series
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), v.as_str()))
+                    .collect();
+                match series.value {
+                    SeriesValue::Counter(v) => {
+                        self.counter(&family.name, &family.help, &labels).add(v)
+                    }
+                    SeriesValue::Gauge(v) => self.gauge(&family.name, &family.help, &labels).set(v),
+                    SeriesValue::Histogram {
+                        bounds,
+                        buckets,
+                        sum,
+                        count,
+                        exemplars,
+                    } => {
+                        let core = self
+                            .histogram(&family.name, &family.help, &labels, &bounds)
+                            .0;
+                        assert_eq!(
+                            core.bounds[..],
+                            bounds[..],
+                            "histogram {}: absorbed bounds differ",
+                            family.name
+                        );
+                        for (bucket, n) in core.buckets.iter().zip(buckets) {
+                            bucket.fetch_add(n, Ordering::Relaxed);
+                        }
+                        core.count.fetch_add(count, Ordering::Relaxed);
+                        add_f64(&core.sum_bits, sum);
+                        let mut slots = core.exemplars.lock().expect("exemplars poisoned");
+                        for (slot, exemplar) in slots.iter_mut().zip(exemplars) {
+                            if exemplar.is_some() {
+                                *slot = exemplar;
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// A point-in-time copy of every family and series, for the exporters.
@@ -491,6 +532,47 @@ mod tests {
         // 3.0 and 3.5 land in the (2,4] bucket (index 2); latest wins.
         assert_eq!(slots[2], Some(("bbbb".to_string(), 3.5)));
         assert!(slots.iter().enumerate().all(|(i, s)| i == 2 || s.is_none()));
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_histograms_and_takes_gauges() {
+        let into = Registry::new();
+        into.counter("c_total", "h", &[("model", "a")]).add(2);
+        into.gauge("g", "h", &[]).set(1.0);
+        let h = into.histogram("h_us", "h", &[], &log_buckets(1.0, 2.0, 4));
+        h.observe(3.0);
+
+        let from = Registry::new();
+        from.counter("c_total", "h", &[("model", "a")]).add(5);
+        from.counter("c_total", "h", &[("model", "b")]).add(1);
+        from.gauge("g", "h", &[]).set(7.5);
+        let fh = from.histogram("h_us", "h", &[], &log_buckets(1.0, 2.0, 4));
+        fh.observe(3.5);
+        fh.observe_with_exemplar(100.0, "beef");
+        from.counter("new_total", "only in from", &[]).add(4);
+
+        into.absorb(&from);
+        assert_eq!(into.counter("c_total", "h", &[("model", "a")]).get(), 7);
+        assert_eq!(into.counter("c_total", "h", &[("model", "b")]).get(), 1);
+        assert_eq!(into.counter("new_total", "h", &[]).get(), 4);
+        assert_eq!(into.gauge("g", "h", &[]).get(), 7.5);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.sum(), 3.0 + 3.5 + 100.0);
+        assert_eq!(h.quantile(0.5), 4.0, "3.0 and 3.5 share the (2,4] bucket");
+        let slots = h.0.exemplars.lock().unwrap();
+        assert_eq!(slots[4], Some(("beef".to_string(), 100.0)));
+        // The source is read, never drained.
+        assert_eq!(from.counter("c_total", "h", &[("model", "a")]).get(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "absorbed bounds differ")]
+    fn absorb_rejects_mismatched_histogram_bounds() {
+        let into = Registry::new();
+        into.histogram("h_us", "h", &[], &[1.0, 2.0]);
+        let from = Registry::new();
+        from.histogram("h_us", "h", &[], &[1.0, 4.0]);
+        into.absorb(&from);
     }
 
     #[test]

@@ -24,6 +24,7 @@ use std::io;
 use std::path::Path;
 
 use trtsim_gpu::timeline::{CopyKind, GpuTimeline};
+use trtsim_metrics::json_string;
 
 /// Category label of kernel events.
 pub const CAT_KERNEL: &str = "kernel";
@@ -261,27 +262,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "0".to_string()
     }
-}
-
-/// RFC 8259 string escaping (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //! The trace subsystem (chrome-trace export, [`crate::anomaly`] detectors)
 //! works on captured [`GpuTimeline`]s after the fact; the telemetry layer
 //! watches counters live. This module joins the two: publishing a timeline
-//! or an anomaly report folds its totals into [`Registry::global`] (or a
-//! caller-supplied registry), so one `/metrics` scrape shows "how many
-//! anomalies has this process seen" next to the serving counters — the
-//! continuous-counter view the Jetson profiling literature argues makes
-//! concurrency anomalies legible.
+//! or an anomaly report folds its totals into the caller's registry —
+//! typically the serving owner's ([`crate`] holds no registry of its own) —
+//! so one `/metrics` scrape shows "how many anomalies has this server seen"
+//! next to its serving counters: the continuous-counter view the Jetson
+//! profiling literature argues makes concurrency anomalies legible. The
+//! core crate's `publish_build` / `publish_timing_cache` / `publish_plan`
+//! follow the same shape.
 //!
 //! Counters only, and strictly additive: publishing the same report twice
 //! counts it twice. Callers own the once-per-run discipline (the repro

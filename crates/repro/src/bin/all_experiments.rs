@@ -101,7 +101,11 @@ fn main() {
     for platform in Platform::all() {
         println!(
             "{}",
-            exp_serving::render(&exp_serving::run(ModelId::TinyYolov3, platform))
+            exp_serving::render(&exp_serving::run(
+                ModelId::TinyYolov3,
+                platform,
+                &trtsim_metrics::Registry::new()
+            ))
         );
     }
     let stats = farm.stats();

@@ -11,7 +11,7 @@
 use trtsim_core::runtime::TimingOptions;
 use trtsim_core::serving::{InferenceServer, ServerConfig};
 use trtsim_gpu::device::{DeviceSpec, Platform};
-use trtsim_metrics::LatencyPercentiles;
+use trtsim_metrics::{LatencyPercentiles, Registry};
 use trtsim_models::ModelId;
 
 use crate::support::{EngineFarm, TextTable};
@@ -57,8 +57,9 @@ impl ServingSweep {
 }
 
 /// Sweeps batch sizes 1, 2, 4, 8 at the board-maximum clock with 4 workers
-/// and full-batch (deterministic) coalescing.
-pub fn run(model: ModelId, platform: Platform) -> ServingSweep {
+/// and full-batch (deterministic) coalescing. Each point's server
+/// registry is absorbed into `registry`.
+pub fn run(model: ModelId, platform: Platform, registry: &Registry) -> ServingSweep {
     let workers = 4usize;
     let frames = 256u64;
     let engine = EngineFarm::global().zoo(model, platform, 0);
@@ -84,7 +85,9 @@ pub fn run(model: ModelId, platform: Platform) -> ServingSweep {
             for frame in 0..frames {
                 server.submit(frame).expect("server accepting");
             }
+            let server_registry = server.registry();
             let stats = server.drain();
+            registry.absorb(&server_registry);
             ServingPoint {
                 max_batch_size,
                 batches: stats.batches,
@@ -140,7 +143,7 @@ mod tests {
 
     #[test]
     fn batching_strictly_improves_fps() {
-        let sweep = run(ModelId::TinyYolov3, Platform::Nx);
+        let sweep = run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
         assert_eq!(sweep.points.len(), 4);
         let fps: Vec<f64> = sweep.points.iter().map(|p| p.fps).collect();
         assert!(
@@ -152,7 +155,15 @@ mod tests {
 
     #[test]
     fn every_point_serves_all_frames() {
-        let sweep = run(ModelId::Googlenet, Platform::Agx);
+        let registry = Registry::new();
+        let sweep = run(ModelId::Googlenet, Platform::Agx, &registry);
+        // Every point's server folds its final counts into the registry.
+        let completed = registry.counter(
+            "trtsim_server_completed_total",
+            "",
+            &[("model", ModelId::Googlenet.info().name)],
+        );
+        assert_eq!(completed.get(), sweep.frames * sweep.points.len() as u64);
         for p in &sweep.points {
             assert_eq!(
                 p.latency.count as u64, sweep.frames,
@@ -166,7 +177,7 @@ mod tests {
 
     #[test]
     fn renders_table() {
-        let sweep = run(ModelId::TinyYolov3, Platform::Nx);
+        let sweep = run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
         let s = render(&sweep);
         assert!(s.contains("batch") && s.contains("p99"));
         assert_eq!(s.lines().count(), sweep.points.len() + 3);

@@ -2,27 +2,18 @@
 //! measurement conditions, and plain-text table rendering.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 
 use trtsim_core::runtime::TimingOptions;
-use trtsim_core::{Builder, BuilderConfig, Engine, EngineError, TimingCache};
+use trtsim_core::{
+    publish_build, publish_timing_cache, Builder, BuilderConfig, Engine, EngineError, TimingCache,
+};
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_gpu::timeline::ProfilingOverhead;
 use trtsim_metrics::{CacheStats, Counter, Registry};
 use trtsim_models::ModelId;
 use trtsim_util::{derive_seed, pool};
-
-/// A farm counter in the global registry, labelled by event kind
-/// (`trtsim_farm_events_total{event=...}`): `requests` for every lookup,
-/// `builds` when the closure actually ran, `memoized` for dedup hand-outs.
-fn farm_counter(event: &str) -> Counter {
-    Registry::global().counter(
-        "trtsim_farm_events_total",
-        "Engine-farm lookups by outcome: requests, builds, memoized hand-outs",
-        &[("event", event)],
-    )
-}
 
 /// Root seed of the whole experiment campaign; every stochastic input
 /// derives from it, so the entire reproduction is replayable.
@@ -106,6 +97,12 @@ pub struct FarmStats {
 /// 3. **Parallel prefetch** — [`EngineFarm::prefetch_zoo`] builds a request
 ///    list on the scoped worker pool.
 ///
+/// The farm owns a registry, which [`EngineFarm::publish`] folds into a
+/// binary's snapshot: its lookups count in
+/// `trtsim_farm_events_total{event}` (`requests` for every lookup, `builds`
+/// when a build ran, `memoized` for dedup hand-outs), and it times each
+/// build it runs into `trtsim_build_*`.
+///
 /// Farmed engines are bit-identical to [`build_engine`]'s output: the cache
 /// and the worker pool are output-invariant by construction.
 ///
@@ -126,14 +123,24 @@ pub struct FarmStats {
 pub struct EngineFarm {
     cache: Arc<TimingCache>,
     slots: Mutex<HashMap<FarmKey, Arc<OnceLock<Arc<Engine>>>>>,
-    requests: AtomicU64,
-    builds: AtomicU64,
+    registry: Registry,
 }
 
 impl EngineFarm {
-    /// Creates an empty farm with a fresh timing cache.
+    /// Creates an empty farm with a fresh timing cache and registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The farm's `trtsim_farm_events_total{event}` counter — the only
+    /// count of its lookups (farm lookups are rare; a registry lookup per
+    /// event costs nothing measurable).
+    fn events(&self, event: &str) -> Counter {
+        self.registry.counter(
+            "trtsim_farm_events_total",
+            "Engine-farm lookups by outcome: requests, builds, memoized hand-outs",
+            &[("event", event)],
+        )
     }
 
     /// The process-wide farm shared by every experiment harness, so that
@@ -147,6 +154,13 @@ impl EngineFarm {
     /// share the memoized timings).
     pub fn timing_cache(&self) -> &Arc<TimingCache> {
         &self.cache
+    }
+
+    /// Folds the farm's registry and its timing cache's lookup counts into
+    /// `registry` — what a binary does once, before writing its snapshot.
+    pub fn publish(&self, registry: &Registry) {
+        registry.absorb(&self.registry);
+        publish_timing_cache(registry, &self.cache.stats());
     }
 
     /// The standard zoo engine `(model, platform, build_index)` — built on
@@ -187,8 +201,7 @@ impl EngineFarm {
         key: FarmKey,
         build: impl FnOnce(&Arc<TimingCache>) -> Result<Engine, EngineError>,
     ) -> Arc<Engine> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        farm_counter("requests").inc();
+        self.events("requests").inc();
         let slot = {
             let mut slots = self.slots.lock().expect("farm slots poisoned");
             Arc::clone(slots.entry(key).or_default())
@@ -198,15 +211,22 @@ impl EngineFarm {
         // same key block here until the first build lands.
         let mut built_here = false;
         let engine = Arc::clone(slot.get_or_init(|| {
-            self.builds.fetch_add(1, Ordering::Relaxed);
-            farm_counter("builds").inc();
+            self.events("builds").inc();
             built_here = true;
-            Arc::new(build(&self.cache).expect("farm engine build failed"))
+            let started = Instant::now();
+            let engine = build(&self.cache).expect("farm engine build failed");
+            publish_build(
+                &self.registry,
+                engine.name(),
+                engine.report(),
+                started.elapsed().as_secs_f64(),
+            );
+            Arc::new(engine)
         }));
         if !built_here {
             // Request served from a memoized (or concurrently deduplicated)
             // engine: the build was avoided entirely.
-            farm_counter("memoized").inc();
+            self.events("memoized").inc();
         }
         engine
     }
@@ -234,8 +254,8 @@ impl EngineFarm {
     /// Request/build/timing counters so far.
     pub fn stats(&self) -> FarmStats {
         FarmStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
+            requests: self.events("requests").get(),
+            builds: self.events("builds").get(),
             timing: self.cache.stats(),
         }
     }

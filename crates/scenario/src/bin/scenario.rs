@@ -15,6 +15,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use trtsim_bench::report::git_rev;
+use trtsim_metrics::Registry;
+use trtsim_repro::support::EngineFarm;
 use trtsim_scenario::{check_src, compile_src, driver, emit, CompileOptions};
 
 const USAGE: &str = "usage:
@@ -176,7 +178,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         plan.asserts.len(),
         if smoke { " [smoke]" } else { "" }
     );
-    let report = match driver::run(&plan) {
+    let registry = Registry::new();
+    let report = match driver::run(&plan, &registry) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("driver error: {e}");
@@ -193,7 +196,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     if let Some(out_path) = out {
         let mode = if smoke { "smoke" } else { "full" };
-        emit::to_bench_report(&report, mode, &git_rev(args)).write(&out_path);
+        EngineFarm::global().publish(&registry);
+        emit::to_bench_report(&report, mode, &git_rev(args)).write(&out_path, &registry);
         eprintln!("report written to {out_path}");
     }
     if let Some(dir) = trace_out {

@@ -6,10 +6,10 @@
 //! `source = fresh`), execute each unit's traffic — closed-loop latency via
 //! [`ExecutionContext::measure_latency`], closed-loop or Poisson open-loop
 //! serving via [`InferenceServer`] — and fold the outcomes into named
-//! metrics the assertion nodes are checked against. Driver activity is
-//! visible in the telemetry [`Registry`] like
-//! every other subsystem (`trtsim_scenario_units_total`,
-//! `trtsim_scenario_asserts_total`).
+//! metrics the assertion nodes are checked against. Driver activity lands
+//! in the caller's telemetry [`Registry`] (`trtsim_scenario_units_total`,
+//! `trtsim_scenario_asserts_total`), next to the final series of every
+//! server and fleet a unit ran.
 //!
 //! Parity with the legacy harnesses is load-bearing, not cosmetic: the
 //! integration tests pin this driver's numbers equal to
@@ -24,9 +24,9 @@ use trtsim_core::runtime::{ExecutionContext, TimingOptions};
 use trtsim_core::serving::{InferenceServer, ServerConfig, ServingError};
 use trtsim_core::{Builder, BuilderConfig, Engine, RequestTrace};
 
-/// What a serving/fleet unit returns: its metric rows plus the flight
-/// recorder's retained request traces.
-type ServingUnitResult = (Vec<(String, f64)>, Vec<RequestTrace>);
+/// What a serving/fleet unit returns: its metric rows, the flight
+/// recorder's retained request traces, and the server's or fleet's registry.
+type ServingUnitResult = (Vec<(String, f64)>, Vec<RequestTrace>, Arc<Registry>);
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::contention;
 use trtsim_gpu::device::Platform;
@@ -40,8 +40,8 @@ use trtsim_util::stats::Summary;
 use crate::compile::{ExecutionPlan, PlanUnit};
 use crate::validate::{EngineSource, FleetTrace, PowerMode, TrafficKind};
 
-fn scenario_counter(metric: &str, label: &str) -> Counter {
-    Registry::global().counter(
+fn scenario_counter(registry: &Registry, metric: &str, label: &str) -> Counter {
+    registry.counter(
         &format!("trtsim_scenario_{metric}_total"),
         "Scenario-driver activity by kind/outcome",
         &[("kind", label)],
@@ -292,6 +292,7 @@ fn run_serving_unit(
     }
     let server = InferenceServer::start(&engine, &device, config)?;
     let recorder = server.flight_recorder();
+    let server_registry = server.registry();
     let mut rejected = 0u64;
     for frame in 0..u64::from(frames) {
         match server.submit(frame) {
@@ -318,7 +319,7 @@ fn run_serving_unit(
             stats.deadline_missed as f64 / (stats.completed.max(1)) as f64,
         ),
     ];
-    Ok((metrics, recorder.traces()))
+    Ok((metrics, recorder.traces(), server_registry))
 }
 
 /// Lowers a fleet unit's arrival-trace declaration into timestamps.
@@ -384,6 +385,7 @@ fn run_fleet_unit(
     let fleet_config = FleetConfig::default().with_predictive(deadline_us.is_some());
     let fleet = builder.start(fleet_config)?;
     let recorder = fleet.flight_recorder();
+    let fleet_registry = fleet.registry();
     let arrivals = fleet_arrivals(trace, frames, seed);
     let tenant = tenant.unwrap_or("default");
     for (i, &t) in arrivals.arrivals_us.iter().enumerate() {
@@ -439,7 +441,7 @@ fn run_fleet_unit(
             stats.deadline_missed as f64 / (stats.completed.max(1)) as f64,
         ),
     ];
-    Ok((metrics, recorder.traces()))
+    Ok((metrics, recorder.traces(), fleet_registry))
 }
 
 /// One concurrency unit: the closed-form saturation sweep, mirroring
@@ -459,13 +461,15 @@ fn run_concurrency_unit(unit: &PlanUnit) -> Vec<(String, f64)> {
     ]
 }
 
-/// Executes every unit of the plan, then checks every assertion.
+/// Executes every unit of the plan, then checks every assertion. Driver
+/// activity and the final series of every server and fleet a unit ran are
+/// folded into `registry`.
 ///
 /// # Errors
 ///
 /// Returns the first [`DriverError`] — an invalid serving configuration
 /// that survived validation (a driver bug, surfaced rather than hidden).
-pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
+pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, DriverError> {
     let mut units = Vec::with_capacity(plan.units.len());
     for unit in &plan.units {
         let started = std::time::Instant::now();
@@ -485,8 +489,9 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                 queue,
                 timeout_us,
             } => {
-                let (metrics, traces) =
+                let (metrics, traces, owner) =
                     run_serving_unit(unit, *frames, *workers, *queue, *timeout_us, None, None)?;
+                registry.absorb(&owner);
                 ("closed", metrics, Vec::new(), traces)
             }
             TrafficKind::Poisson {
@@ -497,7 +502,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                 seed,
                 deadline_us,
             } => {
-                let (metrics, traces) = run_serving_unit(
+                let (metrics, traces, owner) = run_serving_unit(
                     unit,
                     *frames,
                     *workers,
@@ -506,6 +511,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                     Some((*period_us, *seed)),
                     *deadline_us,
                 )?;
+                registry.absorb(&owner);
                 ("poisson", metrics, Vec::new(), traces)
             }
             TrafficKind::Fleet {
@@ -517,7 +523,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                 tenant,
                 deadline_us,
             } => {
-                let (metrics, traces) = run_fleet_unit(
+                let (metrics, traces, owner) = run_fleet_unit(
                     unit,
                     trace,
                     *frames,
@@ -527,6 +533,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                     tenant.as_deref(),
                     *deadline_us,
                 )?;
+                registry.absorb(&owner);
                 ("fleet", metrics, Vec::new(), traces)
             }
             TrafficKind::Concurrency => (
@@ -536,7 +543,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                 Vec::new(),
             ),
         };
-        scenario_counter("units", kind).inc();
+        scenario_counter(registry, "units", kind).inc();
         units.push(UnitResult {
             label: unit.label(),
             traffic: unit.traffic.clone(),
@@ -565,7 +572,7 @@ pub fn run(plan: &ExecutionPlan) -> Result<ScenarioReport, DriverError> {
                         && a.max.is_none_or(|hi| v <= hi)
                 }
             };
-            scenario_counter("asserts", if passed { "pass" } else { "fail" }).inc();
+            scenario_counter(registry, "asserts", if passed { "pass" } else { "fail" }).inc();
             asserts.push(AssertOutcome {
                 name: a.name.clone(),
                 unit: unit.label.clone(),

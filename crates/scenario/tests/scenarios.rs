@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use trtsim_core::runtime::{ExecutionContext, TimingOptions};
 use trtsim_core::{Builder, BuilderConfig};
 use trtsim_gpu::device::{DeviceSpec, Platform};
+use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_repro::{exp_fps, exp_serving};
 use trtsim_scenario::{check_src, compile_src, driver, emit, CompileOptions};
@@ -23,7 +24,7 @@ fn run_scn(name: &str) -> driver::ScenarioReport {
     let src = scn(name);
     let plan = compile_src(&src, CompileOptions::default())
         .unwrap_or_else(|e| panic!("{name}: {}", e.render(name, &src)));
-    driver::run(&plan).expect("driver runs")
+    driver::run(&plan, &Registry::new()).expect("driver runs")
 }
 
 #[test]
@@ -54,7 +55,7 @@ fn table7_scn_matches_legacy_harness() {
 #[test]
 fn serving_scn_matches_legacy_sweep() {
     let report = run_scn("serving_batch_sweep.scn");
-    let legacy = exp_serving::run(ModelId::TinyYolov3, Platform::Nx);
+    let legacy = exp_serving::run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
     assert_eq!(report.units.len(), legacy.points.len());
     for point in &legacy.points {
         let unit = report
@@ -246,10 +247,21 @@ fn fleet_scn_spans_devices_and_conserves_requests() {
         }
         other => panic!("wrong kind: {other:?}"),
     }
-    let report = driver::run(&plan).expect("driver runs");
+    let registry = Registry::new();
+    let report = driver::run(&plan, &registry).expect("driver runs");
     assert!(report.passed(), "{:?}", report.asserts);
     let unit = &report.units[0];
     assert_eq!(unit.kind, "fleet");
+    // The fleet's final series and the driver's own activity land in the
+    // caller's registry.
+    let units = registry.counter("trtsim_scenario_units_total", "", &[("kind", "fleet")]);
+    assert_eq!(units.get(), 1);
+    let submitted = registry.counter(
+        "trtsim_fleet_submitted_total",
+        "",
+        &[("model", "Googlenet"), ("tenant", "default")],
+    );
+    assert_eq!(submitted.get(), 32);
     // Conservation: offered = accepted + rejected, accepted = completed +
     // dropped — the router never loses a request.
     let m = |k| unit.metric(k).unwrap_or_else(|| panic!("missing {k}"));

@@ -22,14 +22,14 @@ use std::path::Path;
 
 use trtsim::scenario::{compile_src, driver};
 use trtsim::util::stats::Summary;
-use trtsim::CompileOptions;
+use trtsim::{CompileOptions, Registry};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/adas_wcet.scn");
     let src = std::fs::read_to_string(&path)?;
     let plan = compile_src(&src, CompileOptions::default())
         .map_err(|e| e.render(&path.display().to_string(), &src))?;
-    let report = driver::run(&plan)?;
+    let report = driver::run(&plan, &Registry::new())?;
 
     // One unit: pednet on the AGX, 12 fresh builds, 30 timed runs each — as
     // a fleet of vehicles each building its own engine would.

@@ -1,10 +1,12 @@
 //! Live telemetry: scrape a serving process like Prometheus would.
 //!
 //! Starts an [`trtsim::InferenceServer`] with the telemetry endpoint
-//! enabled, pushes a workload through it, then scrapes `GET /metrics` over
-//! plain TCP and verifies the exposition is well-formed (every sample line
-//! parses, the serving / build / fast-path / GPU-sampler families are all
-//! present) before printing a digest. CI runs this as the telemetry smoke
+//! enabled, publishes its engine build, timing-cache and plan counts into
+//! the server's registry (those layers hand counts back rather than
+//! publishing anywhere), pushes a workload through it, then scrapes
+//! `GET /metrics` over plain TCP and verifies the exposition is well-formed
+//! (every sample line parses, the serving / build / fast-path / GPU-sampler
+//! families are all present) before printing a digest. CI runs this as the telemetry smoke
 //! test; interactively you can point a real `curl` or Prometheus at the
 //! printed address while the run is draining.
 //!
@@ -15,6 +17,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use trtsim::engine::{publish_build, publish_plan, publish_timing_cache};
 use trtsim::ir::graph::{Graph, LayerKind};
 use trtsim::ir::Tensor;
 use trtsim::models::ModelId;
@@ -43,13 +46,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An explicit timing cache routes kernel timings through the cache, so
     // the trtsim_timing_cache_lookups_total counters have data to show.
     let cache = std::sync::Arc::new(trtsim::TimingCache::new());
+    let build_started = std::time::Instant::now();
     let engine = Builder::new(
         device.clone(),
         BuilderConfig::default()
             .with_build_seed(33)
-            .with_timing_cache(cache),
+            .with_timing_cache(std::sync::Arc::clone(&cache)),
     )
     .build(&ModelId::TinyYolov3.descriptor())?;
+    let build_seconds = build_started.elapsed().as_secs_f64();
 
     // One numeric inference so the fast-path families have data too.
     let mut g = Graph::new("telemetry_demo", [3, 8, 8]);
@@ -60,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     g.mark_output(conv);
     let probe = Builder::new(device.clone(), BuilderConfig::default()).build(&g)?;
-    ExecutionContext::new(&probe, device.clone()).infer(&Tensor::zeros([3, 8, 8]))?;
+    let ctx = ExecutionContext::new(&probe, device.clone());
+    ctx.infer(&Tensor::zeros([3, 8, 8]))?;
 
     let timing = TimingOptions::default()
         .without_engine_upload()
@@ -80,6 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let addr = server.telemetry_addr().expect("telemetry enabled");
     println!("telemetry endpoint live at http://{addr}/metrics");
+    let registry = server.registry();
+    publish_build(&registry, engine.name(), engine.report(), build_seconds);
+    publish_timing_cache(&registry, &cache.stats());
+    publish_plan(&registry, ctx.plan()?, &ctx.plan_stats());
 
     for frame in 0..128 {
         server.submit(frame)?;

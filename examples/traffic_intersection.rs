@@ -12,14 +12,16 @@
 //! ```
 
 use trtsim::data::traffic::{BBox, TrafficDataset};
-use trtsim::engine::serving;
 use trtsim::gpu::contention::sweep;
 use trtsim::gpu::device::Platform;
 use trtsim::metrics::detection::{precision_recall, DetectionEval};
 use trtsim::models::decode::{decode_yolo_grid, nms, tiny_yolov3_anchors};
 use trtsim::models::ModelId;
 use trtsim::util::rng::Pcg32;
-use trtsim::{Builder, BuilderConfig, DeviceSpec, ExecutionContext, TimingOptions};
+use trtsim::{
+    Builder, BuilderConfig, DeviceSpec, ExecutionContext, InferenceServer, ServerConfig,
+    TimingOptions,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Capacity planning: how many cameras per board? -------------------
@@ -46,10 +48,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = TimingOptions::default()
         .without_engine_upload()
         .with_host_glue_us(ModelId::TinyYolov3.info().host_glue_us);
-    let report = serving::serve(&engine, &device, 8, 256, &opts)?;
+    // One frame per camera thread per call: no batching, blocking admission.
+    let server = InferenceServer::start(
+        &engine,
+        &device,
+        ServerConfig::default()
+            .with_workers(8)
+            .with_queue_capacity(16)
+            .with_max_batch_size(1)
+            .with_timing(opts),
+    )?;
+    for frame in 0..256 {
+        server.submit(frame)?;
+    }
+    let stats = server.drain();
     println!(
         "served {} frames on {} camera threads: {:.0} FPS aggregate, GR3D {:.0}%",
-        report.frames, report.threads, report.aggregate_fps, report.gr3d_percent
+        stats.completed, stats.workers, stats.aggregate_fps, stats.gr3d_percent
     );
 
     // --- Decode the detector's raw output grids ---------------------------

@@ -82,12 +82,18 @@
 //!
 //! # Observability
 //!
-//! Every subsystem publishes counters, gauges, and latency histograms to a
-//! process-wide [`Registry`] (`trtsim_server_*`, `trtsim_build_*`,
-//! `trtsim_plan_*`, `trtsim_gpu_*`, ...). Turn on the live endpoint with
+//! Telemetry is scoped to its owner. Each [`InferenceServer`] and each
+//! [`Fleet`] owns a [`Registry`] of counters, gauges and latency histograms
+//! (`trtsim_server_*`, `trtsim_fleet_*`, `trtsim_trace_*`, `trtsim_gpu_*`),
+//! so two servers in one process report separately. Builds, timing caches
+//! and plans hand back plain counts ([`engine::engine::BuildReport`],
+//! [`TimingCache::stats`], [`PlanStats`]) that their owner publishes with
+//! [`engine::publish_build`], [`engine::publish_timing_cache`] and
+//! [`engine::publish_plan`]. Turn on a server's live endpoint with
 //! [`ServerConfig::with_telemetry`] and scrape `GET /metrics` (Prometheus
-//! text) or `GET /metrics.json`, or snapshot to disk with
-//! [`Registry::write_json`] — see [`metrics::telemetry`].
+//! text) or `GET /metrics.json`; or fold several registries into one with
+//! [`Registry::absorb`] and snapshot it with [`Registry::write_json`] — see
+//! [`metrics::telemetry`].
 //!
 //! Beyond metrics, every served request carries a trace: admission mints a
 //! deterministic [`TraceId`], the span tree of its pipeline phases
@@ -132,9 +138,9 @@ pub use trtsim_core::serving::ArrivalProcess;
 pub use trtsim_core::{
     Builder, BuilderConfig, Engine, EngineError, ExecutionContext, Fleet, FleetBuilder,
     FleetConfig, FleetStats, FlightRecorder, InferencePlan, InferenceServer, KernelTime, PhaseKind,
-    PhaseSpan, PlanScratch, ProfileOptions, ReplicaStats, RequestRecord, RequestTrace,
-    ServerConfig, ServerStats, ServingError, ServingLabels, ServingReport, TimingCache,
-    TimingOptions, TraceId, TraceOptions, TraceOutcome,
+    PhaseSpan, PlanScratch, PlanStats, ProfileOptions, ReplicaStats, RequestRecord, RequestTrace,
+    ServerConfig, ServerStats, ServingError, TimingCache, TimingOptions, TraceId, TraceOptions,
+    TraceOutcome,
 };
 pub use trtsim_gpu::device::{DeviceSpec, Platform};
 pub use trtsim_gpu::timeline::ProfilingOverhead;

@@ -179,20 +179,6 @@ fn drain_on_never_submitted_server_returns_zeroed_stats() {
     assert_eq!(stats.aggregate_fps, 0.0);
 }
 
-#[test]
-fn compat_serve_reports_identical_field_semantics() {
-    let engine = engine();
-    let report =
-        trtsim::engine::serving::serve(&engine, &DeviceSpec::xavier_nx(), 4, 64, &timing())
-            .expect("valid");
-    assert_eq!(report.threads, 4);
-    assert_eq!(report.frames, 64);
-    assert_eq!(report.frames_per_thread.iter().sum::<u64>(), 64);
-    assert!(report.simulated_seconds > 0.0);
-    assert!((report.aggregate_fps - 64.0 / report.simulated_seconds).abs() < 1e-6);
-    assert!(report.gr3d_percent > 0.0 && report.gr3d_percent <= 100.0);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

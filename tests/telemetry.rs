@@ -3,6 +3,10 @@
 //! registry's concurrency guarantees, and the log-bucket histogram's
 //! agreement with the exact [`trtsim::metrics::LatencyPercentiles`].
 //!
+//! Every test reads only registries it owns — a server's, a fleet's, or a
+//! fresh one it published into — so no test sees another's series and the
+//! results do not depend on test order or thread count.
+//!
 //! A mini Prometheus-text parser lives at the top of the file; the tests
 //! assert over parsed samples, not string fragments, so format regressions
 //! (broken escaping, non-cumulative buckets) fail loudly.
@@ -12,14 +16,15 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use proptest::prelude::*;
+use trtsim::engine::{publish_build, publish_plan, publish_timing_cache};
 use trtsim::ir::graph::{EltwiseOp, Graph, LayerKind, PoolKind};
 use trtsim::ir::Tensor;
 use trtsim::metrics::{log_buckets, render_prometheus, LatencyPercentiles};
 use trtsim::models::ModelId;
 use trtsim::util::pool::map_indexed;
 use trtsim::{
-    Builder, BuilderConfig, DeviceSpec, ExecutionContext, InferenceServer, Registry, ServerConfig,
-    TimingOptions,
+    Builder, BuilderConfig, DeviceSpec, Engine, ExecutionContext, InferenceServer, Registry,
+    ServerConfig, TimingOptions,
 };
 
 /// One parsed sample line: metric name, sorted labels, value.
@@ -134,16 +139,18 @@ fn tiny_graph() -> Graph {
 #[test]
 fn live_endpoint_covers_every_subsystem() {
     // Build with an explicit timing cache so the cache-lookup counters move,
-    // and run one planned inference so the fast-path families register.
+    // and run one planned inference so the fast-path families have counts.
     let cache = std::sync::Arc::new(trtsim::TimingCache::new());
+    let build_started = std::time::Instant::now();
     let engine = Builder::new(
         DeviceSpec::xavier_nx(),
         BuilderConfig::default()
             .with_build_seed(0x7e1e)
-            .with_timing_cache(cache),
+            .with_timing_cache(std::sync::Arc::clone(&cache)),
     )
     .build(&ModelId::TinyYolov3.descriptor())
     .expect("zoo model builds");
+    let build_seconds = build_started.elapsed().as_secs_f64();
     let probe_engine = Builder::new(DeviceSpec::xavier_nx(), BuilderConfig::default())
         .build(&tiny_graph())
         .expect("probe builds");
@@ -167,6 +174,12 @@ fn live_endpoint_covers_every_subsystem() {
     )
     .expect("server starts");
     let addr = server.telemetry_addr().expect("endpoint bound");
+    // The build, cache and plan layers hand back counts; this test owns
+    // them and publishes them next to the server's own series.
+    let registry = server.registry();
+    publish_build(&registry, engine.name(), engine.report(), build_seconds);
+    publish_timing_cache(&registry, &cache.stats());
+    publish_plan(&registry, ctx.plan().expect("compiled"), &ctx.plan_stats());
 
     for frame in 0..64 {
         server.submit(frame).expect("accepting");
@@ -219,16 +232,17 @@ fn live_endpoint_covers_every_subsystem() {
         assert!(s.labels.contains_key("stream"));
         assert!((0.0..=100.0).contains(&s.value), "busy% in range");
     }
-    // The registry is process-wide: other tests in this binary publish
-    // their own `model` series, so select this server's by label.
-    let accepted = first
+    // The registry is the server's own: exactly one accepted series.
+    let accepted: Vec<&Sample> = first
         .iter()
-        .find(|s| {
-            s.name == "trtsim_server_accepted_total"
-                && s.labels.get("model").map(String::as_str) == Some(engine.name())
-        })
-        .expect("accepted series for this engine");
-    assert_eq!(accepted.value, 64.0);
+        .filter(|s| s.name == "trtsim_server_accepted_total")
+        .collect();
+    assert_eq!(accepted.len(), 1, "{accepted:?}");
+    assert_eq!(
+        accepted[0].labels.get("model").map(String::as_str),
+        Some(engine.name())
+    );
+    assert_eq!(accepted[0].value, 64.0);
 
     // Histogram invariant on the wire: cumulative buckets are non-decreasing
     // and the +Inf bucket equals _count, for every histogram series.
@@ -278,7 +292,7 @@ fn live_endpoint_covers_every_subsystem() {
     }
     let stats = server.drain();
     assert_eq!(stats.completed, 96);
-    let final_text = render_prometheus(Registry::global());
+    let final_text = render_prometheus(&registry);
     let second = parse_prometheus(&final_text);
     for s1 in first.iter().filter(|s| s.name.ends_with("_total")) {
         let s2 = second
@@ -385,6 +399,7 @@ fn exemplar_trace_ids_resolve_and_trace_families_publish() {
     )
     .expect("server starts");
     let recorder = server.flight_recorder();
+    let registry = server.registry();
     for frame in 0..96 {
         server.submit(frame).expect("accepting");
     }
@@ -393,7 +408,7 @@ fn exemplar_trace_ids_resolve_and_trace_families_publish() {
 
     // Exemplar syntax on a latency bucket of this model's series, and the
     // id resolves to a trace the flight recorder actually holds.
-    let text = render_prometheus(Registry::global());
+    let text = render_prometheus(&registry);
     let exemplar_line = text
         .lines()
         .find(|l| {
@@ -424,17 +439,28 @@ fn exemplar_trace_ids_resolve_and_trace_families_publish() {
         "exemplar-decorated buckets failed to parse"
     );
 
-    // Retention counters: recorded bounds retained bounds sampled.
+    // Retention counters: recorded bounds retained bounds sampled, and the
+    // published series are the recorder's own counts, not a copy.
     let recorded = value_of(&samples, "trtsim_trace_recorded_total").expect("recorded family");
     let retained = value_of(&samples, "trtsim_trace_retained_total").expect("retained family");
     let sampled = value_of(&samples, "trtsim_trace_sampled_total").expect("sampled family");
-    value_of(&samples, "trtsim_trace_evicted_total").expect("evicted family");
+    let evicted = value_of(&samples, "trtsim_trace_evicted_total").expect("evicted family");
     assert!(
         recorded.value >= retained.value,
         "retained exceeds recorded"
     );
     assert!(retained.value >= sampled.value, "sampled exceeds retained");
-    assert!(recorded.value >= 96.0, "this run alone recorded 96 traces");
+    assert_eq!(recorded.value, 96.0, "this server recorded its 96 traces");
+    assert_eq!(
+        [recorded.value, retained.value, sampled.value, evicted.value],
+        [
+            recorder.recorded(),
+            recorder.retained(),
+            recorder.sampled(),
+            recorder.evicted()
+        ]
+        .map(|v| v as f64)
+    );
 
     // Predictor gauges from the same snapshot: prequential MAPE plus the
     // residual-calibration multipliers.
@@ -524,14 +550,40 @@ proptest! {
     }
 }
 
-/// The SIMD lane-kernel families flow through the core telemetry bridge:
-/// after planned inferences on a lane-friendly conv chain and a
-/// mixed-layout graph, `trtsim_kernel_vector_lanes_total`,
+/// Output values the lane kernels produce per execution: every conv step
+/// whose tactic lowers onto a lane kernel (FP32, or FP16 without pairwise
+/// accumulation, on an ungrouped or depthwise conv) writes its whole output
+/// on the vector path.
+fn lane_values_per_execution(engine: &Engine) -> u64 {
+    use trtsim::gpu::kernel::Precision;
+    use trtsim::kernels::tactic::AccumOrder;
+    engine
+        .graph()
+        .nodes()
+        .iter()
+        .filter_map(|node| {
+            let LayerKind::Conv(conv) = &node.kind else {
+                return None;
+            };
+            let tactic = &engine.units()[node.id].choice.as_ref()?.tactic;
+            let lanes = match tactic.precision {
+                Precision::Fp32 => true,
+                Precision::Fp16 => tactic.accum != AccumOrder::Pairwise,
+                Precision::Int8 => false,
+            };
+            let depthwise = conv.groups == conv.in_channels && conv.groups == conv.out_channels;
+            let [c, h, w] = engine.shapes()[node.id];
+            (lanes && (conv.groups == 1 || depthwise)).then_some((c * h * w) as u64)
+        })
+        .sum()
+}
+
+/// The SIMD lane-kernel families are counted per call and published by the
+/// contexts' owner: after planned inferences on a lane-friendly conv chain
+/// and a mixed-layout graph, `trtsim_kernel_vector_lanes_total`,
 /// `trtsim_kernel_layout_converts_total`, and
-/// `trtsim_kernel_scalar_fallback_total` are present in the global
-/// registry, reflect the work the plans scheduled, and never run ahead of
-/// their raw process-wide sources. The plan-compile arena gauges ride
-/// along.
+/// `trtsim_kernel_scalar_fallback_total` in a fresh registry equal exactly
+/// the work the plans scheduled. The plan-compile arena gauges ride along.
 #[test]
 fn lane_kernel_families_reach_the_registry() {
     // A pure conv chain: interior convs run in a preferred layout, so the
@@ -584,56 +636,42 @@ fn lane_kernel_families_reach_the_registry() {
     .build(&mixed)
     .expect("mixed builds");
 
-    let lanes_before = trtsim::kernels::lanes::vector_lane_events();
-    let converts_before = trtsim::ir::layout::layout_convert_events();
     let chain_ctx = ExecutionContext::new(&chain_engine, DeviceSpec::xavier_nx());
-    chain_ctx
-        .infer(&Tensor::from_fn([3, 16, 16], |c, y, x| {
-            (c + y + x) as f32 * 0.05 - 0.4
-        }))
-        .expect("chain runs");
+    let chain_input = Tensor::from_fn([3, 16, 16], |c, y, x| (c + y + x) as f32 * 0.05 - 0.4);
+    chain_ctx.infer(&chain_input).expect("chain runs");
     let mixed_ctx = ExecutionContext::new(&mixed_engine, DeviceSpec::xavier_nx());
-    mixed_ctx
-        .infer(&Tensor::from_fn([3, 16, 16], |c, y, x| {
-            (c * 2 + y + x) as f32 * 0.03 - 0.3
-        }))
-        .expect("mixed runs");
-    let scheduled_converts = mixed_ctx
-        .plan()
-        .expect("compiled")
-        .layout_converts_per_execution();
+    let mixed_input = Tensor::from_fn([3, 16, 16], |c, y, x| (c * 2 + y + x) as f32 * 0.03 - 0.3);
+    for _ in 0..2 {
+        mixed_ctx.infer(&mixed_input).expect("mixed runs");
+    }
+    let registry = Registry::new();
+    let mut executions = 0;
+    let mut want_converts = 0;
+    let mut want_lanes = 0;
+    for ctx in [&chain_ctx, &mixed_ctx] {
+        let plan = ctx.plan().expect("compiled");
+        let stats = ctx.plan_stats();
+        executions += stats.executions;
+        want_converts += plan.layout_converts_per_execution() * stats.executions;
+        want_lanes += lane_values_per_execution(ctx.engine()) * stats.executions;
+        publish_plan(&registry, plan, &stats);
+    }
+    assert_eq!(executions, 3);
+    assert!(want_converts > 0, "the mixed graph schedules reformats");
+    assert!(want_lanes > 0, "the chain's convs run on lanes");
 
-    let samples = parse_prometheus(&render_prometheus(Registry::global()));
+    let samples = parse_prometheus(&render_prometheus(&registry));
     let lanes = value_of(&samples, "trtsim_kernel_vector_lanes_total").expect("lanes family");
     let converts =
         value_of(&samples, "trtsim_kernel_layout_converts_total").expect("converts family");
     let fallback =
         value_of(&samples, "trtsim_kernel_scalar_fallback_total").expect("fallback family");
+    assert_eq!(converts.value, want_converts as f64);
+    assert_eq!(lanes.value, want_lanes as f64);
+    // Finite inputs on lane tactics never take a scalar walk.
+    assert_eq!(fallback.value, 0.0);
 
-    // The bridge drains raw monotone sources exactly-once, so the registry
-    // can lag them (another execute may not have synced yet) but never run
-    // ahead.
-    assert!(lanes.value <= trtsim::kernels::lanes::vector_lane_events() as f64);
-    assert!(fallback.value <= trtsim::kernels::lanes::scalar_fallback_events() as f64);
-    assert!(converts.value <= trtsim::ir::layout::layout_convert_events() as f64);
-
-    // The chain's interior lane convs produced vectorized output values,
-    // and every reformat the mixed plan scheduled reached the registry
-    // (both were synced by the executes above; other tests only add).
-    assert!(
-        lanes.value >= (lanes_before + 1) as f64,
-        "vector lanes did not move: {}",
-        lanes.value
-    );
-    assert!(
-        converts.value >= converts_before as f64 + scheduled_converts as f64,
-        "scheduled reformats missing from the registry: {} < {} + {}",
-        converts.value,
-        converts_before,
-        scheduled_converts
-    );
-
-    // Plan-compile gauges from the same bridge: the layout-aware arena
+    // Plan-compile gauges from the same publish: the layout-aware arena
     // provisions its size-classed slots near the liveness peak.
     let utilization =
         value_of(&samples, "trtsim_plan_arena_utilization").expect("utilization gauge");
@@ -673,6 +711,7 @@ fn two_devices_serving_one_model_produce_distinct_series() {
     // dashboards keep their series names.
     let solo = InferenceServer::start(&engine, &DeviceSpec::xavier_nx(), config)
         .expect("solo server starts");
+    let solo_registry = solo.registry();
     solo.submit(0).expect("accepting");
     solo.drain();
 
@@ -685,6 +724,7 @@ fn two_devices_serving_one_model_produce_distinct_series() {
         .expect("known device")
         .start(trtsim::FleetConfig::default())
         .expect("fleet starts");
+    let fleet_registry = fleet.registry();
     for frame in 0..8 {
         fleet
             .submit("dual_device_probe", frame, frame as f64 * 100.0)
@@ -693,19 +733,29 @@ fn two_devices_serving_one_model_produce_distinct_series() {
     let stats = fleet.drain();
     assert_eq!(stats.completed, 8);
 
-    let samples = parse_prometheus(&render_prometheus(Registry::global()));
-    let completed: Vec<&Sample> = samples
-        .iter()
-        .filter(|s| {
-            s.name == "trtsim_server_completed_total"
-                && s.labels.get("model").map(String::as_str) == Some("dual_device_probe")
-        })
-        .collect();
-    let devices: Vec<Option<&String>> = completed.iter().map(|s| s.labels.get("device")).collect();
-    // Three series for one model: the unlabeled solo default plus one per
-    // fleet device — not one merged line.
-    assert_eq!(completed.len(), 3, "{completed:?}");
-    assert!(devices.contains(&None), "legacy series renamed");
+    let completed_series = |registry: &Registry| -> Vec<Sample> {
+        parse_prometheus(&render_prometheus(registry))
+            .into_iter()
+            .filter(|s| {
+                s.name == "trtsim_server_completed_total"
+                    && s.labels.get("model").map(String::as_str) == Some("dual_device_probe")
+            })
+            .collect()
+    };
+    // The solo server's own registry: one unlabelled default series.
+    let solo_completed = completed_series(&solo_registry);
+    assert_eq!(solo_completed.len(), 1, "{solo_completed:?}");
+    assert!(
+        !solo_completed[0].labels.contains_key("device"),
+        "legacy series renamed"
+    );
+    assert_eq!(solo_completed[0].value, 1.0);
+
+    // The fleet's registry: one series per device, not one merged line.
+    let samples = parse_prometheus(&render_prometheus(&fleet_registry));
+    let completed = completed_series(&fleet_registry);
+    assert_eq!(completed.len(), 2, "{completed:?}");
+    assert!(completed.iter().all(|s| s.labels.contains_key("device")));
     for device in ["edge-nx", "edge-agx"] {
         let series = completed
             .iter()
@@ -720,10 +770,45 @@ fn two_devices_serving_one_model_produce_distinct_series() {
             .unwrap_or_else(|| panic!("no router series for {device}"));
         assert_eq!(routed.value, series.value, "router vs server on {device}");
     }
-    let fleet_completed: f64 = completed
-        .iter()
-        .filter(|s| s.labels.contains_key("device"))
-        .map(|s| s.value)
-        .sum();
+    let fleet_completed: f64 = completed.iter().map(|s| s.value).sum();
     assert_eq!(fleet_completed, stats.completed as f64);
+}
+
+/// Two servers of the same engine in one process count separately: each
+/// owns its registry, so 3 and 5 submits read back as exactly 3 and 5
+/// accepted frames, not 8 on one shared series.
+#[test]
+fn two_servers_of_one_engine_count_separately() {
+    let engine = Builder::new(
+        DeviceSpec::xavier_nx(),
+        BuilderConfig::default().with_build_seed(0x7e21),
+    )
+    .build(&tiny_graph())
+    .expect("probe builds");
+    let config = ServerConfig::default()
+        .with_workers(1)
+        .with_timing(TimingOptions::default().without_engine_upload());
+    let start = || {
+        InferenceServer::start(&engine, &DeviceSpec::xavier_nx(), config).expect("server starts")
+    };
+    let (a, b) = (start(), start());
+    for frame in 0..3 {
+        a.submit(frame).expect("accepting");
+    }
+    for frame in 0..5 {
+        b.submit(frame).expect("accepting");
+    }
+    let accepted = |registry: &Registry| {
+        registry
+            .counter(
+                "trtsim_server_accepted_total",
+                "",
+                &[("model", "telemetry_probe")],
+            )
+            .get()
+    };
+    let (reg_a, reg_b) = (a.registry(), b.registry());
+    a.drain();
+    b.drain();
+    assert_eq!((accepted(&reg_a), accepted(&reg_b)), (3, 5));
 }
