@@ -25,7 +25,7 @@ use trtsim_core::engine::Engine;
 use trtsim_core::fleet::{Fleet, FleetBuilder, FleetConfig};
 use trtsim_core::reqtrace::TraceOutcome;
 use trtsim_core::runtime::TimingOptions;
-use trtsim_core::serving::ServerConfig;
+use trtsim_core::serving::{ServerConfig, ServingError};
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_metrics::Registry;
@@ -99,38 +99,24 @@ struct ArmResult {
     wall_ms: f64,
 }
 
-/// Runs one scheduling arm: warm-up replay (light steady load, which also
-/// trains the predictive arm's shared model past its cold gate), then the
-/// measured trace shifted past the warm-up so its latencies are clean.
-/// Offers each arrival once the fleet's simulated clock has caught up to
-/// it (minus a small batching lookahead), or immediately once the fleet is
-/// idle. Open-loop replay paced this way keeps the live queue depths — the
-/// predictor's training signals and the router's scores — aligned with
-/// *simulated* congestion: an unpaced loop would dump the whole trace in
-/// microseconds of real time and every signal would just measure CPU speed.
-fn paced_replay(fleet: &Fleet, engine: &Engine, arrivals: &[f64], first_frame: u64) -> (u64, u64) {
-    const LOOKAHEAD_US: f64 = 2_000.0;
+/// Replays `arrivals` for the engine's model, frame ids from
+/// `first_frame`; returns `(deadline_rejected, queue_rejected)`.
+fn replay(fleet: &Fleet, engine: &Engine, arrivals: &[f64], first_frame: u64) -> (u64, u64) {
     let mut queue_rejected = 0u64;
     let mut deadline_rejected = 0u64;
     for (i, &t) in arrivals.iter().enumerate() {
-        while fleet.simulated_clock_us() + LOOKAHEAD_US < t {
-            if fleet.in_system() == 0 {
-                // Fully idle: simulated time only advances when the next
-                // arrival is enqueued (its arrival gate fast-forwards the
-                // clock), so waiting any longer would deadlock the pacer.
-                break;
-            }
-            std::thread::yield_now();
-        }
         match fleet.submit(engine.name(), first_frame + i as u64, t) {
             Ok(()) => {}
-            Err(trtsim_core::serving::ServingError::DeadlineUnmeetable) => deadline_rejected += 1,
+            Err(ServingError::DeadlineUnmeetable) => deadline_rejected += 1,
             Err(_) => queue_rejected += 1,
         }
     }
     (deadline_rejected, queue_rejected)
 }
 
+/// Runs one scheduling arm: warm-up replay (light steady load, which also
+/// trains the predictive arm's shared model past its cold gate), then the
+/// measured trace shifted past the warm-up so its latencies are clean.
 fn run_arm(
     engine: &Engine,
     model: ModelId,
@@ -151,22 +137,14 @@ fn run_arm(
         FleetConfig::default(),
     );
     let latency_model = fleet.latency_model();
-    paced_replay(&fleet, engine, &warmup.arrivals_us, 0);
-    if let Some(model) = &latency_model {
-        // Submission is real-time while training rides on completions: wait
-        // for the warm-up's completions to warm the shared model so the
-        // measured window runs fully predictive from its first frame.
-        while !model.is_warm() {
-            std::thread::yield_now();
-        }
-    }
+    replay(&fleet, engine, &warmup.arrivals_us, 0);
     // Shift the measured trace past everything the warm-up can still have
-    // in flight; the workers' arrival gating idles the streams up to the
-    // first shifted timestamp, so measured latencies start clean.
+    // in flight, so measured latencies start clean; the warm-up's
+    // completions have trained the shared model by the first shifted
+    // arrival.
     let offset_us = warmup.duration_us() + 500_000.0;
     let shifted: Vec<f64> = trace.arrivals_us.iter().map(|t| t + offset_us).collect();
-    let (deadline_rejected, queue_rejected) =
-        paced_replay(&fleet, engine, &shifted, warmup.len() as u64);
+    let (deadline_rejected, queue_rejected) = replay(&fleet, engine, &shifted, warmup.len() as u64);
     let fleet_registry = fleet.registry();
     let stats = fleet.drain();
     registry.absorb(&fleet_registry);
@@ -196,32 +174,6 @@ fn run_arm(
         mape_percent: latency_model.as_ref().and_then(|m| m.mape_percent()),
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
-}
-
-/// Runs one arm five times and keeps the median-goodput run, with the
-/// median miss rate spliced in from its own independent ranking. The serving
-/// stack is real threads racing against a paced replay, so single runs
-/// wobble; medians make the headline comparison reproducible without hiding
-/// the wobble (each median is a genuinely measured value).
-fn median_arm(
-    engine: &Engine,
-    model: ModelId,
-    trace: &ArrivalTrace,
-    warmup: &ArrivalTrace,
-    deadline_us: f64,
-    predictive: bool,
-    reg: &Registry,
-) -> ArmResult {
-    let mut runs: Vec<ArmResult> = (0..5)
-        .map(|_| run_arm(engine, model, trace, warmup, deadline_us, predictive, reg))
-        .collect();
-    let mut miss_rates: Vec<f64> = runs.iter().map(|r| r.miss_rate).collect();
-    miss_rates.sort_by(f64::total_cmp);
-    let median_miss = miss_rates[2];
-    runs.sort_by(|a, b| a.goodput_fps.total_cmp(&b.goodput_fps));
-    let mut median = runs.swap_remove(2);
-    median.miss_rate = median_miss;
-    median
 }
 
 /// One plain HTTP/1.1 GET against the probe fleet's own telemetry
@@ -260,13 +212,12 @@ fn trace_probe(
         ..FleetConfig::default()
     };
     let fleet = build_fleet(engine, model, queue, deadline_us, false, fleet_config);
-    paced_replay(&fleet, engine, &warmup.arrivals_us, 0);
+    replay(&fleet, engine, &warmup.arrivals_us, 0);
     let offset_us = warmup.duration_us() + 500_000.0;
     let shifted: Vec<f64> = trace.arrivals_us.iter().map(|t| t + offset_us).collect();
-    paced_replay(&fleet, engine, &shifted, warmup.len() as u64);
-    while fleet.in_system() > 0 {
-        std::thread::yield_now();
-    }
+    replay(&fleet, engine, &shifted, warmup.len() as u64);
+    // Serve everything admitted while the endpoint is still up.
+    fleet.run_until(f64::INFINITY);
 
     let recorder = fleet.flight_recorder();
     assert!(
@@ -377,7 +328,7 @@ fn main() {
     let registry = Registry::new();
     for (name, trace) in &traces {
         let arm = |predictive| {
-            median_arm(
+            run_arm(
                 &engine,
                 model,
                 trace,

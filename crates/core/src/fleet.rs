@@ -21,6 +21,13 @@
 //!        queue, dynamic batcher, worker streams).
 //! ```
 //!
+//! * **One clock** — the fleet steps its replicas' event loops in one
+//!   simulated-time order: [`Fleet::submit`] first advances every replica
+//!   to the arrival, always processing the replica with the earliest next
+//!   event (lowest placement index on ties), so the shared latency model
+//!   trains and the shared flight recorder records in time order, and the
+//!   router prices queue depths as they stand at the arrival.
+//!
 //! * **Replica placement** — the builder places engines on named devices;
 //!   one model may have replicas on any subset of the fleet
 //!   ([`FleetBuilder::replica`]).
@@ -56,11 +63,12 @@ use trtsim_metrics::{Counter, LatencyPercentiles, Registry, TelemetryServer};
 use crate::engine::Engine;
 use crate::predict::{EngineFeatures, LatencyModel, PredictedLatency, QueueSignals};
 use crate::reqtrace::{
-    FlightRecorder, PhaseKind, PhaseSpan, RequestTrace, TraceCtx, TraceIdGen, TraceOptions,
-    TraceOutcome,
+    FlightRecorder, RequestTrace, TraceCtx, TraceIdGen, TraceOptions, TraceOutcome,
 };
 use crate::runtime::ExecutionContext;
-use crate::serving::{FleetShared, InferenceServer, ServerConfig, ServerStats, ServingError};
+use crate::serving::{
+    check_arrival, FleetShared, InferenceServer, ServerConfig, ServerStats, ServingError,
+};
 
 /// Fleet-wide knobs.
 #[derive(Debug, Clone)]
@@ -464,8 +472,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Returns [`ServingError::QueueFull`] when every replica's queue is
-    /// full (counted as a fleet rejection), or
-    /// [`ServingError::InvalidConfig`] when no replica serves `model`.
+    /// full (counted as a fleet rejection),
+    /// [`ServingError::InvalidConfig`] when no replica serves `model`, or
+    /// [`ServingError::InvalidArrival`] for a NaN, infinite or negative
+    /// `arrival_us` (neither of the last two is counted).
     pub fn submit(&self, model: &str, frame: u64, arrival_us: f64) -> Result<(), ServingError> {
         self.submit_as("default", model, frame, arrival_us)
     }
@@ -488,6 +498,8 @@ impl Fleet {
                 "no replica serves model `{model}`"
             )));
         };
+        check_arrival(arrival_us)?;
+        self.run_until(arrival_us);
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let (rejected, prev) = {
             let mut tenants = route.tenants.lock().expect("tenant routes");
@@ -514,7 +526,7 @@ impl Fleet {
             .iter()
             .map(|&r| {
                 let replica = &self.replicas[r];
-                let signals = replica.server.queue_signals(Some(arrival_us));
+                let signals = replica.server.queue_signals(arrival_us);
                 let pred = warm_model.and_then(|m| m.predict(&replica.features, 1, &signals));
                 let score = pred.as_ref().map_or_else(
                     || (replica.server.queue_depth() as f64 + 1.0) * replica.service_us,
@@ -600,30 +612,15 @@ impl Fleet {
         // The fleet-level rejection trace: no replica took the frame, so it
         // carries no device — just the admission marker and the last
         // attempted replica's score, preserving one-trace-per-request.
-        self.recorder.record(RequestTrace {
-            id: ctx.id,
+        self.recorder.record(RequestTrace::unserved(
+            ctx,
             frame,
-            model: Arc::from(model),
-            device: None,
-            tenant: Some(Arc::from(tenant)),
-            worker: None,
-            stream: None,
-            batch_seq: None,
-            batch_size: None,
-            span_lo: None,
-            span_hi: None,
+            Arc::from(model),
+            None,
+            Some(Arc::from(tenant)),
             arrival_us,
-            done_us: arrival_us,
             outcome,
-            phases: vec![PhaseSpan {
-                kind: PhaseKind::Admission,
-                start_us: arrival_us,
-                end_us: arrival_us,
-            }],
-            router_score: ctx.router_score,
-            predicted_p50_us: ctx.predicted_p50_us,
-            predicted_p99_us: ctx.predicted_p99_us,
-        });
+        ));
         Err(if deadline_blocked {
             ServingError::DeadlineUnmeetable
         } else {
@@ -666,29 +663,26 @@ impl Fleet {
         (accepted, rejected)
     }
 
-    /// Largest simulated clock over the fleet's device timelines, µs — the
-    /// pacing reference an open-loop replay driver synchronizes against so
-    /// live queue depths track *simulated* congestion rather than how fast
-    /// the host CPU drains the pipeline.
-    pub fn simulated_clock_us(&self) -> f64 {
-        self.devices
-            .iter()
-            .map(|d| d.timeline.lock().expect("timeline lock").elapsed_us())
-            .fold(0.0, f64::max)
-    }
-
-    /// Frames currently queued (accepted but not yet dispatched to a
-    /// worker) across every replica.
-    pub fn backlog(&self) -> usize {
-        self.replicas.iter().map(|r| r.server.queue_depth()).sum()
-    }
-
-    /// Frames anywhere in the system — queued, held by a batcher, or in
-    /// service — across every replica. While this is non-zero the simulated
-    /// clock advances on its own; at zero a paced driver must submit the
-    /// next frame to move time forward.
-    pub fn in_system(&self) -> usize {
-        self.replicas.iter().map(|r| r.server.pending()).sum()
+    /// Runs every replica's event loop up to simulated time `t_us` without
+    /// shutting down (see [`InferenceServer::run_until`]), in one fleet-wide
+    /// time order: the replica with the earliest next event goes first,
+    /// the lowest placement index on ties.
+    pub fn run_until(&self, t_us: f64) {
+        loop {
+            let next = self
+                .replicas
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| Some((r.server.next_event_us()?, i)))
+                .min_by(|a, b| a.0.total_cmp(&b.0));
+            match next {
+                Some((at, i)) if at <= t_us => self.replicas[i].server.run_until(at),
+                _ => break,
+            }
+        }
+        for replica in &self.replicas {
+            replica.server.run_until(t_us);
+        }
     }
 
     /// Device names, in declaration order.
@@ -702,9 +696,13 @@ impl Fleet {
         self.exporter.as_ref().map(TelemetryServer::local_addr)
     }
 
-    /// Stops admission on every replica and waits until each accepted frame
-    /// is served, then aggregates the final statistics.
+    /// Stops admission on every replica and runs the fleet until each
+    /// accepted frame is served, then aggregates the final statistics.
     pub fn drain(mut self) -> FleetStats {
+        for replica in &self.replicas {
+            replica.server.close();
+        }
+        self.run_until(f64::INFINITY);
         let replicas: Vec<ReplicaStats> = self
             .replicas
             .drain(..)
@@ -1033,16 +1031,21 @@ mod tests {
             .unwrap()
             .start(FleetConfig::default())
             .unwrap();
-        // Everything arrives at once: with 2×4 queue slots most of the
-        // burst must be rejected, exercising admission control.
+        // Everything arrives at t = 0. Each replica takes one frame onto its
+        // single stream (batch 1, no wait) and queues four more: 2 × (1 + 4)
+        // = 10 accepted, the other 54 rejected by admission control.
         let arrivals = vec![0.0; 64];
         let (accepted, rejected) = fleet.replay(e.name(), &arrivals, 0);
+        assert_eq!((accepted, rejected), (10, 54));
         let stats = fleet.drain();
         assert_eq!(stats.submitted, 64);
         assert_eq!(stats.accepted, accepted);
         assert_eq!(stats.rejected, rejected);
         assert_eq!(stats.submitted, stats.accepted + stats.rejected);
-        assert!(stats.rejected > 0, "tight queues should shed load");
+        assert_eq!(
+            stats.replicas.iter().map(|r| r.routed).collect::<Vec<_>>(),
+            vec![5, 5]
+        );
         assert_eq!(
             stats.accepted,
             stats.replicas.iter().map(|r| r.stats.accepted).sum::<u64>()
@@ -1074,11 +1077,8 @@ mod tests {
             .unwrap();
         let submits = 8u64;
         for frame in 0..submits {
-            // Space submissions out in real time so each one sees both
-            // backlogs drained (an exact score tie) before it is routed.
-            while fleet.replicas.iter().any(|r| r.server.queue_depth() > 0) {
-                std::thread::yield_now();
-            }
+            // 10 ms apart in simulated time: each submit finds both replicas
+            // idle, an exact score tie.
             fleet
                 .submit(e.name(), frame, frame as f64 * 10_000.0)
                 .unwrap();
@@ -1140,12 +1140,9 @@ mod tests {
         let arrivals = poisson_arrivals(200, 40.0, 9);
         let (first, second) = arrivals.split_at(100);
         let (mut accepted, _) = fleet.replay(e.name(), first, 0);
-        // Submission is real-time while training rides on completions, so
-        // wait for the first wave's completions to warm the shared model
-        // before offering the second wave.
-        while !model.is_warm() {
-            std::thread::yield_now();
-        }
+        // Completions train the model as the clock passes them, so the first
+        // wave warms it before the second wave is routed.
+        assert!(model.is_warm());
         accepted += fleet.replay(e.name(), second, 100).0;
         let stats = fleet.drain();
         assert_eq!(stats.completed, accepted);
@@ -1209,6 +1206,29 @@ mod tests {
         let stats = fleet.drain();
         assert_eq!(stats.submitted, 0);
         assert_eq!(stats.rejected, 0);
+    }
+
+    #[test]
+    fn invalid_arrival_stamps_are_refused_uncounted() {
+        let e = engine("fleet-stamps");
+        let fleet = FleetBuilder::new()
+            .device("nx0", DeviceSpec::xavier_nx())
+            .replica("nx0", &e, config())
+            .unwrap()
+            .start(FleetConfig::default())
+            .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5e6] {
+            assert!(matches!(
+                fleet.submit(e.name(), 0, bad),
+                Err(ServingError::InvalidArrival(_))
+            ));
+            assert!(matches!(
+                fleet.submit_as("cam", e.name(), 0, bad),
+                Err(ServingError::InvalidArrival(_))
+            ));
+        }
+        let stats = fleet.drain();
+        assert_eq!((stats.submitted, stats.accepted, stats.rejected), (0, 0, 0));
     }
 
     #[test]

@@ -229,8 +229,8 @@ impl ModelInner {
 }
 
 /// The online-trained latency model. Interior-mutable and `Sync`: one
-/// `Arc<LatencyModel>` is shared by submit paths, worker threads, and the
-/// fleet router. See the [module docs](self) for the algorithm.
+/// `Arc<LatencyModel>` is shared by admission, dispatch, completion events
+/// and the fleet router. See the [module docs](self) for the algorithm.
 ///
 /// # Examples
 ///

@@ -9,7 +9,7 @@
 //!
 //! * **Trace context** — a [`TraceId`] minted at admission from a seeded
 //!   deterministic counter (no wall clock, no global RNG), carried through
-//!   router → replica queue → dynamic batcher → worker → `GpuTimeline`.
+//!   router → replica queue → batch dispatch → stream → `GpuTimeline`.
 //!   Ids are unique per generator and reproducible per seed.
 //! * **Span tree** — every completed request yields a [`RequestTrace`]
 //!   whose [`PhaseSpan`]s partition its end-to-end latency exactly:
@@ -147,10 +147,10 @@ impl TraceOptions {
     }
 }
 
-/// The per-request context that rides a submission through the queue and
-/// batcher to the worker: the id plus router-time attributes. `Copy` so the
-/// queue's `Submission`/`Request` structs stay `Copy`; NaN marks an
-/// attribute the submit path could not know (no router, cold predictor).
+/// The per-request context that rides a frame through the queue and its
+/// batch to the completion event: the id plus router-time attributes.
+/// `Copy` so the queued `Request` stays `Copy`; NaN marks an attribute the
+/// submit path could not know (no router, cold predictor).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TraceCtx {
     pub(crate) id: TraceId,
@@ -298,7 +298,7 @@ pub struct RequestTrace {
     pub device: Option<Arc<str>>,
     /// Tenant label, when the replica is tenant-dedicated.
     pub tenant: Option<Arc<str>>,
-    /// Worker thread index that served the request (None when rejected).
+    /// Worker (stream index) that served the request (None when rejected).
     pub worker: Option<usize>,
     /// Stream the batch executed on (None when rejected).
     pub stream: Option<usize>,
@@ -824,9 +824,9 @@ impl FlightRecorder {
 }
 
 /// The serving layer's recording surface: the shared recorder plus the
-/// server's identity labels, cloned into each worker thread. Centralizes
+/// server's identity labels. Centralizes
 /// the phase decomposition so every call site produces the same span tree.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct TraceSink {
     recorder: Arc<FlightRecorder>,
     model: Arc<str>,
@@ -849,13 +849,15 @@ impl TraceSink {
         }
     }
 
-    /// Records one completed request. `exec_start_us` is where batched
-    /// execution began on the stream (= `max(stream_front, batch_arrival) +
-    /// waited_us`), so the phases partition `[arrival_us, done_us]`:
+    /// Records one completed request. The phases are cut from the event
+    /// timestamps of its batch — `wait_start_us` (the batch began waiting
+    /// for stragglers on a free stream), `exec_start_us` (dispatch) and
+    /// `done_us` (completion) — so they partition `[arrival_us, done_us]`
+    /// with shared boundaries:
     ///
     /// ```text
-    /// replica_queue [arrival_us .. exec_start_us - waited_us]
-    /// batch_wait    [exec_start_us - waited_us .. exec_start_us]
+    /// replica_queue [arrival_us .. max(arrival_us, wait_start_us)]
+    /// batch_wait    [..           exec_start_us]
     /// execute       [exec_start_us .. done_us]
     /// ```
     ///
@@ -866,9 +868,9 @@ impl TraceSink {
         ctx: TraceCtx,
         frame: u64,
         arrival_us: f64,
-        done_us: f64,
+        wait_start_us: f64,
         exec_start_us: f64,
-        waited_us: f64,
+        done_us: f64,
         worker: usize,
         stream: usize,
         batch_seq: u64,
@@ -877,14 +879,13 @@ impl TraceSink {
         span_hi: SpanSeq,
         deadline_missed: bool,
     ) -> bool {
-        let queue_end = (exec_start_us - waited_us).max(arrival_us);
-        let exec_start = exec_start_us.max(queue_end);
+        let queue_end = wait_start_us.max(arrival_us);
         let phases = vec![
             PhaseSpan::new(PhaseKind::Admission, arrival_us, arrival_us),
             PhaseSpan::new(PhaseKind::RouterQueue, arrival_us, arrival_us),
             PhaseSpan::new(PhaseKind::ReplicaQueue, arrival_us, queue_end),
-            PhaseSpan::new(PhaseKind::BatchWait, queue_end, exec_start),
-            PhaseSpan::new(PhaseKind::Execute, exec_start, done_us.max(exec_start)),
+            PhaseSpan::new(PhaseKind::BatchWait, queue_end, exec_start_us),
+            PhaseSpan::new(PhaseKind::Execute, exec_start_us, done_us),
             PhaseSpan::new(PhaseKind::Drain, done_us, done_us),
         ];
         self.recorder.record(RequestTrace {
@@ -909,45 +910,45 @@ impl TraceSink {
         })
     }
 
-    /// Records a request accepted but discarded by abort: zero service, an
-    /// `admission` marker as its only phase.
-    pub(crate) fn record_dropped(&self, ctx: TraceCtx, frame: u64, arrival_us: f64) {
-        self.recorder.record(RequestTrace {
-            id: ctx.id,
-            frame,
-            model: Arc::clone(&self.model),
-            device: self.device.clone(),
-            tenant: self.tenant.clone(),
-            worker: None,
-            stream: None,
-            batch_seq: None,
-            batch_size: None,
-            span_lo: None,
-            span_hi: None,
-            arrival_us,
-            done_us: arrival_us,
-            outcome: TraceOutcome::Dropped,
-            phases: vec![PhaseSpan::new(PhaseKind::Admission, arrival_us, arrival_us)],
-            router_score: ctx.router_score,
-            predicted_p50_us: ctx.predicted_p50_us,
-            predicted_p99_us: ctx.predicted_p99_us,
-        });
-    }
-
-    /// Records a request refused at admission (deadline or full queue).
-    pub(crate) fn record_rejected(
+    /// Records a request that never executed — refused at admission or
+    /// dropped by abort — with this server's labels.
+    pub(crate) fn record_unserved(
         &self,
         ctx: TraceCtx,
         frame: u64,
         arrival_us: f64,
         outcome: TraceOutcome,
     ) {
-        self.recorder.record(RequestTrace {
+        self.recorder.record(RequestTrace::unserved(
+            ctx,
+            frame,
+            Arc::clone(&self.model),
+            self.device.clone(),
+            self.tenant.clone(),
+            arrival_us,
+            outcome,
+        ));
+    }
+}
+
+impl RequestTrace {
+    /// The trace of a request that never executed: zero service, an
+    /// `admission` marker as its only phase.
+    pub(crate) fn unserved(
+        ctx: TraceCtx,
+        frame: u64,
+        model: Arc<str>,
+        device: Option<Arc<str>>,
+        tenant: Option<Arc<str>>,
+        arrival_us: f64,
+        outcome: TraceOutcome,
+    ) -> Self {
+        Self {
             id: ctx.id,
             frame,
-            model: Arc::clone(&self.model),
-            device: self.device.clone(),
-            tenant: self.tenant.clone(),
+            model,
+            device,
+            tenant,
             worker: None,
             stream: None,
             batch_seq: None,
@@ -961,7 +962,7 @@ impl TraceSink {
             router_score: ctx.router_score,
             predicted_p50_us: ctx.predicted_p50_us,
             predicted_p99_us: ctx.predicted_p99_us,
-        });
+        }
     }
 }
 
@@ -1016,10 +1017,10 @@ mod tests {
         let ctx = TraceCtx::new(gen.mint());
         let done = arrival + latency;
         // 40% queue, 10% batch wait, 50% execute.
+        let wait_start = arrival + latency * 0.4;
         let exec_start = arrival + latency * 0.5;
-        let waited = latency * 0.1;
         s.record_completed(
-            ctx, frame, arrival, done, exec_start, waited, 0, 0, frame, 1, 0, 3, missed,
+            ctx, frame, arrival, wait_start, exec_start, done, 0, 0, frame, 1, 0, 3, missed,
         );
         ctx.id
     }
@@ -1137,19 +1138,19 @@ mod tests {
         ));
         let s = sink(&rec);
         let gen = TraceIdGen::new(3);
-        s.record_rejected(
+        s.record_unserved(
             TraceCtx::new(gen.mint()),
             0,
             10.0,
             TraceOutcome::DeadlineRejected,
         );
-        s.record_rejected(
+        s.record_unserved(
             TraceCtx::new(gen.mint()),
             1,
             20.0,
             TraceOutcome::QueueRejected,
         );
-        s.record_dropped(TraceCtx::new(gen.mint()), 2, 30.0);
+        s.record_unserved(TraceCtx::new(gen.mint()), 2, 30.0, TraceOutcome::Dropped);
         assert_eq!(rec.rejected_seen(), 2);
         assert_eq!(rec.dropped_seen(), 1);
         // Tail outcomes are always retained.
@@ -1203,8 +1204,8 @@ mod tests {
         let agx = TraceSink::new(Arc::clone(&rec), "m", Some("agx0"), Some("cam"));
         let a = TraceCtx::new(gen.mint());
         let b = TraceCtx::new(gen.mint());
-        nx.record_completed(a, 0, 0.0, 100.0, 50.0, 10.0, 0, 1, 0, 2, 0, 4, false);
-        agx.record_completed(b, 1, 5.0, 205.0, 105.0, 0.0, 1, 0, 0, 1, 4, 8, false);
+        nx.record_completed(a, 0, 0.0, 40.0, 50.0, 100.0, 0, 1, 0, 2, 0, 4, false);
+        agx.record_completed(b, 1, 5.0, 105.0, 105.0, 205.0, 1, 0, 0, 1, 4, 8, false);
         let doc = chrome_trace_all(&rec.traces());
         // Sorted device names: agx0 = pid 0, nx0 = pid 1.
         assert!(doc.contains("\"args\":{\"name\":\"agx0\"}"));
@@ -1224,13 +1225,13 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        s.record_completed(ctx, 0, 0.0, 1000.0, 500.0, 0.0, 0, 0, 0, 1, 0, 1, false);
+        s.record_completed(ctx, 0, 0.0, 500.0, 500.0, 1000.0, 0, 0, 0, 1, 0, 1, false);
         let t = &rec.traces()[0];
         assert!((t.prediction_error_percent() - 20.0).abs() < 1e-9);
         assert!(t.to_json().contains("\"prediction_error_percent\":20"));
         // No prediction → NaN → JSON null.
         let plain = TraceCtx::new(TraceIdGen::new(8).mint());
-        s.record_rejected(plain, 1, 0.0, TraceOutcome::QueueRejected);
+        s.record_unserved(plain, 1, 0.0, TraceOutcome::QueueRejected);
         let r = rec.traces().into_iter().find(|t| t.frame == 1).unwrap();
         assert!(r.prediction_error_percent().is_nan());
         assert!(r.to_json().contains("\"predicted_p50_us\":null"));

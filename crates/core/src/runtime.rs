@@ -20,7 +20,7 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use trtsim_gpu::contention::EngineProfile;
 use trtsim_gpu::device::DeviceSpec;
@@ -126,7 +126,7 @@ pub struct ExecutionContext<'e> {
     /// Batch size → the engine's kernel launches timed on the context's
     /// device at that size, one [`TimedKernel`] per compute unit in
     /// execution order.
-    batch_timings: Derived<BTreeMap<u64, Vec<TimedKernel>>>,
+    batch_timings: Derived<BTreeMap<u64, Arc<[TimedKernel]>>>,
     /// The summed [`PlanStats`] of every scratch the context's numeric
     /// inferences ran through.
     plan_totals: Derived<PlanStats>,
@@ -443,37 +443,20 @@ impl<'e> ExecutionContext<'e> {
         batch: usize,
     ) -> f64 {
         let batch = batch.max(1) as u64;
-        let io = self.engine.io_bytes();
-        timeline.enqueue_h2d(stream, io.input_bytes * batch);
         let mut cache;
         let uncached;
-        let rows: &[TimedKernel] = if timeline.device() == &self.device {
+        let rows: &Arc<[TimedKernel]> = if timeline.device() == &self.device {
             cache = self.batch_timings.0.lock().expect("batch timings");
             cache
                 .entry(batch)
-                .or_insert_with(|| self.batch_timing(batch, &self.device))
+                .or_insert_with(|| batch_timing(self.engine, batch, &self.device))
         } else {
             // A timeline on another device times the kernels against its
             // own device, through the same derivation, uncached.
-            uncached = self.batch_timing(batch, timeline.device());
+            uncached = batch_timing(self.engine, batch, timeline.device());
             &uncached
         };
-        for row in rows {
-            timeline.enqueue_timed(stream, row);
-        }
-        timeline.enqueue_d2h(stream, (io.output_bytes * batch).max(4));
-        timeline.host_span(stream, "host_glue", opts.host_glue_us)
-    }
-
-    /// The engine's kernel launches scaled to `batch` and timed on `device`,
-    /// in execution order.
-    fn batch_timing(&self, batch: u64, device: &DeviceSpec) -> Vec<TimedKernel> {
-        self.engine
-            .units()
-            .iter()
-            .filter_map(|u| u.choice.as_ref())
-            .map(|c| TimedKernel::derive(&c.kernel, batch, device))
-            .collect()
+        enqueue_timed_batch(timeline, stream, self.engine, rows, batch, opts)
     }
 
     /// Measures `runs` end-to-end latencies (µs) under the paper's harness
@@ -541,6 +524,36 @@ fn precision_rounded(mut t: Tensor, precision: Precision) -> Tensor {
         apply_precision(&mut t, Precision::Fp16);
     }
     t
+}
+
+/// The engine's kernel launches scaled to `batch` and timed on `device`,
+/// in execution order.
+pub(crate) fn batch_timing(engine: &Engine, batch: u64, device: &DeviceSpec) -> Arc<[TimedKernel]> {
+    engine
+        .units()
+        .iter()
+        .filter_map(|u| u.choice.as_ref())
+        .map(|c| TimedKernel::derive(&c.kernel, batch, device))
+        .collect()
+}
+
+/// Enqueues one batched inference of `engine` whose launches were timed up
+/// front ([`batch_timing`]): the `batch`×-sized input H2D, the launch run,
+/// the combined output D2H and one round of host glue. Returns the
+/// completion time (µs).
+pub(crate) fn enqueue_timed_batch(
+    timeline: &mut GpuTimeline,
+    stream: StreamId,
+    engine: &Engine,
+    rows: &Arc<[TimedKernel]>,
+    batch: u64,
+    opts: &TimingOptions,
+) -> f64 {
+    let io = engine.io_bytes();
+    timeline.enqueue_h2d(stream, io.input_bytes * batch);
+    timeline.enqueue_timed(stream, rows);
+    timeline.enqueue_d2h(stream, (io.output_bytes * batch).max(4));
+    timeline.host_span(stream, "host_glue", opts.host_glue_us)
 }
 
 #[cfg(test)]

@@ -2,59 +2,68 @@
 //!
 //! The paper's deployment pattern (§IV-B, §VI-A) is N camera feeds fanned
 //! onto one Jetson: one engine, one CUDA context, one stream per worker.
-//! This module runs that architecture as a real server would be built on top
-//! of TensorRT — with *real* OS threads against the *simulated* timeline, so
-//! the concurrency structure is genuine while time stays modeled:
+//! This module runs that architecture as a discrete-event simulation: one
+//! event loop per server, stepped on the simulated clock behind one mutex,
+//! so every serving number is a pure function of the inputs and seeds.
 //!
 //! ```text
-//!   submit / try_submit          batcher thread              worker threads
-//!  ───────────────────▶ bounded ───────────────▶ per-worker ───────────────▶ GpuTimeline
-//!   Err(QueueFull) ◀──  queue    coalesce ≤ B,   rendezvous   one batched     (stream w)
-//!   when full            │       wait ≤ T µs     channels     enqueue per
-//!                        ▼                                    batch
-//!                  depth / high-water                          │
-//!                                                              ▼
-//!                                             ServerStats: p50/p90/p99, batch
-//!                                             histogram, rejects, GR3D, FPS
+//!   submit(_at) at t: advance        bounded queue          worker streams
+//!  ─────────────────────────────▶ (accepted, not yet ──────────────────────▶ GpuTimeline
+//!   Err(QueueFull) ◀── depth ==     dispatched)        dispatch ≤ B frames    (stream s)
+//!   capacity                            │              to the lowest free        │
+//!                                       ▼              stream once the fill      ▼
+//!                               depth / high-water     target is met or the   completion
+//!                                                      timeout expires        event at done
+//!                                                                                │
+//!                                                                                ▼
+//!                                          ServerStats: p50/p90/p99, batch histogram,
+//!                                          rejects, GR3D, FPS; traces; model training
 //! ```
 //!
-//! * **Backpressure** — the submission queue is bounded.
-//!   [`InferenceServer::try_submit`] refuses with [`ServingError::QueueFull`]
-//!   when it is full (shed load at admission, the knee in the serving curve);
-//!   [`InferenceServer::submit`] blocks instead.
-//! * **Dynamic batching** — the batcher coalesces up to
-//!   [`ServerConfig::max_batch_size`] queued frames into one batched enqueue
+//! * **Events** — arrivals (each submit), dispatches and completions. A
+//!   submit stamped `t` first advances the server to `t`: every event at
+//!   or before `t` is processed in time order, ties by stream index. A
+//!   frame stamped before the clock joins the queue at the clock, but its
+//!   latency counts from its own stamp.
+//! * **Backpressure** — queue depth is the number of frames accepted and
+//!   not yet dispatched. [`InferenceServer::try_submit`] refuses with
+//!   [`ServingError::QueueFull`] when it equals
+//!   [`ServerConfig::queue_capacity`] (shed load at admission, the knee in
+//!   the serving curve); [`InferenceServer::submit`] instead runs the clock
+//!   forward until a dispatch frees a slot.
+//! * **Dynamic batching** — dispatch is work-conserving: whenever a stream
+//!   is free and frames are queued, up to [`ServerConfig::max_batch_size`]
+//!   of them close into one batched enqueue
 //!   ([`crate::runtime::ExecutionContext::enqueue_batched_inference`]),
 //!   paying launch overhead and host glue once per batch instead of once per
-//!   frame. [`ServerConfig::batch_timeout_us`] bounds how long a partial
-//!   batch waits for stragglers (`0` = never wait, `f64::INFINITY` = only
-//!   full batches, which makes a submit-all-then-drain run fully
-//!   deterministic).
-//! * **Graceful shutdown** — [`InferenceServer::drain`] completes every
-//!   accepted frame; [`InferenceServer::abort`] drops what has not started.
+//!   frame. A batch short of its fill target waits at most
+//!   [`ServerConfig::batch_timeout_us`] simulated µs from its oldest frame
+//!   (`0` = never wait, `f64::INFINITY` = only full batches, flushed at
+//!   drain).
+//! * **Graceful shutdown** — [`InferenceServer::drain`] runs the loop until
+//!   no event remains, completing every accepted frame;
+//!   [`InferenceServer::abort`] drops what is still queued at the clock.
 //! * **Observability** — [`ServerStats`] carries per-request simulated
 //!   latency percentiles (via [`trtsim_metrics::LatencyPercentiles`]), the
-//!   batch-size histogram, the queue-depth high-water mark, and the rejected
-//!   count. With [`ProfileOptions`] enabled ([`ServerConfig::with_profile`])
-//!   each [`RequestRecord`] additionally carries a span-id range joining it
-//!   to the exact timeline records that served it, and the stats gain a
-//!   per-kernel time breakdown plus the full captured timeline — ready for
-//!   `trtsim_profiler`'s chrome-trace export and anomaly detectors.
+//!   batch-size histogram, the exact queue-depth high-water mark, and the
+//!   rejected count. With [`ProfileOptions`] enabled
+//!   ([`ServerConfig::with_profile`]) each [`RequestRecord`] additionally
+//!   carries a span-id range joining it to the exact timeline records that
+//!   served it, and the stats gain a per-kernel time breakdown plus the
+//!   full captured timeline — ready for `trtsim_profiler`'s chrome-trace
+//!   export and anomaly detectors.
 //! * **Telemetry** — each server owns a [`Registry`] (a fleet replica uses
 //!   its fleet's) holding its `trtsim_server_*` and `trtsim_trace_*`
 //!   series; [`InferenceServer::registry`] hands it out and the optional
-//!   `/metrics` endpoint scrapes it.
+//!   `/metrics` endpoint (with its wall-clock [`GpuSampler`]) scrapes it.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use trtsim_gpu::device::DeviceSpec;
 use trtsim_gpu::tegrastats;
-use trtsim_gpu::timeline::{GpuTimeline, SpanSeq, StreamId};
+use trtsim_gpu::timeline::{GpuTimeline, SpanSeq, StreamId, TimedKernel};
 use trtsim_metrics::{LatencyPercentiles, Registry, TelemetryServer};
 use trtsim_util::Pcg32;
 
@@ -63,7 +72,7 @@ use crate::predict::{EngineFeatures, LatencyModel, QueueSignals};
 use crate::reqtrace::{
     FlightRecorder, TraceCtx, TraceIdGen, TraceOptions, TraceOutcome, TraceSink,
 };
-use crate::runtime::{ExecutionContext, TimingOptions};
+use crate::runtime::{batch_timing, enqueue_timed_batch, TimingOptions};
 use crate::telemetry::{GpuSampler, ServingMetrics};
 
 /// Errors from configuring or feeding an [`InferenceServer`].
@@ -78,8 +87,9 @@ pub enum ServingError {
     /// configured deadline, so accepting it would only waste capacity.
     /// Counted in [`ServerStats::deadline_rejected`].
     DeadlineUnmeetable,
-    /// The server has shut down and no longer accepts frames.
-    Stopped,
+    /// A submitted arrival timestamp is NaN, infinite or negative; the
+    /// frame was not accepted and is not counted.
+    InvalidArrival(String),
     /// The telemetry scrape endpoint could not be started (bind failure).
     Telemetry(String),
 }
@@ -92,7 +102,7 @@ impl std::fmt::Display for ServingError {
             ServingError::DeadlineUnmeetable => {
                 write!(f, "deadline is predicted unmeetable at current load")
             }
-            ServingError::Stopped => write!(f, "server is stopped"),
+            ServingError::InvalidArrival(detail) => write!(f, "invalid arrival: {detail}"),
             ServingError::Telemetry(detail) => {
                 write!(f, "telemetry endpoint failed to start: {detail}")
             }
@@ -184,8 +194,8 @@ pub enum ArrivalProcess {
 /// DESIGN §6).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerConfig {
-    /// Worker thread count; each worker owns one stream on the shared
-    /// timeline (the paper's thread-per-camera pattern).
+    /// Worker count; each worker owns one stream on the shared timeline and
+    /// serves one batch at a time (the paper's thread-per-camera pattern).
     pub workers: usize,
     /// Capacity of the bounded submission queue. Admission beyond this
     /// rejects ([`ServingError::QueueFull`]) or blocks.
@@ -193,10 +203,10 @@ pub struct ServerConfig {
     /// Largest number of frames the dynamic batcher coalesces into one
     /// batched enqueue. `1` disables batching.
     pub max_batch_size: usize,
-    /// How long (simulated µs) a partial batch waits for stragglers before
-    /// dispatching. `0` never waits; `f64::INFINITY` dispatches full batches
-    /// only (deterministic for submit-all-then-drain runs). The wait is
-    /// charged to the dispatching stream when it expires.
+    /// How long (simulated µs) a partial batch waits for stragglers, counted
+    /// from its oldest queued frame, before dispatching. `0` never waits;
+    /// `f64::INFINITY` dispatches full batches only and flushes the rest at
+    /// drain. The wait is charged to the dispatching stream as `batch_wait`.
     pub batch_timeout_us: f64,
     /// Simulated inter-arrival gap between accepted frames, µs. Models an
     /// open-loop source (a camera at a fixed rate); `0` means all frames
@@ -429,15 +439,15 @@ pub struct RequestRecord {
     pub frame: u64,
     /// Worker (= stream index) that served it.
     pub worker: usize,
-    /// Sequence number of the batched enqueue that carried it (batcher
-    /// dispatch order).
+    /// Sequence number of the batched enqueue that carried it (dispatch
+    /// order).
     pub batch: u64,
     /// First span sequence number (inclusive) of the batch's records on the
     /// worker's stream — host waits, H2D, kernels, D2H, glue. With
     /// [`RequestRecord::span_hi`] this is the half-open range that joins a
     /// slow request to the exact timeline records (and chrome-trace spans)
-    /// that served it. Per-stream numbering keeps the range deterministic
-    /// under the round-robin batcher.
+    /// that served it. Per-stream numbering keeps the range independent of
+    /// what other streams ran.
     pub span_lo: SpanSeq,
     /// One past the last span sequence number of the batch's records.
     pub span_hi: SpanSeq,
@@ -473,7 +483,8 @@ pub struct ServerStats {
     /// Batch-size histogram: `batch_size_counts[s - 1]` batches held `s`
     /// frames.
     pub batch_size_counts: Vec<u64>,
-    /// Most frames ever waiting in the submission queue.
+    /// Most frames ever waiting in the submission queue (exact: depth is
+    /// counted on the simulated clock).
     pub queue_high_water: usize,
     /// Per-request simulated latency percentiles.
     pub latency: LatencyPercentiles,
@@ -507,36 +518,25 @@ impl ServerStats {
     }
 }
 
-/// A frame travelling from the submit path to the batcher: the caller's
-/// frame id plus an optional explicit arrival timestamp. `None` lets the
-/// server's own [`ArrivalClock`] assign the timestamp in acceptance order
-/// (the legacy behaviour); `Some` carries an externally generated open-loop
-/// arrival time, which is how a fleet router replays a shared traffic trace
-/// across many servers.
-#[derive(Debug, Clone, Copy)]
-struct Submission {
-    frame: u64,
-    arrival_us: Option<f64>,
-    /// Queue state sampled at admission, carried through so the predictor's
-    /// training examples see exactly the signals a prediction would have.
-    signals: QueueSignals,
-    /// Request-scoped trace context, minted at admission and carried through
-    /// the batcher to the worker that records the completed span tree.
-    trace: TraceCtx,
-}
-
-/// A frame travelling from the batcher to a worker.
+/// An accepted frame waiting in the queue, then riding its batch.
 #[derive(Debug, Clone, Copy)]
 struct Request {
     frame: u64,
     arrival_us: f64,
+    /// When the frame joined the queue: its arrival, or the clock when it
+    /// was stamped in the past. Batch timeouts count from here.
+    queued_us: f64,
+    /// Queue state sampled at admission, carried through so the predictor's
+    /// training examples see exactly the signals a prediction would have.
     signals: QueueSignals,
+    /// Request-scoped trace context, minted at admission and carried to the
+    /// completion event that records the span tree.
     trace: TraceCtx,
 }
 
-/// The predictive-scheduling bundle shared by the submit path, the batcher,
-/// and the workers: one online model plus the static features of this
-/// server's (engine, device) pair.
+/// The predictive-scheduling bundle of admission, dispatch and completion:
+/// one online model plus the static features of this server's (engine,
+/// device) pair.
 #[derive(Debug)]
 struct Predictor {
     model: Arc<LatencyModel>,
@@ -571,20 +571,44 @@ impl Predictor {
     }
 }
 
-/// A coalesced unit of work for one worker.
+/// A batch in service on one worker stream, from dispatch to completion.
 #[derive(Debug)]
 struct Batch {
-    /// Batcher dispatch sequence number (global, not per-worker).
+    /// Dispatch sequence number (global, not per-worker).
     seq: u64,
     requests: Vec<Request>,
-    /// Simulated straggler wait to charge before the enqueue (non-zero only
-    /// when the batch closed because `batch_timeout_us` expired).
-    waited_us: f64,
+    /// Where the batch began waiting for stragglers on a free stream; equal
+    /// to `exec_start_us` when it dispatched as soon as the stream freed.
+    wait_start_us: f64,
+    /// Dispatch time: batched execution begins here on the stream.
+    exec_start_us: f64,
+    done_us: f64,
+    span_lo: SpanSeq,
+    span_hi: SpanSeq,
 }
 
-/// Counters the batcher and workers update as frames move through.
+/// The event loop's state: the clock, the queue, the batch in service on
+/// each stream, and every counter the stats report.
 #[derive(Debug)]
-struct StatsInner {
+struct State {
+    /// The simulated clock, µs: every event at or before it is processed.
+    now_us: f64,
+    /// Accepted frames not yet dispatched, oldest first.
+    queue: VecDeque<Request>,
+    /// The batch each worker stream is serving (`None` = free).
+    in_service: Vec<Option<Batch>>,
+    arrivals: ArrivalClock,
+    /// Set by drain: no frame can arrive any more, so a partial batch
+    /// dispatches as soon as a stream is free.
+    draining: bool,
+    next_batch: u64,
+    /// Batch size → the engine's launches timed on the device, derived on
+    /// first use.
+    timings: BTreeMap<u64, Arc<[TimedKernel]>>,
+    accepted: u64,
+    rejected: u64,
+    deadline_rejected: u64,
+    queue_high_water: usize,
     completed: u64,
     dropped: u64,
     deadline_missed: u64,
@@ -612,9 +636,9 @@ pub(crate) struct FleetShared {
     pub(crate) registry: Arc<Registry>,
 }
 
-/// A running inference server: worker threads with per-worker streams on one
+/// A running inference server: one event loop over worker streams on a
 /// shared simulated timeline, fed through a bounded queue and a dynamic
-/// batcher. See the [module docs](self) for the architecture.
+/// batcher. See the [module docs](self) for the event model.
 ///
 /// # Examples
 ///
@@ -637,27 +661,12 @@ pub(crate) struct FleetShared {
 /// ```
 #[derive(Debug)]
 pub struct InferenceServer {
-    tx: Option<SyncSender<Submission>>,
-    batcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    state: Mutex<State>,
+    engine: Engine,
     timeline: Arc<Mutex<GpuTimeline>>,
-    stats: Arc<Mutex<StatsInner>>,
-    depth: Arc<AtomicUsize>,
-    high_water: Arc<AtomicUsize>,
-    /// Batches currently in service across all workers — the live busy
-    /// signal the predictor's feature vector reads.
-    in_flight: Arc<AtomicUsize>,
-    /// Frames that have left the system (served or dropped) — with
-    /// `accepted`, gives [`InferenceServer::pending`].
-    settled: Arc<AtomicU64>,
-    /// Worker stream ids, in worker order — read to compute the
-    /// committed-work horizon in [`InferenceServer::queue_signals`].
+    /// Worker stream ids, in worker order.
     streams: Vec<StreamId>,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    deadline_rejected: AtomicU64,
-    predictor: Option<Arc<Predictor>>,
-    abort_flag: Arc<AtomicBool>,
+    predictor: Option<Predictor>,
     config: ServerConfig,
     metrics: ServingMetrics,
     /// Where `metrics` and the recorder's counters live.
@@ -674,7 +683,7 @@ pub struct InferenceServer {
 }
 
 impl InferenceServer {
-    /// Validates `config`, spawns the batcher and worker threads, and starts
+    /// Validates `config`, opens one stream per worker, and starts
     /// accepting frames.
     ///
     /// # Errors
@@ -748,22 +757,32 @@ impl InferenceServer {
                     .with_min_obs(config.predictor_min_obs),
                 )
             });
-            Some(Arc::new(Predictor {
+            Some(Predictor {
                 features: EngineFeatures::measure(engine, device, config.timing.host_glue_us),
                 model,
-            }))
+            })
         } else {
             None
         };
         let (device_label, tenant) = (device_label.as_deref(), tenant.as_deref());
         let metrics = ServingMetrics::register(&registry, engine.name(), device_label, tenant);
         let sink = TraceSink::new(Arc::clone(&recorder), engine.name(), device_label, tenant);
-        let engine = engine.clone();
         let streams: Vec<StreamId> = {
             let mut tl = timeline.lock().expect("timeline lock");
             (0..config.workers).map(|_| tl.create_stream()).collect()
         };
-        let stats = Arc::new(Mutex::new(StatsInner {
+        let state = State {
+            now_us: 0.0,
+            queue: VecDeque::with_capacity(config.queue_capacity),
+            in_service: (0..config.workers).map(|_| None).collect(),
+            arrivals: ArrivalClock::new(config.arrival_period_us, config.arrival_process),
+            draining: false,
+            next_batch: 0,
+            timings: BTreeMap::new(),
+            accepted: 0,
+            rejected: 0,
+            deadline_rejected: 0,
+            queue_high_water: 0,
             completed: 0,
             dropped: 0,
             deadline_missed: 0,
@@ -772,86 +791,6 @@ impl InferenceServer {
             frames_per_worker: vec![0; config.workers],
             latencies_us: Vec::new(),
             completions: Vec::new(),
-        }));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let high_water = Arc::new(AtomicUsize::new(0));
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let settled = Arc::new(AtomicU64::new(0));
-        let abort_flag = Arc::new(AtomicBool::new(false));
-
-        let (tx, submission_rx) = mpsc::sync_channel::<Submission>(config.queue_capacity);
-        let mut worker_txs = Vec::with_capacity(config.workers);
-        let mut workers = Vec::with_capacity(config.workers);
-        for (worker, &stream) in streams.iter().enumerate() {
-            // Rendezvous-sized: a worker holds at most one batch in flight,
-            // so admission control stays at the submission queue.
-            let (batch_tx, batch_rx) = mpsc::sync_channel::<Batch>(1);
-            worker_txs.push(batch_tx);
-            let engine = engine.clone();
-            let device = device.clone();
-            let timeline = Arc::clone(&timeline);
-            let stats = Arc::clone(&stats);
-            let abort_flag = Arc::clone(&abort_flag);
-            let timing = config.timing;
-            let metrics = metrics.clone();
-            let predictor = predictor.clone();
-            let in_flight = Arc::clone(&in_flight);
-            let settled = Arc::clone(&settled);
-            let deadline_us = config.deadline_us;
-            let sink = sink.clone();
-            workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    &engine,
-                    device,
-                    &timeline,
-                    stream,
-                    &timing,
-                    &batch_rx,
-                    &stats,
-                    &abort_flag,
-                    worker,
-                    &metrics,
-                    predictor.as_deref(),
-                    &in_flight,
-                    &settled,
-                    deadline_us,
-                    &sink,
-                );
-            }));
-        }
-        let batcher = {
-            let depth = Arc::clone(&depth);
-            let high_water = Arc::clone(&high_water);
-            let max_batch = config.max_batch_size;
-            let queue_capacity = config.queue_capacity;
-            let batch_timeout_us = config.batch_timeout_us;
-            let arrivals = ArrivalClock::new(config.arrival_period_us, config.arrival_process);
-            let metrics = metrics.clone();
-            let predictor = predictor.clone();
-            let in_flight = Arc::clone(&in_flight);
-            // SLO sizing only applies where this server batches predictively;
-            // a fleet-shared model without a local deadline leaves it off.
-            let deadline_us = if config.predictive {
-                config.deadline_us
-            } else {
-                0.0
-            };
-            std::thread::spawn(move || {
-                batcher_loop(
-                    &submission_rx,
-                    &worker_txs,
-                    max_batch,
-                    queue_capacity,
-                    batch_timeout_us,
-                    arrivals,
-                    &depth,
-                    &high_water,
-                    &metrics,
-                    predictor.as_deref(),
-                    &in_flight,
-                    deadline_us,
-                );
-            })
         };
 
         let (exporter, sampler) = match config.telemetry_addr {
@@ -873,21 +812,11 @@ impl InferenceServer {
         };
 
         Ok(Self {
-            tx: Some(tx),
-            batcher: Some(batcher),
-            workers,
+            state: Mutex::new(state),
+            engine: engine.clone(),
             timeline,
-            stats,
-            depth,
-            high_water,
-            in_flight,
-            settled,
             streams,
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
             predictor,
-            abort_flag,
             config,
             metrics,
             registry,
@@ -913,15 +842,23 @@ impl InferenceServer {
         Arc::clone(&self.recorder)
     }
 
-    /// Submits a frame without blocking.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("server state")
+    }
+
+    /// Submits a frame without blocking, stamped by the server's own
+    /// arrival clock ([`ServerConfig::arrival_process`]).
     ///
     /// # Errors
     ///
     /// Returns [`ServingError::QueueFull`] when the bounded queue is at
     /// capacity (the rejection is counted in [`ServerStats::rejected`]), or
-    /// [`ServingError::Stopped`] after shutdown.
+    /// [`ServingError::DeadlineUnmeetable`] when deadline-based admission
+    /// refuses it.
     pub fn try_submit(&self, frame: u64) -> Result<(), ServingError> {
-        self.try_submit_inner(frame, None)
+        let mut st = self.lock();
+        let arrival_us = st.arrivals.next();
+        self.offer(&mut st, frame, arrival_us, None)
     }
 
     /// Submits a frame without blocking, carrying an explicit simulated
@@ -931,41 +868,135 @@ impl InferenceServer {
     ///
     /// # Errors
     ///
-    /// Returns [`ServingError::QueueFull`] when the bounded queue is at
-    /// capacity, or [`ServingError::Stopped`] after shutdown.
+    /// Returns [`ServingError::InvalidArrival`] for a NaN, infinite or
+    /// negative timestamp (the frame is not counted), and otherwise the
+    /// errors of [`InferenceServer::try_submit`].
     pub fn try_submit_at(&self, frame: u64, arrival_us: f64) -> Result<(), ServingError> {
-        self.try_submit_inner(frame, Some(arrival_us))
+        check_arrival(arrival_us)?;
+        self.offer(&mut self.lock(), frame, arrival_us, None)
+    }
+
+    /// Fleet entry point: submit with a router-minted trace context (score
+    /// and predictions already stamped) and the queue signals the router
+    /// priced this replica under, instead of minting and reading fresh
+    /// ones. A refusal here records no trace — the router may still place
+    /// the frame on another replica, and it records the single rejection
+    /// trace itself only when every replica refuses.
+    pub(crate) fn try_submit_traced(
+        &self,
+        frame: u64,
+        arrival_us: f64,
+        signals: QueueSignals,
+        trace: TraceCtx,
+    ) -> Result<(), ServingError> {
+        self.offer(&mut self.lock(), frame, arrival_us, Some((signals, trace)))
+    }
+
+    /// Submits a frame stamped by the server's arrival clock, blocking on a
+    /// full queue: the clock runs forward until a dispatch frees a slot,
+    /// and the frame joins the queue then (its latency still counts from
+    /// its stamp).
+    ///
+    /// # Errors
+    ///
+    /// Never fails; the `Result` keeps the signature of the
+    /// non-blocking paths.
+    pub fn submit(&self, frame: u64) -> Result<(), ServingError> {
+        let mut st = self.lock();
+        let arrival_us = st.arrivals.next();
+        self.advance(&mut st, arrival_us);
+        while st.queue.len() >= self.config.queue_capacity {
+            // A full queue with a free stream dispatches at once, so every
+            // stream is busy and a completion is pending.
+            let at = self
+                .next_event(&st)
+                .expect("a full queue has a pending event");
+            self.advance(&mut st, at);
+        }
+        let signals = self.signals(&st, arrival_us);
+        self.accept(
+            &mut st,
+            frame,
+            arrival_us,
+            signals,
+            TraceCtx::new(self.idgen.mint()),
+        );
+        Ok(())
+    }
+
+    /// The shared admission path: advance to the arrival, price it, apply
+    /// deadline admission and the queue bound, then accept.
+    fn offer(
+        &self,
+        st: &mut State,
+        frame: u64,
+        arrival_us: f64,
+        routed: Option<(QueueSignals, TraceCtx)>,
+    ) -> Result<(), ServingError> {
+        self.advance(st, arrival_us);
+        let record_rejects = routed.is_none();
+        let (signals, mut trace) = routed.unwrap_or_else(|| {
+            (
+                self.signals(st, arrival_us),
+                TraceCtx::new(self.idgen.mint()),
+            )
+        });
+        let refusal = if let Err(e) = self.admit(st, &signals, &mut trace) {
+            (e, TraceOutcome::DeadlineRejected)
+        } else if st.queue.len() >= self.config.queue_capacity {
+            st.rejected += 1;
+            self.metrics.rejected.inc();
+            (ServingError::QueueFull, TraceOutcome::QueueRejected)
+        } else {
+            self.accept(st, frame, arrival_us, signals, trace);
+            return Ok(());
+        };
+        if record_rejects {
+            self.sink
+                .record_unserved(trace, frame, arrival_us, refusal.1);
+        }
+        Err(refusal.0)
     }
 
     /// Live queue state as the predictor's feature vector reads it: backlog
     /// depth, the fraction of workers currently serving a batch, and the
-    /// committed-work horizon — how far past `arrival_us` (or past the
-    /// device's own clock when `None`) the earliest-free worker stream is
-    /// already booked. Depth is a noisy *proxy* for waiting time; the
-    /// horizon is the waiting time itself, read off the dispatch ledger the
-    /// same way a real runtime knows when each enqueued batch retires.
-    pub(crate) fn queue_signals(&self, arrival_us: Option<f64>) -> QueueSignals {
-        let committed = {
+    /// committed-work horizon — how far past `arrival_us` the earliest-free
+    /// worker stream is already booked. Depth is a noisy *proxy* for
+    /// waiting time; the horizon is the waiting time itself, read off the
+    /// dispatch ledger the same way a real runtime knows when each enqueued
+    /// batch retires.
+    pub(crate) fn queue_signals(&self, arrival_us: f64) -> QueueSignals {
+        self.signals(&self.lock(), arrival_us)
+    }
+
+    fn signals(&self, st: &State, arrival_us: f64) -> QueueSignals {
+        let earliest_free = {
             let tl = self.timeline.lock().expect("timeline lock");
-            let earliest_free = self
-                .streams
+            self.streams
                 .iter()
                 .map(|&stream| tl.sync(stream))
-                .fold(f64::INFINITY, f64::min);
-            let reference = arrival_us.unwrap_or_else(|| tl.elapsed_us());
-            (earliest_free - reference).max(0.0)
+                .fold(f64::INFINITY, f64::min)
         };
-        QueueSignals::new(
-            self.depth.load(Ordering::SeqCst) as f64 / self.config.workers as f64,
-            self.in_flight.load(Ordering::SeqCst) as f64 / self.config.workers as f64,
-        )
-        .with_committed_us(committed)
+        self.load(st)
+            .with_committed_us((earliest_free - arrival_us).max(0.0))
+    }
+
+    /// Queue depth and busy streams, both per worker.
+    fn load(&self, st: &State) -> QueueSignals {
+        let workers = self.config.workers as f64;
+        let busy = st.in_service.iter().flatten().count();
+        QueueSignals::new(st.queue.len() as f64 / workers, busy as f64 / workers)
     }
 
     /// Deadline-based admission: refuse a frame when the warm model predicts
     /// that even best-case batch-1 service lands past the deadline. Cold
     /// models admit everything (fallback to plain queue-bound admission).
-    fn admit(&self, signals: &QueueSignals, trace: &mut TraceCtx) -> Result<(), ServingError> {
+    fn admit(
+        &self,
+        st: &mut State,
+        signals: &QueueSignals,
+        trace: &mut TraceCtx,
+    ) -> Result<(), ServingError> {
         if !self.config.predictive || self.config.deadline_us <= 0.0 {
             return Ok(());
         }
@@ -1000,7 +1031,7 @@ impl InferenceServer {
                     trace.predicted_p99_us = pred.p99_us;
                 }
                 if pred.p50_us > self.config.deadline_us * ADMIT_HEADROOM {
-                    self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+                    st.deadline_rejected += 1;
                     self.metrics.deadline_rejected.inc();
                     return Err(ServingError::DeadlineUnmeetable);
                 }
@@ -1009,130 +1040,224 @@ impl InferenceServer {
         Ok(())
     }
 
-    /// Fleet entry point: submit with a router-minted trace context (score
-    /// and predictions already stamped) and the queue signals the router
-    /// priced this replica under, instead of minting and reading fresh
-    /// ones. A refusal here records no trace — the router may still place
-    /// the frame on another replica, and it records the single rejection
-    /// trace itself only when every replica refuses.
-    pub(crate) fn try_submit_traced(
+    /// Queues an admitted frame at the clock and dispatches what is ready.
+    fn accept(
         &self,
+        st: &mut State,
         frame: u64,
         arrival_us: f64,
         signals: QueueSignals,
         trace: TraceCtx,
-    ) -> Result<(), ServingError> {
-        self.try_submit_with(frame, Some(arrival_us), signals, trace, false)
-    }
-
-    fn try_submit_inner(&self, frame: u64, arrival_us: Option<f64>) -> Result<(), ServingError> {
-        self.try_submit_with(
+    ) {
+        st.queue.push_back(Request {
             frame,
             arrival_us,
-            self.queue_signals(arrival_us),
-            TraceCtx::new(self.idgen.mint()),
-            true,
-        )
-    }
-
-    fn try_submit_with(
-        &self,
-        frame: u64,
-        arrival_us: Option<f64>,
-        signals: QueueSignals,
-        mut trace: TraceCtx,
-        record_rejects: bool,
-    ) -> Result<(), ServingError> {
-        let tx = self.tx.as_ref().ok_or(ServingError::Stopped)?;
-        if let Err(e) = self.admit(&signals, &mut trace) {
-            if record_rejects {
-                self.sink.record_rejected(
-                    trace,
-                    frame,
-                    arrival_us.unwrap_or(0.0),
-                    TraceOutcome::DeadlineRejected,
-                );
-            }
-            return Err(e);
-        }
-        let submission = Submission {
-            frame,
-            arrival_us,
+            queued_us: st.now_us,
             signals,
             trace,
-        };
-        // SeqCst on depth/high-water: the submit-side increment, the
-        // batcher-side decrement, and both fetch_max calls must observe one
-        // total order, or a max recorded on one side can miss a depth the
-        // other side reached. Plain event counters (accepted/rejected) stay
-        // Relaxed — they are only read after thread join (drain/abort) or as
-        // monotone progress hints (live stats()).
-        let depth_now = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
-        match tx.try_send(submission) {
-            Ok(()) => {
-                self.note_accepted(depth_now);
-                Ok(())
-            }
-            Err(TrySendError::Full(_)) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                self.metrics.rejected.inc();
-                if record_rejects {
-                    self.sink.record_rejected(
-                        trace,
-                        frame,
-                        arrival_us.unwrap_or(0.0),
-                        TraceOutcome::QueueRejected,
-                    );
+        });
+        st.accepted += 1;
+        st.queue_high_water = st.queue_high_water.max(st.queue.len());
+        self.metrics.accepted.inc();
+        self.metrics.queue_depth.set(st.queue.len() as f64);
+        self.metrics
+            .queue_high_water
+            .set(st.queue_high_water as f64);
+        self.dispatch(st);
+    }
+
+    /// Runs the event loop up to simulated time `t_us` without shutting
+    /// down: every completion and timed-out batch at or before `t_us` is
+    /// processed, in time order, and the clock moves to `t_us` (to the last
+    /// event when `t_us` is infinite). Frames still waiting for their batch
+    /// to fill stay queued. Submits advance the clock themselves; call this
+    /// to observe a live server (its `/metrics`, its flight recorder) at a
+    /// given simulated time.
+    pub fn run_until(&self, t_us: f64) {
+        self.advance(&mut self.lock(), t_us);
+    }
+
+    fn advance(&self, st: &mut State, t_us: f64) {
+        while let Some(at) = self.next_event(st).filter(|&at| at <= t_us) {
+            st.now_us = at;
+            for s in 0..st.in_service.len() {
+                if st.in_service[s].as_ref().is_some_and(|b| b.done_us <= at) {
+                    self.complete(st, s);
                 }
-                Err(ServingError::QueueFull)
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Err(ServingError::Stopped)
-            }
+            self.dispatch(st);
+        }
+        if t_us.is_finite() {
+            st.now_us = st.now_us.max(t_us);
         }
     }
 
-    /// Counts an accepted frame and records the queue depth it saw.
-    /// `depth_now` was taken when the frame reserved its slot; the batcher
-    /// may have popped frames since, and a concurrent submit may have
-    /// reserved one it will not get, so the high-water mark is clamped to
-    /// what the queue can hold plus the frame the batcher has in hand.
-    fn note_accepted(&self, depth_now: usize) {
-        let depth_now = depth_now.min(self.config.queue_capacity + 1);
-        let prev_max = self.high_water.fetch_max(depth_now, Ordering::SeqCst);
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.metrics.accepted.inc();
-        self.metrics.queue_depth.set(depth_now as f64);
-        self.metrics
-            .queue_high_water
-            .set(prev_max.max(depth_now) as f64);
+    /// The time of this server's next event, if any: the earliest batch
+    /// completion, or the batch timeout of the queue's oldest frame while a
+    /// stream is free.
+    pub(crate) fn next_event_us(&self) -> Option<f64> {
+        self.next_event(&self.lock())
     }
 
-    /// Submits a frame, blocking while the bounded queue is full.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServingError::Stopped`] after shutdown.
-    pub fn submit(&self, frame: u64) -> Result<(), ServingError> {
-        let tx = self.tx.as_ref().ok_or(ServingError::Stopped)?;
-        let signals = self.queue_signals(None);
-        let depth_now = self.depth.fetch_add(1, Ordering::SeqCst) + 1;
-        match tx.send(Submission {
-            frame,
-            arrival_us: None,
-            signals,
-            trace: TraceCtx::new(self.idgen.mint()),
-        }) {
-            Ok(()) => {
-                self.note_accepted(depth_now);
-                Ok(())
+    fn next_event(&self, st: &State) -> Option<f64> {
+        let completion = st.in_service.iter().flatten().map(|b| b.done_us);
+        let timeout = st
+            .queue
+            .front()
+            .filter(|_| st.in_service.iter().any(Option::is_none))
+            .map(|oldest| oldest.queued_us + self.config.batch_timeout_us)
+            .filter(|t| t.is_finite());
+        completion.chain(timeout).min_by(f64::total_cmp)
+    }
+
+    /// Work-conserving dispatch at the clock: while a stream is free and a
+    /// batch is ready, the lowest-index free stream takes it. Equal-length
+    /// batches therefore rotate over the streams in index order.
+    fn dispatch(&self, st: &mut State) {
+        while let Some(s) = st.in_service.iter().position(Option::is_none) {
+            let Some(size) = self.ready_batch(st) else {
+                return;
+            };
+            self.start_batch(st, s, size);
+        }
+    }
+
+    /// How many queued frames close into a batch now, if any. A batch short
+    /// of its fill target waits for stragglers until the timeout, unless no
+    /// straggler can join it (drain, or a full queue).
+    fn ready_batch(&self, st: &State) -> Option<usize> {
+        let depth = st.queue.len();
+        let oldest = st.queue.front()?.queued_us;
+        let take = depth.min(self.config.max_batch_size);
+        let ready = take == self.config.max_batch_size
+            || st.draining
+            || depth >= self.config.queue_capacity
+            || oldest + self.config.batch_timeout_us <= st.now_us
+            || take >= self.fill_target(st);
+        ready.then_some(take)
+    }
+
+    /// SLO-aware fill target: under a deadline, the largest batch whose
+    /// predicted p99 still lands inside it at the current load. The target
+    /// governs ONLY the straggler wait — frames already queued always
+    /// coalesce up to the static cap, because batch service time is
+    /// sublinear in size: truncating a batch below the live backlog would
+    /// serialize frames that a single launch could have carried, burning
+    /// drain rate exactly when the queue is growing. A cold model (or no
+    /// deadline) leaves the static cap alone.
+    fn fill_target(&self, st: &State) -> usize {
+        let max_batch = self.config.max_batch_size;
+        match &self.predictor {
+            Some(p) if self.config.predictive && self.config.deadline_us > 0.0 => {
+                p.slo_batch_cap(max_batch, self.config.deadline_us, &self.load(st))
             }
-            Err(_) => {
-                self.depth.fetch_sub(1, Ordering::SeqCst);
-                Err(ServingError::Stopped)
+            _ => max_batch,
+        }
+    }
+
+    /// Dispatches the queue's oldest `size` frames onto free stream `s` at
+    /// the clock. Idle time before the batch is charged to the stream as
+    /// `arrival_wait` (no frame queued) and `batch_wait` (waiting for
+    /// stragglers), so stream time stays accounted for.
+    fn start_batch(&self, st: &mut State, s: usize, size: usize) {
+        let requests: Vec<Request> = st.queue.drain(..size).collect();
+        self.metrics.queue_depth.set(st.queue.len() as f64);
+        let seq = st.next_batch;
+        st.next_batch += 1;
+        let now = st.now_us;
+        let stream = self.streams[s];
+        let mut tl = self.timeline.lock().expect("timeline lock");
+        let span_lo = tl.next_seq(stream);
+        let front = tl.sync(stream);
+        let wait_start_us = front.max(requests[0].queued_us).min(now);
+        tl.host_span(stream, "arrival_wait", wait_start_us - front);
+        tl.host_span(stream, "batch_wait", now - wait_start_us);
+        let batch = size as u64;
+        let rows = st
+            .timings
+            .entry(batch)
+            .or_insert_with(|| batch_timing(&self.engine, batch, tl.device()));
+        let done_us = enqueue_timed_batch(
+            &mut tl,
+            stream,
+            &self.engine,
+            rows,
+            batch,
+            &self.config.timing,
+        );
+        st.in_service[s] = Some(Batch {
+            seq,
+            requests,
+            wait_start_us,
+            exec_start_us: now,
+            done_us,
+            span_lo,
+            span_hi: tl.next_seq(stream),
+        });
+    }
+
+    /// The completion event of stream `s`'s batch: stats, metrics, one
+    /// trace per request, and one training example per request for the
+    /// latency model — all at `done_us`, so training is causal.
+    fn complete(&self, st: &mut State, s: usize) {
+        let batch = st.in_service[s].take().expect("stream is busy");
+        let size = batch.requests.len();
+        self.metrics.completed.add(size as u64);
+        self.metrics.batches.inc();
+        self.metrics.batch_size.observe(size as f64);
+        st.completed += size as u64;
+        st.batches += 1;
+        st.batch_size_counts[size - 1] += 1;
+        st.frames_per_worker[s] += size as u64;
+        let deadline_us = self.config.deadline_us;
+        for request in &batch.requests {
+            let latency_us = batch.done_us - request.arrival_us;
+            let missed = deadline_us > 0.0 && latency_us > deadline_us;
+            let retained = self.sink.record_completed(
+                request.trace,
+                request.frame,
+                request.arrival_us,
+                batch.wait_start_us,
+                batch.exec_start_us,
+                batch.done_us,
+                s,
+                self.streams[s],
+                batch.seq,
+                size,
+                batch.span_lo,
+                batch.span_hi,
+                missed,
+            );
+            // A retained trace becomes the exemplar on its latency bucket,
+            // so a scrape can jump from a slow histogram bucket straight to
+            // the span tree that produced it.
+            if retained {
+                self.metrics
+                    .latency_us
+                    .observe_with_exemplar(latency_us, &request.trace.id.to_string());
+            } else {
+                self.metrics.latency_us.observe(latency_us);
             }
+            st.latencies_us.push(latency_us);
+            if missed {
+                st.deadline_missed += 1;
+                self.metrics.deadline_missed.inc();
+            }
+            // Prequential training: each completion becomes an example under
+            // the exact queue signals its admission-time prediction saw.
+            if let Some(p) = &self.predictor {
+                p.model
+                    .observe(&p.features, size, &request.signals, latency_us);
+            }
+            st.completions.push(RequestRecord {
+                frame: request.frame,
+                worker: s,
+                batch: batch.seq,
+                span_lo: batch.span_lo,
+                span_hi: batch.span_hi,
+                arrival_us: request.arrival_us,
+                done_us: batch.done_us,
+            });
         }
     }
 
@@ -1141,19 +1266,10 @@ impl InferenceServer {
         &self.config
     }
 
-    /// Frames accepted but not yet out of the system: queued, held by the
-    /// batcher, or in service. A paced open-loop driver polls this to know
-    /// whether the simulated clock can still advance on its own.
-    pub fn pending(&self) -> usize {
-        let accepted = self.accepted.load(Ordering::SeqCst);
-        let settled = self.settled.load(Ordering::SeqCst);
-        accepted.saturating_sub(settled) as usize
-    }
-
-    /// Frames currently waiting in the submission queue — the live backlog
-    /// signal a fleet router's least-loaded dispatch reads.
+    /// Frames waiting in the queue at the clock — the live backlog signal a
+    /// fleet router's least-loaded dispatch reads.
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
+        self.lock().queue.len()
     }
 
     /// The online latency model this server trains — present when
@@ -1169,39 +1285,54 @@ impl InferenceServer {
         self.exporter.as_ref().map(TelemetryServer::local_addr)
     }
 
-    /// A live snapshot of the counters and simulated-time metrics. Cheap
-    /// enough to poll; the final numbers come from [`InferenceServer::drain`].
+    /// A snapshot of the counters and simulated-time metrics at the clock.
+    /// The final numbers come from [`InferenceServer::drain`].
     pub fn stats(&self) -> ServerStats {
         self.snapshot()
     }
 
-    /// Stops admission and waits until every accepted frame is served, then
-    /// reports the final statistics.
+    /// Stops admission and runs the loop until no event remains, so every
+    /// accepted frame is served, then reports the final statistics.
     pub fn drain(mut self) -> ServerStats {
         self.shutdown(false)
     }
 
-    /// Stops admission and discards accepted frames whose batch has not
-    /// started; in-flight batches finish. Dropped frames are counted in
+    /// Stops admission, drops the frames still queued at the clock, and
+    /// lets the batches in service finish. Dropped frames are counted in
     /// [`ServerStats::dropped`].
     pub fn abort(mut self) -> ServerStats {
         self.shutdown(true)
     }
 
+    /// Marks the loop as draining: no frame can arrive any more, so partial
+    /// batches dispatch as streams free up. A fleet closes every replica
+    /// before running them to the end in one time order.
+    pub(crate) fn close(&self) {
+        let mut st = self.lock();
+        st.draining = true;
+        self.dispatch(&mut st);
+    }
+
     fn shutdown(&mut self, abort: bool) -> ServerStats {
-        if abort {
-            self.abort_flag.store(true, Ordering::Relaxed);
+        {
+            let mut st = self.lock();
+            if abort {
+                let dropped: Vec<Request> = st.queue.drain(..).collect();
+                st.dropped += dropped.len() as u64;
+                self.metrics.dropped.add(dropped.len() as u64);
+                self.metrics.queue_depth.set(0.0);
+                for request in dropped {
+                    self.sink.record_unserved(
+                        request.trace,
+                        request.frame,
+                        request.arrival_us,
+                        TraceOutcome::Dropped,
+                    );
+                }
+            }
         }
-        // Closing the submission channel unwinds the pipeline: the batcher
-        // flushes what is queued and exits, the worker channels close, the
-        // workers finish their last batches and exit.
-        self.tx.take();
-        if let Some(batcher) = self.batcher.take() {
-            let _ = batcher.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.close();
+        self.run_until(f64::INFINITY);
         // One final GPU sample over the completed timeline, then stop the
         // scrape endpoint (dropping it joins its accept thread).
         if let Some(mut sampler) = self.sampler.take() {
@@ -1212,8 +1343,9 @@ impl InferenceServer {
     }
 
     fn snapshot(&self) -> ServerStats {
-        // Lock order: timeline strictly before stats (workers release the
-        // timeline before touching stats, so this cannot deadlock them).
+        // Lock order: server state strictly before the timeline, as on the
+        // dispatch path.
+        let st = self.lock();
         let (elapsed_us, gr3d_percent, kernel_breakdown, timeline) = {
             let tl = self.timeline.lock().expect("timeline lock");
             let breakdown = if self.config.profile.kernel_breakdown {
@@ -1229,7 +1361,6 @@ impl InferenceServer {
                 captured,
             )
         };
-        let st = self.stats.lock().expect("stats lock");
         let simulated_seconds = elapsed_us / 1e6;
         if let Some(p) = &self.predictor {
             self.metrics
@@ -1245,15 +1376,15 @@ impl InferenceServer {
         }
         ServerStats {
             workers: self.config.workers,
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted: st.accepted,
             completed: st.completed,
             dropped: st.dropped,
-            rejected: self.rejected.load(Ordering::Relaxed),
+            rejected: st.rejected,
             deadline_missed: st.deadline_missed,
-            deadline_rejected: self.deadline_rejected.load(Ordering::Relaxed),
+            deadline_rejected: st.deadline_rejected,
             batches: st.batches,
             batch_size_counts: st.batch_size_counts.clone(),
-            queue_high_water: self.high_water.load(Ordering::Relaxed),
+            queue_high_water: st.queue_high_water,
             latency: LatencyPercentiles::from_runs_us(&st.latencies_us),
             simulated_seconds,
             aggregate_fps: st.completed as f64 / simulated_seconds.max(1e-12),
@@ -1263,6 +1394,18 @@ impl InferenceServer {
             kernel_breakdown,
             timeline,
         }
+    }
+}
+
+/// Rejects an arrival timestamp the event loop cannot order: NaN, infinite
+/// or negative.
+pub(crate) fn check_arrival(arrival_us: f64) -> Result<(), ServingError> {
+    if arrival_us.is_finite() && arrival_us >= 0.0 {
+        Ok(())
+    } else {
+        Err(ServingError::InvalidArrival(format!(
+            "arrival timestamp {arrival_us} µs must be finite and non-negative"
+        )))
     }
 }
 
@@ -1291,8 +1434,9 @@ fn kernel_breakdown(timeline: &GpuTimeline) -> Vec<KernelTime> {
     breakdown
 }
 
-/// Simulated arrival clock: hands out the arrival timestamp for each
-/// accepted frame in submission order.
+/// Simulated arrival clock: hands out the arrival timestamp of each frame
+/// offered to the server, in submission order.
+#[derive(Debug)]
 struct ArrivalClock {
     period_us: f64,
     seq: u64,
@@ -1329,248 +1473,6 @@ impl ArrivalClock {
         };
         self.seq += 1;
         arrival
-    }
-}
-
-/// Coalesces queued frames into batches and hands them to workers
-/// round-robin (deterministic stream assignment).
-#[allow(clippy::too_many_arguments)]
-fn batcher_loop(
-    rx: &Receiver<Submission>,
-    worker_txs: &[SyncSender<Batch>],
-    max_batch: usize,
-    queue_capacity: usize,
-    batch_timeout_us: f64,
-    mut arrivals: ArrivalClock,
-    depth: &AtomicUsize,
-    high_water: &AtomicUsize,
-    metrics: &ServingMetrics,
-    predictor: Option<&Predictor>,
-    in_flight: &AtomicUsize,
-    deadline_us: f64,
-) {
-    let mut next_worker = 0usize;
-    let mut batch_seq = 0u64;
-    let take = |submission: Submission, arrivals: &mut ArrivalClock| {
-        // Record the high-water mark *before* decrementing: frames that
-        // accumulated while the batcher was parked in recv()/recv_timeout()
-        // or blocked on a full worker rendezvous were never observed by the
-        // submit path alone (a submit may have recorded a smaller depth
-        // before this pop, then raced with other submits), so the coalesce
-        // point is the second place the true maximum can surface. A submit
-        // whose `try_send` is about to fail has already bumped `depth` for a
-        // frame that never enters the queue; the queue plus the frame in hand
-        // never exceeds `queue_capacity + 1`, so that transient is clamped
-        // out.
-        let observed = depth.load(Ordering::SeqCst).min(queue_capacity + 1);
-        let prev_max = high_water.fetch_max(observed, Ordering::SeqCst);
-        let remaining = depth.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
-        metrics.queue_depth.set(remaining as f64);
-        metrics.queue_high_water.set(prev_max.max(observed) as f64);
-        Request {
-            frame: submission.frame,
-            // Explicit open-loop timestamps bypass the per-server clock so a
-            // fleet-wide trace keeps one coherent time axis.
-            arrival_us: submission.arrival_us.unwrap_or_else(|| arrivals.next()),
-            signals: submission.signals,
-            trace: submission.trace,
-        }
-    };
-    loop {
-        let first = match rx.recv() {
-            Ok(submission) => submission,
-            Err(_) => return,
-        };
-        // SLO-aware fill target: under a deadline, the largest batch whose
-        // predicted p99 still lands inside it given the load the batcher
-        // sees right now. The target governs ONLY the straggler wait below —
-        // frames already sitting in the queue are always coalesced up to the
-        // static cap, because batch service time is sublinear in size:
-        // truncating a batch below the live backlog would serialize frames
-        // that a single launch could have carried, burning drain rate
-        // exactly when the queue is growing. A cold model (or no deadline)
-        // leaves the static behavior alone.
-        let fill_target = match predictor {
-            Some(p) if deadline_us > 0.0 && depth.load(Ordering::SeqCst) < max_batch => p
-                .slo_batch_cap(
-                    max_batch,
-                    deadline_us,
-                    &QueueSignals::new(
-                        depth.load(Ordering::SeqCst) as f64 / worker_txs.len() as f64,
-                        in_flight.load(Ordering::SeqCst) as f64 / worker_txs.len() as f64,
-                    ),
-                ),
-            _ => max_batch,
-        };
-        let mut requests = vec![take(first, &mut arrivals)];
-        let mut waited_us = 0.0;
-        while requests.len() < max_batch {
-            match rx.try_recv() {
-                Ok(submission) => requests.push(take(submission, &mut arrivals)),
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {
-                    // The queue is drained. Waiting out the batching window
-                    // for stragglers is a latency gamble the predictor can
-                    // price: once the batch already holds `fill_target`
-                    // frames, the predicted p99 of a *larger* batch overruns
-                    // the deadline, so close early instead of waiting.
-                    if requests.len() >= fill_target || batch_timeout_us == 0.0 {
-                        break;
-                    } else if batch_timeout_us.is_infinite() {
-                        match rx.recv() {
-                            Ok(submission) => requests.push(take(submission, &mut arrivals)),
-                            Err(_) => break,
-                        }
-                    } else {
-                        match rx.recv_timeout(Duration::from_micros(batch_timeout_us as u64)) {
-                            Ok(submission) => requests.push(take(submission, &mut arrivals)),
-                            Err(RecvTimeoutError::Timeout) => {
-                                waited_us = batch_timeout_us;
-                                break;
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        }
-                    }
-                }
-            }
-        }
-        if worker_txs[next_worker]
-            .send(Batch {
-                seq: batch_seq,
-                requests,
-                waited_us,
-            })
-            .is_err()
-        {
-            return;
-        }
-        batch_seq += 1;
-        next_worker = (next_worker + 1) % worker_txs.len();
-    }
-}
-
-/// Serves batches on one worker's stream until the batcher hangs up.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    engine: &Engine,
-    device: DeviceSpec,
-    timeline: &Mutex<GpuTimeline>,
-    stream: StreamId,
-    timing: &TimingOptions,
-    batches: &Receiver<Batch>,
-    stats: &Mutex<StatsInner>,
-    abort_flag: &AtomicBool,
-    worker: usize,
-    metrics: &ServingMetrics,
-    predictor: Option<&Predictor>,
-    in_flight: &AtomicUsize,
-    settled: &AtomicU64,
-    deadline_us: f64,
-    sink: &TraceSink,
-) {
-    let ctx = ExecutionContext::new(engine, device);
-    while let Ok(batch) = batches.recv() {
-        let size = batch.requests.len();
-        if abort_flag.load(Ordering::Relaxed) {
-            stats.lock().expect("stats lock").dropped += size as u64;
-            metrics.dropped.add(size as u64);
-            for request in &batch.requests {
-                sink.record_dropped(request.trace, request.frame, request.arrival_us);
-            }
-            settled.fetch_add(size as u64, Ordering::SeqCst);
-            continue;
-        }
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        let (done_us, span_lo, span_hi, exec_start_us) = {
-            let mut tl = timeline.lock().expect("timeline lock");
-            let span_lo = tl.next_seq(stream);
-            // Open-loop arrival gating: service cannot begin before the last
-            // frame of the batch exists on the simulated clock. Without this
-            // idle wait a bursty trace and a steady one serve identically
-            // (arrival pattern would only shape reported queueing latency,
-            // never throughput). Closed-loop runs, whose arrivals trail the
-            // stream cursor, are bit-identical with or without the gate.
-            let arrival = batch
-                .requests
-                .iter()
-                .map(|r| r.arrival_us)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let front = tl.sync(stream);
-            if arrival > front {
-                tl.host_span(stream, "arrival_wait", arrival - front);
-            }
-            if batch.waited_us > 0.0 {
-                tl.host_span(stream, "batch_wait", batch.waited_us);
-            }
-            // Where batched execution begins on the stream: queueing ends at
-            // max(front, arrival), then the straggler wait is charged. The
-            // trace's replica_queue/batch_wait/execute phases split on this.
-            let exec_start_us = front.max(arrival) + batch.waited_us;
-            let done_us = ctx.enqueue_batched_inference(&mut tl, stream, timing, size);
-            (done_us, span_lo, tl.next_seq(stream), exec_start_us)
-            // Timeline lock released here, before the stats lock, keeping
-            // the snapshot path's timeline→stats order deadlock-free.
-        };
-        metrics.completed.add(size as u64);
-        metrics.batches.inc();
-        metrics.batch_size.observe(size as f64);
-        let mut st = stats.lock().expect("stats lock");
-        st.completed += size as u64;
-        st.batches += 1;
-        st.batch_size_counts[size - 1] += 1;
-        st.frames_per_worker[worker] += size as u64;
-        for request in &batch.requests {
-            let latency_us = (done_us - request.arrival_us).max(0.0);
-            let missed = deadline_us > 0.0 && latency_us > deadline_us;
-            let retained = sink.record_completed(
-                request.trace,
-                request.frame,
-                request.arrival_us,
-                done_us,
-                exec_start_us,
-                batch.waited_us,
-                worker,
-                stream,
-                batch.seq,
-                size,
-                span_lo,
-                span_hi,
-                missed,
-            );
-            // A retained trace becomes the exemplar on its latency bucket,
-            // so a scrape can jump from a slow histogram bucket straight to
-            // the span tree that produced it.
-            if retained {
-                metrics
-                    .latency_us
-                    .observe_with_exemplar(latency_us, &request.trace.id.to_string());
-            } else {
-                metrics.latency_us.observe(latency_us);
-            }
-            st.latencies_us.push(latency_us);
-            if missed {
-                st.deadline_missed += 1;
-                metrics.deadline_missed.inc();
-            }
-            // Prequential training: each completion becomes an example under
-            // the exact queue signals its admission-time prediction saw.
-            if let Some(p) = predictor {
-                p.model
-                    .observe(&p.features, size, &request.signals, latency_us);
-            }
-            st.completions.push(RequestRecord {
-                frame: request.frame,
-                worker,
-                batch: batch.seq,
-                span_lo,
-                span_hi,
-                arrival_us: request.arrival_us,
-                done_us,
-            });
-        }
-        drop(st);
-        settled.fetch_add(size as u64, Ordering::SeqCst);
-        in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -1808,12 +1710,17 @@ mod tests {
                 Err(e) => panic!("unexpected: {e}"),
             }
         }
-        assert!(rejected > 0, "a 2-deep queue absorbed 10k instant frames");
+        // All 10k frames arrive at t = 0. The first two fill the 2-deep
+        // queue, which dispatches them at once (a full queue cannot grow to
+        // the batch of 4); two more refill it while the one stream is busy;
+        // everything after that is refused.
+        assert_eq!((accepted, rejected), (4, 9_996));
         let stats = server.drain();
         assert_eq!(stats.accepted, accepted);
         assert_eq!(stats.completed, accepted);
         assert_eq!(stats.rejected, rejected);
-        assert!(stats.queue_high_water >= 2);
+        assert_eq!(stats.queue_high_water, 2);
+        assert_eq!(stats.batch_size_counts, vec![0, 2, 0, 0]);
     }
 
     #[test]
@@ -1863,11 +1770,9 @@ mod tests {
 
     #[test]
     fn high_water_sees_frames_coalesced_in_one_batch() {
-        // Regression: the high-water mark used to be sampled only on the
-        // submit path, so frames that piled up while the batcher was parked
-        // on a full worker rendezvous were never counted. Every frame in a
-        // timeout-0 batch was in the queue simultaneously when the batch
-        // formed, so the coalesce-point sample must cover the largest batch.
+        // Every frame in a timeout-0 batch was in the queue simultaneously
+        // when the batch formed, so the high-water mark covers the largest
+        // batch; blocking submits at t = 0 fill the queue to capacity.
         let e = engine();
         let server = InferenceServer::start(
             &e,
@@ -1892,12 +1797,51 @@ mod tests {
             .map(|(i, _)| i + 1)
             .max()
             .unwrap_or(0);
-        assert!(
-            stats.queue_high_water >= largest_batch,
-            "high water {} below largest coalesced batch {}",
-            stats.queue_high_water,
-            largest_batch
-        );
+        assert_eq!(largest_batch, 16);
+        assert_eq!(stats.queue_high_water, 64);
+    }
+
+    #[test]
+    fn invalid_arrival_stamps_are_refused_uncounted() {
+        let server = InferenceServer::start(
+            &engine(),
+            &DeviceSpec::xavier_nx(),
+            ServerConfig::default().with_timing(opts()),
+        )
+        .unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -5e6] {
+            let err = server.try_submit_at(0, bad).unwrap_err();
+            assert!(
+                matches!(err, ServingError::InvalidArrival(_)),
+                "{bad}: {err}"
+            );
+        }
+        server.try_submit_at(1, 10.0).unwrap();
+        let stats = server.drain();
+        assert_eq!((stats.accepted, stats.rejected, stats.completed), (1, 0, 1));
+    }
+
+    #[test]
+    fn timeout_dispatches_a_partial_batch_on_the_simulated_clock() {
+        let server = InferenceServer::start(
+            &engine(),
+            &DeviceSpec::xavier_nx(),
+            ServerConfig::default()
+                .with_workers(1)
+                .with_max_batch_size(4)
+                .with_batch_timeout_us(500.0)
+                .with_timing(opts()),
+        )
+        .unwrap();
+        server.try_submit_at(0, 100.0).unwrap();
+        server.try_submit_at(1, 300.0).unwrap();
+        server.run_until(599.0);
+        assert_eq!(server.queue_depth(), 2, "the window is still open");
+        server.run_until(600.0);
+        assert_eq!(server.queue_depth(), 0, "the window closed at 100 + 500");
+        let stats = server.drain();
+        assert_eq!(stats.batch_size_counts, vec![0, 1, 0, 0]);
+        assert!(stats.completions.iter().all(|c| c.done_us > 600.0));
     }
 
     #[test]
@@ -1971,6 +1915,8 @@ mod tests {
     fn errors_display_and_are_std_errors() {
         let err: Box<dyn std::error::Error> = Box::new(ServingError::QueueFull);
         assert!(err.to_string().contains("full"));
-        assert!(ServingError::Stopped.to_string().contains("stopped"));
+        assert!(ServingError::InvalidArrival("-1".into())
+            .to_string()
+            .contains("arrival"));
     }
 }

@@ -35,10 +35,8 @@ use crate::fastpath::{InferencePlan, PlanStats};
 /// The single-device default (no device label) keeps the legacy
 /// `{model=...}` series stable, while two fleet devices serving the same
 /// model publish two distinct series instead of silently merging into one.
-/// Handles are `Arc`-backed: cloning the bundle for a worker thread is a
-/// handful of refcount bumps, and every update afterwards is a relaxed
-/// atomic op.
-#[derive(Debug, Clone)]
+/// Every update is a relaxed atomic op on an `Arc`-backed handle.
+#[derive(Debug)]
 pub(crate) struct ServingMetrics {
     pub(crate) accepted: Counter,
     pub(crate) rejected: Counter,

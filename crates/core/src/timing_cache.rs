@@ -161,9 +161,10 @@ impl Shard {
         None
     }
 
-    /// Publishes `us` under `fp`, returning `true` if this call inserted a
-    /// new entry (vs. losing a race to a duplicate, or giving up because the
-    /// probe window was full — both harmless, since the value is
+    /// Publishes `us` under `fp`. Returns `false` when a racing duplicate
+    /// already published the key — the caller lost the race and its lookup
+    /// counts as a hit — and `true` when this call inserted the entry or
+    /// gave up because the probe window was full (harmless: the value is
     /// deterministic and a future miss just recomputes it).
     fn publish(&self, fp: u128, us: f64) -> bool {
         let (hi, lo) = key_words(fp);
@@ -199,7 +200,7 @@ impl Shard {
                 }
             }
         }
-        false // probe window exhausted: entry stays uncached
+        true // probe window exhausted: entry stays uncached
     }
 
     /// Forgets every entry. Safe concurrently with queries: a reader racing
@@ -366,16 +367,21 @@ impl CacheSession<'_> {
         let fp = query_fingerprint(kernel, self.device_fp);
         let index = (fp as u64 as usize) % SHARDS;
         let shard = &self.cache.shards[index];
+        let per_shard = &self.shard_hits[index];
         if let Some(us) = shard.get(fp) {
-            let per_shard = &self.shard_hits[index];
             per_shard.set(per_shard.get() + 1);
             return us;
         }
         // A racing duplicate computation publishes the same deterministic
-        // value, so whichever write wins the slot is correct.
+        // value, so whichever write wins the slot is correct; only the
+        // winner counts the miss, so a cold key costs exactly one miss
+        // however many threads look it up at once.
         let us = kernel_time_us(kernel, self.device);
-        self.misses.set(self.misses.get() + 1);
-        shard.publish(fp, us);
+        if shard.publish(fp, us) {
+            self.misses.set(self.misses.get() + 1);
+        } else {
+            per_shard.set(per_shard.get() + 1);
+        }
         us
     }
 }
@@ -484,9 +490,35 @@ mod tests {
         for i in 0..64 {
             assert_eq!(times[i], times[i % 4]);
         }
-        // Duplicate in-flight computations may each count a miss, but every
-        // entry is deduplicated.
+        // Duplicate in-flight computations are deduplicated, and only the
+        // one that published counts a miss.
         assert_eq!(cache.len(), 4);
+        assert_eq!(cache.stats().misses, 4);
+    }
+
+    #[test]
+    fn racing_lookups_count_one_miss_per_key() {
+        let nx = DeviceSpec::xavier_nx();
+        let kernels: Vec<KernelDesc> = (0..64).map(kernel).collect();
+        for round in 0..20 {
+            let cache = TimingCache::new();
+            // Release all eight at once so their first lookups collide.
+            let start = std::sync::Barrier::new(8);
+            std::thread::scope(|scope| {
+                for _ in 0..8 {
+                    scope.spawn(|| {
+                        start.wait();
+                        let session = cache.session(&nx);
+                        for k in &kernels {
+                            session.time_us(k);
+                        }
+                    });
+                }
+            });
+            let stats = cache.stats();
+            assert_eq!(stats.misses, 64, "round {round}: {stats:?}");
+            assert_eq!(stats.hits, 8 * 64 - 64, "round {round}: {stats:?}");
+        }
     }
 
     #[test]

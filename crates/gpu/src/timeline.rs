@@ -6,16 +6,18 @@
 //! saturation effects of many concurrent streams are modeled analytically in
 //! [`crate::contention`]).
 //!
-//! Every kernel record is appended by one primitive,
-//! [`GpuTimeline::enqueue_timed`], which takes a [`TimedKernel`]: a launch
-//! whose roofline busy time and SM occupancy were already derived against a
-//! device. [`GpuTimeline::enqueue_kernel`] derives that row on the spot;
-//! callers that launch the same kernels again and again (an execution
-//! context serving batches) derive the rows once and replay them. A record
-//! shares its kernel's name (`Arc<str>`), so appending one allocates
-//! nothing beyond the record vector's own growth.
+//! Every kernel launch is appended by one primitive,
+//! [`GpuTimeline::enqueue_timed`], which takes a shared run of
+//! [`TimedKernel`]s: launches whose roofline busy time and SM occupancy were
+//! already derived against a device. [`GpuTimeline::enqueue_kernel`]
+//! derives a one-launch run on the spot; callers that launch the same
+//! kernels again and again (an execution context serving batches) derive
+//! the run once and replay it. The timeline keeps each run whole — one
+//! `Arc` and a start cursor — and expands runs into [`KernelRecord`]s only
+//! when [`GpuTimeline::kernels`] is read, with the same arithmetic the
+//! enqueue used, so replaying a batch costs no per-launch memory.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::device::DeviceSpec;
 use crate::kernel::KernelDesc;
@@ -113,8 +115,8 @@ pub struct HostSpanRecord {
     pub seq: SpanSeq,
 }
 
-/// One kernel launch with its device timing already derived: the row
-/// [`GpuTimeline::enqueue_timed`] appends.
+/// One kernel launch with its device timing already derived: a row of the
+/// runs [`GpuTimeline::enqueue_timed`] appends.
 ///
 /// The busy time is the raw roofline time, before any profiling inflation;
 /// the timeline applies its own launch cost and
@@ -207,9 +209,35 @@ pub struct GpuTimeline {
     overhead: ProfilingOverhead,
     stream_cursor: Vec<f64>,
     stream_seq: Vec<SpanSeq>,
-    kernels: Vec<KernelRecord>,
+    /// Kernel launches in enqueue order, as runs.
+    runs: Vec<KernelRun>,
+    /// `runs` expanded into records on the first read after an enqueue.
+    kernels: Expanded,
     memcpys: Vec<MemcpyRecord>,
     host_spans: Vec<HostSpanRecord>,
+}
+
+/// Launches enqueued back to back on one stream by one
+/// [`GpuTimeline::enqueue_timed`] call.
+#[derive(Debug, Clone, PartialEq)]
+struct KernelRun {
+    stream: StreamId,
+    /// The stream's cursor when the run was enqueued.
+    from_us: f64,
+    /// Span sequence number of the run's first launch.
+    seq: SpanSeq,
+    rows: Arc<[TimedKernel]>,
+}
+
+/// The records cache. It is derived from the runs, so it never makes two
+/// timelines differ.
+#[derive(Debug, Clone, Default)]
+struct Expanded(OnceLock<Vec<KernelRecord>>);
+
+impl PartialEq for Expanded {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl GpuTimeline {
@@ -225,7 +253,8 @@ impl GpuTimeline {
             overhead,
             stream_cursor: Vec::new(),
             stream_seq: Vec::new(),
-            kernels: Vec::new(),
+            runs: Vec::new(),
+            kernels: Expanded::default(),
             memcpys: Vec::new(),
             host_spans: Vec::new(),
         }
@@ -294,35 +323,52 @@ impl GpuTimeline {
         batch: u64,
     ) -> f64 {
         let row = TimedKernel::derive(kernel, batch, &self.device);
-        self.enqueue_timed(stream, &row)
+        self.enqueue_timed(stream, &Arc::from([row]))
     }
 
-    /// Appends one launch whose timing was derived up front (see
-    /// [`TimedKernel`]), charging this timeline's launch cost and profiling
-    /// multiplier; returns its completion time (µs). Every kernel record,
-    /// [`GpuTimeline::enqueue_kernel`]'s included, is appended here. The row
-    /// should have been derived against this timeline's device.
+    /// Appends launches whose timing was derived up front (see
+    /// [`TimedKernel`]) back to back on `stream`, charging this timeline's
+    /// launch cost and profiling multiplier to each; returns the completion
+    /// time of the last (µs). Every kernel launch,
+    /// [`GpuTimeline::enqueue_kernel`]'s included, is appended here. The
+    /// rows should have been derived against this timeline's device.
     ///
     /// # Panics
     ///
     /// Panics if the stream does not exist.
-    pub fn enqueue_timed(&mut self, stream: StreamId, kernel: &TimedKernel) -> f64 {
-        let launch = self.device.kernel_launch_us + self.overhead.per_launch_us;
-        let busy = kernel.busy_us * self.overhead.busy_multiplier;
-        let start = self.stream_cursor[stream] + launch;
-        let end = start + busy;
-        let seq = self.bump_seq(stream);
-        self.kernels.push(KernelRecord {
-            name: Arc::clone(&kernel.name),
+    pub fn enqueue_timed(&mut self, stream: StreamId, rows: &Arc<[TimedKernel]>) -> f64 {
+        let run = KernelRun {
             stream,
-            start_us: start,
-            duration_us: busy,
-            grid_blocks: kernel.grid_blocks,
-            sm_occupancy: kernel.sm_occupancy,
-            seq,
-        });
+            from_us: self.stream_cursor[stream],
+            seq: self.stream_seq[stream],
+            rows: Arc::clone(rows),
+        };
+        let end = self
+            .launches(&run)
+            .last()
+            .map_or(run.from_us, |(_, start, busy)| start + busy);
         self.stream_cursor[stream] = end;
+        self.stream_seq[stream] += rows.len() as SpanSeq;
+        self.runs.push(run);
+        self.kernels = Expanded::default();
         end
+    }
+
+    /// A run's launches as `(row, start_us, busy_us)`: each starts one
+    /// launch cost after the previous one ends.
+    fn launches<'r>(
+        &self,
+        run: &'r KernelRun,
+    ) -> impl Iterator<Item = (&'r TimedKernel, f64, f64)> + 'r {
+        let launch = self.device.kernel_launch_us + self.overhead.per_launch_us;
+        let multiplier = self.overhead.busy_multiplier;
+        let mut cursor = run.from_us;
+        run.rows.iter().map(move |row| {
+            let start = cursor + launch;
+            let busy = row.busy_us * multiplier;
+            cursor = start + busy;
+            (row, start, busy)
+        })
     }
 
     /// Enqueues a host→device copy; returns its completion time (µs).
@@ -413,7 +459,24 @@ impl GpuTimeline {
 
     /// Kernel records, in enqueue order.
     pub fn kernels(&self) -> &[KernelRecord] {
-        &self.kernels
+        self.kernels.0.get_or_init(|| {
+            self.runs
+                .iter()
+                .flat_map(|run| {
+                    self.launches(run)
+                        .zip(run.seq..)
+                        .map(|((row, start_us, duration_us), seq)| KernelRecord {
+                            name: Arc::clone(&row.name),
+                            stream: run.stream,
+                            start_us,
+                            duration_us,
+                            grid_blocks: row.grid_blocks,
+                            sm_occupancy: row.sm_occupancy,
+                            seq,
+                        })
+                })
+                .collect()
+        })
     }
 
     /// Copy records, in enqueue order.
@@ -433,9 +496,9 @@ impl GpuTimeline {
             return 0.0;
         }
         let mut busy = 0.0;
-        for k in &self.kernels {
-            let s = k.start_us.max(t0);
-            let e = (k.start_us + k.duration_us).min(t1);
+        for (k, start, duration) in self.runs.iter().flat_map(|run| self.launches(run)) {
+            let s = start.max(t0);
+            let e = (start + duration).min(t1);
             if e > s {
                 busy += (e - s) * k.sm_occupancy;
             }
@@ -452,7 +515,8 @@ impl GpuTimeline {
         for s in &mut self.stream_seq {
             *s = 0;
         }
-        self.kernels.clear();
+        self.runs.clear();
+        self.kernels = Expanded::default();
         self.memcpys.clear();
         self.host_spans.clear();
     }
@@ -656,7 +720,7 @@ mod tests {
             for (b, row) in (1..=3).zip(&rows) {
                 assert_eq!(
                     fresh.enqueue_batched_kernel(s1, &k, b),
-                    replayed.enqueue_timed(s2, row)
+                    replayed.enqueue_timed(s2, &Arc::from([row.clone()]))
                 );
             }
         }

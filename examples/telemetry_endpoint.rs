@@ -94,6 +94,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for frame in 0..128 {
         server.submit(frame)?;
     }
+    // Serve every queued batch on the simulated clock before scraping.
+    server.run_until(f64::INFINITY);
 
     // Poll until the sampler has published its per-stream gauges.
     let families = [

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- Serve 8 camera feeds with real worker threads --------------------
+    // --- Serve 8 camera feeds, one worker stream each -----------------------
     let device = DeviceSpec::max_clock(Platform::Nx);
     let engine = Builder::new(device.clone(), BuilderConfig::default().with_build_seed(8))
         .build(&ModelId::TinyYolov3.descriptor())?;

@@ -184,6 +184,7 @@ fn live_endpoint_covers_every_subsystem() {
     for frame in 0..64 {
         server.submit(frame).expect("accepting");
     }
+    server.run_until(f64::INFINITY);
 
     // The sampler publishes per-stream gauges once a tick observes simulated
     // progress; poll the live endpoint until every family is present.

@@ -271,11 +271,10 @@ fn flight_recorder_routes_serve_loadable_trace_documents() {
     for frame in 0..32 {
         server.submit(frame).expect("accepting");
     }
-    // Scrape while the endpoint is still up (drain shuts it down), but only
-    // once every request has its trace.
-    while recorder.completed_seen() + recorder.dropped_seen() < 32 {
-        std::thread::yield_now();
-    }
+    // Serve every request while the endpoint is still up (drain shuts it
+    // down): eight full batches of four, all traced.
+    server.run_until(f64::INFINITY);
+    assert_eq!(recorder.completed_seen(), 32);
     let addr = server.telemetry_addr().expect("endpoint bound");
 
     let index = scrape(addr, "/traces");
