@@ -607,14 +607,22 @@ impl<'e> InferencePlan<'e> {
                     // reused scratch reaches a fixed footprint.
                     let [c, h, w] = step.phys_shape;
                     let mut buf = arena.take_buffer(c * h * w);
-                    let ins = || (0..step.inputs.len()).map(read).collect::<Vec<_>>();
+                    let ins = || (0..step.inputs.len()).map(read);
                     match op {
                         StepOp::Pool {
                             kind,
                             kernel,
                             stride,
                             pad,
-                        } => ops::pool2d_into(read(0), *kind, *kernel, *stride, *pad, &mut buf),
+                        } => ops::pool2d_into(
+                            read(0),
+                            *kind,
+                            *kernel,
+                            *stride,
+                            *pad,
+                            &mut buf,
+                            arena,
+                        ),
                         StepOp::GlobalPool { kind } => {
                             ops::global_pool_into(read(0), *kind, &mut buf)
                         }
@@ -635,8 +643,8 @@ impl<'e> InferencePlan<'e> {
                             beta,
                             k,
                         } => ops::lrn_into(read(0), *local_size, *alpha, *beta, *k, &mut buf),
-                        StepOp::Eltwise(op) => ops::eltwise_into(&ins(), *op, &mut buf),
-                        StepOp::Concat => ops::concat_into(&ins(), &mut buf),
+                        StepOp::Eltwise(op) => ops::eltwise_into(ins(), *op, &mut buf),
+                        StepOp::Concat => ops::concat_into(ins(), &mut buf),
                         StepOp::Softmax => ops::softmax_into(read(0), &mut buf),
                         StepOp::Upsample { factor } => {
                             ops::upsample_into(read(0), *factor, &mut buf)
@@ -665,7 +673,8 @@ impl<'e> InferencePlan<'e> {
             debug_assert_eq!(out.shape(), step.phys_shape);
             if step.scrub || scrub_all {
                 // Keep NaN out of downstream argmaxes if an fp16 overflowed.
-                if out.as_slice().iter().any(|v| v.is_nan()) {
+                // A fold without early exit, so the scan vectorizes.
+                if out.as_slice().iter().fold(false, |nan, v| nan | v.is_nan()) {
                     out.map_inplace(|v| if v.is_nan() { 0.0 } else { v });
                 }
             } else {

@@ -6,6 +6,7 @@
 //! deliberately deviate from these in accumulation order and precision; their
 //! correctness is defined as closeness to this module's output.
 
+use crate::arena::TensorArena;
 use crate::graph::{Activation, ConvParams, EltwiseOp, PoolKind};
 use crate::tensor::Tensor;
 
@@ -78,7 +79,7 @@ pub fn pool2d(input: &Tensor, kind: PoolKind, kernel: usize, stride: usize, pad:
         (iw + 2 * pad - kernel) / stride + 1,
     );
     fresh([c, oh, ow], |o| {
-        pool2d_into(input, kind, kernel, stride, pad, o)
+        pool2d_into(input, kind, kernel, stride, pad, o, &mut TensorArena::new())
     })
 }
 
@@ -86,10 +87,13 @@ pub fn pool2d(input: &Tensor, kind: PoolKind, kernel: usize, stride: usize, pad:
 /// (every element is written).
 ///
 /// Windows that reach past the border read their padding taps as `0.0`
-/// from a zero-bordered copy of each plane, so every window takes the same
+/// from a zero-bordered copy of each plane, built in a buffer taken from
+/// (and given back to) `arena`, so every window takes the same
 /// bounds-check-free walk: taps in row-major order, eight output columns
-/// at a time. Max pooling keeps the first of equal taps (`v > acc`), which
-/// fixes the sign of a `±0` tie, and ignores NaN taps like `f32::max`.
+/// at a time (then four, then one, for a row's remainder), each window
+/// row loaded as one slice. Max pooling keeps the
+/// first of equal taps (`v > acc`), which fixes the sign of a `±0` tie,
+/// and ignores NaN taps like `f32::max`.
 ///
 /// # Panics
 ///
@@ -101,33 +105,31 @@ pub fn pool2d_into(
     stride: usize,
     pad: usize,
     out: &mut [f32],
+    arena: &mut TensorArena,
 ) {
-    match kind {
-        PoolKind::Max => pool_planes::<true>(input, kernel, stride, pad, out),
-        PoolKind::Avg => pool_planes::<false>(input, kernel, stride, pad, out),
-    }
-}
-
-fn pool_planes<const MAX: bool>(
-    input: &Tensor,
-    kernel: usize,
-    stride: usize,
-    pad: usize,
-    out: &mut [f32],
-) {
-    const W: usize = 8;
     let [c, ih, iw] = input.shape();
     let (ph, pw) = (ih + 2 * pad, iw + 2 * pad);
     let (oh, ow) = ((ph - kernel) / stride + 1, (pw - kernel) / stride + 1);
     assert_eq!(out.len(), c * oh * ow, "pool output length mismatch");
-    let fold = |acc: f32, v: f32| match MAX {
-        true if v > acc => v,
-        true => acc,
-        false => acc + v,
+    let mut padded = Vec::new();
+    if pad > 0 {
+        padded = arena.take_buffer(ph * pw);
+        // Only the interior is rewritten per plane; the border stays zero.
+        padded[..pad * pw].fill(0.0);
+        padded[(pad + ih) * pw..].fill(0.0);
+        for row in padded[pad * pw..(pad + ih) * pw].chunks_exact_mut(pw) {
+            row[..pad].fill(0.0);
+            row[pad + iw..].fill(0.0);
+        }
+    }
+    let body = match (kind, stride) {
+        (PoolKind::Max, 1) => pool_plane::<true, 1>,
+        (PoolKind::Max, 2) => pool_plane::<true, 2>,
+        (PoolKind::Max, _) => pool_plane::<true, 0>,
+        (PoolKind::Avg, 1) => pool_plane::<false, 1>,
+        (PoolKind::Avg, 2) => pool_plane::<false, 2>,
+        (PoolKind::Avg, _) => pool_plane::<false, 0>,
     };
-    let init = if MAX { f32::NEG_INFINITY } else { 0.0 };
-    let area = (kernel * kernel) as f32;
-    let mut padded = vec![0.0f32; if pad > 0 { ph * pw } else { 0 }];
     for (plane, dst) in input
         .as_slice()
         .chunks_exact(ih * iw)
@@ -142,31 +144,78 @@ fn pool_planes<const MAX: bool>(
             }
             &padded
         };
-        for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
-            let window = &src[oy * stride * pw..];
-            for (chunk, d) in drow.chunks_mut(W).enumerate() {
-                let x0 = chunk * W * stride;
-                let mut acc = [init; W];
-                for row in window.chunks(pw).take(kernel) {
-                    for kx in 0..kernel {
-                        let tap = |l: usize| row[x0 + l * stride + kx];
-                        if d.len() == W {
-                            for (l, a) in acc.iter_mut().enumerate() {
-                                *a = fold(*a, tap(l));
-                            }
-                        } else {
-                            for (l, a) in acc.iter_mut().enumerate().take(d.len()) {
-                                *a = fold(*a, tap(l));
-                            }
-                        }
-                    }
-                }
-                for (o, a) in d.iter_mut().zip(acc) {
-                    *o = if MAX { a } else { a / area };
-                }
+        body(src, pw, kernel, stride, ow, dst);
+    }
+    arena.give_buffer(padded);
+}
+
+/// Pools one zero-bordered plane `src` (row pitch `pw`) into `dst`, eight
+/// output columns at a time. `S` is the stride as a constant (`0`: read
+/// `stride`), so the common strides compile to fixed-offset vector loads.
+fn pool_plane<const MAX: bool, const S: usize>(
+    src: &[f32],
+    pw: usize,
+    kernel: usize,
+    stride: usize,
+    ow: usize,
+    dst: &mut [f32],
+) {
+    const W: usize = 8;
+    let s = if S == 0 { stride } else { S };
+    let area = (kernel * kernel) as f32;
+    let finish = |a: f32| if MAX { a } else { a / area };
+    for (oy, drow) in dst.chunks_exact_mut(ow).enumerate() {
+        let window = &src[oy * s * pw..];
+        let mut chunks = drow.chunks_exact_mut(W);
+        for (chunk, d) in (&mut chunks).enumerate() {
+            let acc = pool_window::<MAX, W>(window, pw, kernel, s, chunk * W * s);
+            for (o, a) in d.iter_mut().zip(acc) {
+                *o = finish(a);
             }
         }
+        // A remainder of four or more columns takes one 4-wide pass.
+        let mut x0 = (ow / W) * W * s;
+        let mut rest = chunks.into_remainder();
+        if rest.len() >= W / 2 {
+            let (d, tail) = rest.split_at_mut(W / 2);
+            let acc = pool_window::<MAX, { W / 2 }>(window, pw, kernel, s, x0);
+            for (o, a) in d.iter_mut().zip(acc) {
+                *o = finish(a);
+            }
+            (rest, x0) = (tail, x0 + W / 2 * s);
+        }
+        for (l, o) in rest.iter_mut().enumerate() {
+            let [a] = pool_window::<MAX, 1>(window, pw, kernel, s, x0 + l * s);
+            *o = finish(a);
+        }
     }
+}
+
+/// `N` adjacent pooling windows starting at column `x0` of `window`: taps
+/// in row-major order, each window row loaded as one slice. Max keeps the
+/// first of equal taps and skips NaN taps (`v > acc`); avg sums.
+#[inline(always)]
+fn pool_window<const MAX: bool, const N: usize>(
+    window: &[f32],
+    pw: usize,
+    kernel: usize,
+    s: usize,
+    x0: usize,
+) -> [f32; N] {
+    let mut acc = [if MAX { f32::NEG_INFINITY } else { 0.0 }; N];
+    for ky in 0..kernel {
+        let row = &window[ky * pw + x0..][..(N - 1) * s + kernel];
+        for kx in 0..kernel {
+            let taps = &row[kx..kx + (N - 1) * s + 1];
+            let v: [f32; N] = std::array::from_fn(|l| taps[l * s]);
+            acc = std::array::from_fn(|l| match MAX {
+                true if v[l] > acc[l] => v[l],
+                true => acc[l],
+                false => acc[l] + v[l],
+            });
+        }
+    }
+    acc
 }
 
 /// Runs an `_into` op body on a fresh zeroed tensor of `shape`.
@@ -331,7 +380,9 @@ pub fn lrn_into(input: &Tensor, local_size: usize, alpha: f32, beta: f32, k: f32
 ///
 /// Panics if fewer than two inputs are given or shapes differ.
 pub fn eltwise(inputs: &[&Tensor], op: EltwiseOp) -> Tensor {
-    fresh(inputs[0].shape(), |o| eltwise_into(inputs, op, o))
+    fresh(inputs[0].shape(), |o| {
+        eltwise_into(inputs.iter().copied(), op, o)
+    })
 }
 
 /// [`eltwise`] into a buffer of the inputs' length. Elementwise, so any
@@ -340,15 +391,17 @@ pub fn eltwise(inputs: &[&Tensor], op: EltwiseOp) -> Tensor {
 /// # Panics
 ///
 /// Panics if fewer than two inputs are given or shapes differ.
-pub fn eltwise_into(inputs: &[&Tensor], op: EltwiseOp, out: &mut [f32]) {
-    assert!(inputs.len() >= 2, "eltwise needs at least two inputs");
-    let shape = inputs[0].shape();
-    assert!(
-        inputs.iter().all(|t| t.shape() == shape),
-        "eltwise shape mismatch"
-    );
-    out.copy_from_slice(inputs[0].as_slice());
-    for t in &inputs[1..] {
+pub fn eltwise_into<'a>(
+    inputs: impl IntoIterator<Item = &'a Tensor>,
+    op: EltwiseOp,
+    out: &mut [f32],
+) {
+    let mut inputs = inputs.into_iter();
+    let first = inputs.next().expect("eltwise needs at least two inputs");
+    out.copy_from_slice(first.as_slice());
+    let mut count = 1;
+    for t in inputs {
+        assert_eq!(t.shape(), first.shape(), "eltwise shape mismatch");
         for (o, &v) in out.iter_mut().zip(t.as_slice()) {
             *o = match op {
                 EltwiseOp::Sum => *o + v,
@@ -356,7 +409,9 @@ pub fn eltwise_into(inputs: &[&Tensor], op: EltwiseOp, out: &mut [f32]) {
                 EltwiseOp::Prod => *o * v,
             };
         }
+        count += 1;
     }
+    assert!(count >= 2, "eltwise needs at least two inputs");
 }
 
 /// Output shape of a channel-axis concatenation.
@@ -378,11 +433,13 @@ fn concat_shape(inputs: &[&Tensor]) -> [usize; 3] {
 ///
 /// Panics if inputs have differing spatial dims.
 pub fn concat(inputs: &[&Tensor]) -> Tensor {
-    fresh(concat_shape(inputs), |o| concat_into(inputs, o))
+    fresh(concat_shape(inputs), |o| {
+        concat_into(inputs.iter().copied(), o)
+    })
 }
 
 /// [`concat()`] into a buffer of the concatenated length.
-pub fn concat_into(inputs: &[&Tensor], out: &mut [f32]) {
+pub fn concat_into<'a>(inputs: impl IntoIterator<Item = &'a Tensor>, out: &mut [f32]) {
     let mut at = 0;
     for t in inputs {
         out[at..at + t.len()].copy_from_slice(t.as_slice());

@@ -16,11 +16,13 @@
 //!   gathers), so the plan-time layout assignment is free to leave a value
 //!   canonical when converts would cost more than they save.
 //!
-//! Output pixels are walked in *bands*: maximal rectangles of rows × columns
-//! whose kernel windows keep the same taps in bounds. Each band carries the
-//! sub-list of its in-bounds taps with precomputed physical input deltas, so
-//! border pixels run the same multi-pixel tile kernel as the interior, with
-//! no per-tap bounds checks anywhere.
+//! Output rows and columns split into *bands* whose kernel windows keep the
+//! same taps in bounds. Each band pair carries the list of its in-bounds
+//! taps with precomputed physical input deltas, and a tile schedule packs
+//! every output pixel into tiles of 4 pixels with equal-length lists,
+//! each pixel running its own list. Border pixels of different bands thus
+//! fill full tiles next to the interior, with no per-tap bounds checks
+//! anywhere.
 //!
 //! # Bit-exactness
 //!
@@ -30,11 +32,15 @@
 //! * FP32 lanes accumulate in *exactly* the reference tap order with the
 //!   bias as the initial accumulator — the same f32 operations in the same
 //!   order, so even non-finite inputs propagate identically.
-//! * FP16 lanes round every product and partial sum with `round8`, an
-//!   exact binary16 round trip equal to [`round_f16`] for every `f32`
-//!   input — overflow to ±inf and NaN included — so no value ever needs a
-//!   scalar redo. Band tap lists skip out-of-bounds taps, so split-K chunk
-//!   positions count in-bounds taps only, as the reference walk does.
+//! * FP16 inputs are rounded with [`round8`], an exact binary16 round trip
+//!   equal to [`round_f16`] for every `f32` input, overflow to ±inf and NaN
+//!   included, and checked finite. The accumulation loops then round every
+//!   product and partial sum with [`round8_acc`], which drops `round8`'s
+//!   NaN blend: their operands are finite, so the only NaN they can form
+//!   is `inf + -inf`, the default NaN, which `round8_acc` keeps exactly as
+//!   `round_f16` does. No value ever needs a scalar redo. Tap lists skip
+//!   out-of-bounds taps, so split-K chunk positions count in-bounds taps
+//!   only, as the reference walk does.
 //!
 //! Each prepared-kernel call returns how many output values it produced on
 //! the vector path and on scalar walks (dense fallbacks for non-finite
@@ -156,6 +162,41 @@ pub fn round8_portable(v: [f32; LANES]) -> [f32; LANES] {
     r
 }
 
+/// Round-to-nearest-even binary16 round trip of 8 lanes for the
+/// accumulation loops, whose operands are finite on the binary16 grid.
+///
+/// With F16C this is the bare `vcvtps2ph`/`vcvtph2ps` pair, without
+/// [`round8`]'s NaN blend. It equals [`round_f16`] on every non-NaN input,
+/// and on the default NaN `0xffc0_0000`: the pair keeps a NaN's sign and
+/// top payload bits, so it differs from the canonical NaN only for other
+/// payloads. Inside a lane accumulation no other NaN can arise: a product
+/// of finite binary16 values is finite before rounding, so the only NaN a
+/// loop can form is the sum `inf + -inf`, which x86 returns as the default
+/// NaN, and a NaN accumulator then stays that NaN. Other targets take
+/// [`round8_portable`].
+#[cfg(all(target_arch = "x86_64", target_feature = "f16c"))]
+#[inline(always)]
+pub fn round8_acc(v: [f32; LANES]) -> [f32; LANES] {
+    use std::arch::x86_64::*;
+    // SAFETY: the cfg guarantees AVX and F16C; loads and stores stay within
+    // the two 8-element arrays.
+    unsafe {
+        let x = _mm256_loadu_ps(v.as_ptr());
+        let r = _mm256_cvtph_ps(_mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x));
+        let mut out = [0.0f32; LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), r);
+        out
+    }
+}
+
+/// Binary16 round trip for the accumulation loops (see the F16C variant);
+/// targets without F16C take the blended [`round8_portable`].
+#[cfg(not(all(target_arch = "x86_64", target_feature = "f16c")))]
+#[inline(always)]
+pub fn round8_acc(v: [f32; LANES]) -> [f32; LANES] {
+    round8_portable(v)
+}
+
 /// Rounds a slice onto the binary16 grid in place, 8 lanes at a time;
 /// bit-identical to mapping [`round_f16`]. Returns whether every rounded
 /// value is finite.
@@ -208,14 +249,87 @@ fn bands(out: usize, inp: usize, k: usize, s: usize, pad: isize) -> Vec<Band> {
     v
 }
 
+/// Up to [`TILE`] output pixels the tile micro-kernel advances together.
+/// Their tap lists have equal length, so the positions step through their
+/// taps and split-K flushes in lockstep, each through its own list.
+#[derive(Debug, Clone, Copy)]
+struct Tile {
+    /// Positions in use (`1..=TILE`).
+    n: u32,
+    /// Flat output pixel `oy·ow + ox` of each position.
+    px: [u32; TILE],
+    /// Physical input offset of each position's window origin.
+    origin: [u32; TILE],
+    /// Each position's tap list, as an index into [`LaneConv::subs`].
+    sub: [u32; TILE],
+}
+
+impl Tile {
+    /// Every position runs the same tap list (interior tiles), so one
+    /// weight load serves the whole tile.
+    fn shared(&self) -> bool {
+        self.sub.iter().all(|&s| s == self.sub[0])
+    }
+}
+
+/// The tile schedule: every output pixel exactly once, grouped by the
+/// length of its in-bounds tap list (longest first, raster order within a
+/// group) and cut into [`TILE`]-pixel tiles, so border pixels of different
+/// bands share full tiles and only the last tile of each distinct length
+/// can be partial. `subs[ri · cols.len() + ci]` is the tap list of row
+/// band `ri` × column band `ci`.
+fn schedule(
+    g: &ConvGeom,
+    in_mul: usize,
+    rows: &[Band],
+    cols: &[Band],
+    subs: &[Vec<(u32, i32)>],
+) -> Vec<Tile> {
+    let mut pixels = Vec::with_capacity(g.oh * g.ow);
+    for (ri, r) in rows.iter().enumerate() {
+        for oy in r.lo..r.hi {
+            for (ci, c) in cols.iter().enumerate() {
+                for ox in c.lo..c.hi {
+                    let sub = ri * cols.len() + ci;
+                    pixels.push((subs[sub].len(), oy * g.ow + ox, sub));
+                }
+            }
+        }
+    }
+    pixels.sort_by_key(|&(len, px, _)| (std::cmp::Reverse(len), px));
+    let u32_of = |v: usize| u32::try_from(v).expect("conv too large");
+    let mut tiles = Vec::with_capacity(pixels.len().div_ceil(TILE));
+    for group in pixels.chunk_by(|a, b| a.0 == b.0) {
+        for chunk in group.chunks(TILE) {
+            let mut tile = Tile {
+                n: chunk.len() as u32,
+                px: [0; TILE],
+                origin: [0; TILE],
+                sub: [chunk[0].2 as u32; TILE],
+            };
+            for (t, &(_, px, sub)) in chunk.iter().enumerate() {
+                let (oy, ox) = (px / g.ow, px % g.ow);
+                tile.px[t] = u32_of(px);
+                tile.origin[t] = u32_of((oy * g.iw + ox) * g.s * in_mul);
+                tile.sub[t] = sub as u32;
+            }
+            tiles.push(tile);
+        }
+    }
+    tiles
+}
+
 /// A convolution lowered onto the lane-array micro-kernels.
 ///
 /// Weights are packed `[oc_block][tap] -> [f32; 8]` (output-channel lanes;
 /// channel lanes for depthwise), in the exact tap order of the dense
 /// reference walk. Input addressing is layout-parameterized through
-/// per-band tap lists of `(tap, physical delta from the window origin)`.
+/// per-band tap lists of `(tap, physical delta from the window origin)`,
+/// and a precomputed tile schedule assigns each output pixel its list.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneConv {
+    /// The geometry the tap lists and tile schedule were built for.
+    g: ConvGeom,
     pub(crate) layout_in: Layout,
     pub(crate) layout_out: Layout,
     pub(crate) fp16: bool,
@@ -225,13 +339,11 @@ pub(crate) struct LaneConv {
     pub(crate) force_dense: bool,
     /// Split-K flush period in taps (`usize::MAX`: never flush).
     chunk: usize,
-    /// Physical elements per one-pixel step along x in `layout_in`.
-    in_mul: usize,
-    rows: Vec<Band>,
-    cols: Vec<Band>,
     /// `[row band × column band]`: the in-bounds taps in dense order, each
     /// as `(tap, input delta from the window origin)`.
     subs: Vec<Vec<(u32, i32)>>,
+    /// Every output pixel once, packed into tiles (see [`schedule`]).
+    tiles: Vec<Tile>,
     /// `[block][tap]` weight lanes; lanes past the real channel count are 0.
     w: Vec<Vec<[f32; LANES]>>,
     /// Per-block bias lanes; pad lanes are 0.
@@ -324,6 +436,7 @@ impl LaneConv {
                 subs.push(sub);
             }
         }
+        let tiles = schedule(g, in_mul, &rows, &cols, &subs);
 
         let blocks = g.out_channels.div_ceil(LANES);
         let mut w = Vec::with_capacity(blocks);
@@ -346,6 +459,7 @@ impl LaneConv {
         }
 
         Some(Self {
+            g: *g,
             layout_in,
             layout_out,
             fp16,
@@ -356,10 +470,8 @@ impl LaneConv {
             } else {
                 usize::MAX
             },
-            in_mul,
-            rows,
-            cols,
             subs,
+            tiles,
             w,
             bias_v,
             rdense,
@@ -369,22 +481,28 @@ impl LaneConv {
     /// Executes the lane kernels. `x` is the physical input in `layout_in`
     /// (already rounded to binary16 and verified finite for FP16); `out` is
     /// the physical output buffer in `layout_out`.
-    pub(crate) fn run(&self, g: &ConvGeom, act: Option<Activation>, x: &[f32], out: &mut [f32]) {
+    pub(crate) fn run(&self, act: Option<Activation>, x: &[f32], out: &mut [f32]) {
+        // The tile kernels index `x` unchecked (see `step`).
+        assert_eq!(
+            x.len(),
+            self.layout_in.physical_len(self.g.in_shape),
+            "lane conv input length"
+        );
         match (self.depthwise, self.fp16) {
-            (false, true) => self.run_typed::<true, false>(g, act, x, out),
-            (false, false) => self.run_typed::<false, false>(g, act, x, out),
-            (true, true) => self.run_typed::<true, true>(g, act, x, out),
-            (true, false) => self.run_typed::<false, true>(g, act, x, out),
+            (false, true) => self.run_typed::<true, false>(act, x, out),
+            (false, false) => self.run_typed::<false, false>(act, x, out),
+            (true, true) => self.run_typed::<true, true>(act, x, out),
+            (true, false) => self.run_typed::<false, true>(act, x, out),
         }
     }
 
     fn run_typed<const FP16: bool, const DW: bool>(
         &self,
-        g: &ConvGeom,
         act: Option<Activation>,
         x: &[f32],
         out: &mut [f32],
     ) {
+        let g = &self.g;
         let plane = g.ih * g.iw;
         let ls = match self.layout_in {
             Layout::Chw => plane,
@@ -407,170 +525,168 @@ impl LaneConv {
                 chunk: self.chunk,
                 act,
             };
-            for (ri, r) in self.rows.iter().enumerate() {
-                for (ci, c) in self.cols.iter().enumerate() {
-                    // Every pixel of the band shares its tap list, so tiles
-                    // run across row ends: a one-column border band still
-                    // advances `TILE` pixels at a time down the column.
-                    let sub = &self.subs[ri * self.cols.len() + ci];
-                    let mut pixels =
-                        (r.lo..r.hi).flat_map(|oy| (c.lo..c.hi).map(move |ox| (oy, ox)));
-                    loop {
-                        let mut at = [(0, 0); TILE];
-                        let n = at.iter_mut().zip(&mut pixels).map(|(a, p)| *a = p).count();
-                        match n {
-                            0 => break,
-                            1 => self.emit::<1, FP16, DW>(g, &cx, sub, &at, out),
-                            2 => self.emit::<2, FP16, DW>(g, &cx, sub, &at, out),
-                            3 => self.emit::<3, FP16, DW>(g, &cx, sub, &at, out),
-                            _ => self.emit::<TILE, FP16, DW>(g, &cx, sub, &at, out),
-                        }
-                    }
+            for tile in &self.tiles {
+                match tile.n {
+                    1 => self.emit::<1, FP16, DW, false>(&cx, tile, out),
+                    2 => self.emit::<2, FP16, DW, false>(&cx, tile, out),
+                    3 => self.emit::<3, FP16, DW, false>(&cx, tile, out),
+                    _ if tile.shared() => self.emit::<TILE, FP16, DW, true>(&cx, tile, out),
+                    _ => self.emit::<TILE, FP16, DW, false>(&cx, tile, out),
                 }
             }
         }
     }
 
-    /// Computes and stores the output pixels `at[..T]` (all in one band).
+    /// Computes and stores the first `T` positions of `tile`. `SHARED`:
+    /// every position runs the first position's tap list.
     #[inline(always)]
-    fn emit<const T: usize, const FP16: bool, const DW: bool>(
+    fn emit<const T: usize, const FP16: bool, const DW: bool, const SHARED: bool>(
         &self,
-        g: &ConvGeom,
         cx: &BlockCtx,
-        sub: &[(u32, i32)],
-        at: &[(usize, usize); TILE],
+        tile: &Tile,
         out: &mut [f32],
     ) {
-        let bases: [isize; T] = std::array::from_fn(|t| {
-            let (oy, ox) = at[t];
-            (((oy * g.iw + ox) * g.s) * self.in_mul) as isize + cx.boff
+        let subs: [&[(u32, i32)]; T] = std::array::from_fn(|t| {
+            self.subs[tile.sub[if SHARED { 0 } else { t }] as usize].as_slice()
         });
-        let vals = tile::<T, FP16, DW>(cx, sub, &bases);
+        let bases: [isize; T] = std::array::from_fn(|t| tile.origin[t] as isize + cx.boff);
+        let vals = tile_sums::<T, FP16, DW>(cx, subs, &bases);
         for (t, v) in vals.iter().enumerate() {
-            let (oy, ox) = at[t];
-            self.store8(g, cx, oy, ox, v, out);
+            self.store8(cx, tile.px[t] as usize, v, out);
         }
     }
 
+    /// Activates and stores one pixel's 8 lanes; `px` is the flat output
+    /// pixel `oy·ow + ox`.
     #[inline(always)]
-    fn store8(
-        &self,
-        g: &ConvGeom,
-        cx: &BlockCtx,
-        oy: usize,
-        ox: usize,
-        vals: &[f32; LANES],
-        out: &mut [f32],
-    ) {
-        let (act, b, real) = (cx.act, cx.b, cx.real);
+    fn store8(&self, cx: &BlockCtx, px: usize, vals: &[f32; LANES], out: &mut [f32]) {
+        let (g, b, real) = (&self.g, cx.b, cx.real);
+        let plane = g.oh * g.ow;
+        let mut sv = act8(cx.act, *vals);
         match self.layout_out {
             Layout::Chw => {
-                for (l, &v) in vals.iter().enumerate().take(real) {
-                    out[((b * LANES + l) * g.oh + oy) * g.ow + ox] = apply_act(act, v);
+                for (l, &v) in sv.iter().enumerate().take(real) {
+                    out[(b * LANES + l) * plane + px] = v;
                 }
             }
             // Contiguous 8-lane vector store; pad lanes written as explicit
             // zeros so blocked buffers stay clean for downstream converts.
             Layout::Chwc8 => {
-                let mut sv = [0.0f32; LANES];
-                for l in 0..real {
-                    sv[l] = apply_act(act, vals[l]);
-                }
-                let o = ((b * g.oh + oy) * g.ow + ox) * LANES;
+                sv[real..].fill(0.0);
+                let o = (b * plane + px) * LANES;
                 out[o..o + LANES].copy_from_slice(&sv);
             }
             Layout::Nhwc => {
-                let o = (oy * g.ow + ox) * g.out_channels + b * LANES;
-                for (l, &v) in vals.iter().enumerate().take(real) {
-                    out[o + l] = apply_act(act, v);
-                }
+                let o = px * g.out_channels + b * LANES;
+                out[o..o + real].copy_from_slice(&sv[..real]);
             }
         }
     }
 }
 
-/// The tile micro-kernel: `T` output pixels × 8 lanes advance through a
-/// band's in-bounds taps (no bounds checks). FP16 flushes the accumulator
-/// into an f64 carry every `chunk` taps of the list. Returns biased
-/// pre-activation values.
+/// [`apply_act`] on 8 lanes, with the activation matched once so the lane
+/// loop vectorizes.
 #[inline(always)]
-fn tile<const T: usize, const FP16: bool, const DW: bool>(
+fn act8(act: Option<Activation>, v: [f32; LANES]) -> [f32; LANES] {
+    match act {
+        None => v,
+        Some(Activation::Relu) => v.map(|x| apply_act(Some(Activation::Relu), x)),
+        Some(a) => v.map(|x| a.apply(x)),
+    }
+}
+
+/// The tile micro-kernel: `T` output pixels × 8 lanes advance through their
+/// equal-length tap lists. FP16 flushes the accumulator into an f64 carry
+/// every `chunk` taps of the list. Returns biased pre-activation values.
+#[inline(always)]
+fn tile_sums<const T: usize, const FP16: bool, const DW: bool>(
     cx: &BlockCtx,
-    sub: &[(u32, i32)],
+    subs: [&[(u32, i32)]; T],
     bases: &[isize; T],
 ) -> [[f32; LANES]; T] {
-    let mut acc = [[0.0f32; LANES]; T];
+    let len = subs[0].len();
     if !FP16 {
-        acc.fill(cx.bv);
+        return taps_sum::<T, false, DW>(cx, subs, bases, 0..len, [cx.bv; T]);
     }
     let mut carry = [[0.0f64; LANES]; T];
-    let flushed = if FP16 {
-        sub.len() / cx.chunk * cx.chunk
-    } else {
-        0
-    };
-    let (chunks, rest) = sub.split_at(flushed);
-    for chunk in chunks.chunks_exact(cx.chunk) {
-        for &(tap, delta) in chunk {
-            step::<T, FP16, DW>(cx, tap, delta as isize, bases, &mut acc);
-        }
-        for t in 0..T {
-            for l in 0..LANES {
-                carry[t][l] += f64::from(acc[t][l]);
-                acc[t][l] = 0.0;
-            }
+    let flushed = len / cx.chunk * cx.chunk;
+    for lo in (0..flushed).step_by(cx.chunk) {
+        let part = taps_sum::<T, true, DW>(cx, subs, bases, lo..lo + cx.chunk, [[0.0; LANES]; T]);
+        for (c, p) in carry.iter_mut().zip(&part) {
+            *c = std::array::from_fn(|l| c[l] + f64::from(p[l]));
         }
     }
-    for &(tap, delta) in rest {
-        step::<T, FP16, DW>(cx, tap, delta as isize, bases, &mut acc);
+    let rest = taps_sum::<T, true, DW>(cx, subs, bases, flushed..len, [[0.0; LANES]; T]);
+    std::array::from_fn(|t| {
+        std::array::from_fn(|l| (carry[t][l] + f64::from(rest[t][l])) as f32 + cx.bv[l])
+    })
+}
+
+/// Accumulates taps `range` of each position's list onto `acc`.
+#[inline(always)]
+fn taps_sum<const T: usize, const FP16: bool, const DW: bool>(
+    cx: &BlockCtx,
+    subs: [&[(u32, i32)]; T],
+    bases: &[isize; T],
+    range: std::ops::Range<usize>,
+    mut acc: [[f32; LANES]; T],
+) -> [[f32; LANES]; T] {
+    let subs: [&[(u32, i32)]; T] = std::array::from_fn(|t| &subs[t][range.clone()]);
+    // `i` walks all `T` lists in lockstep.
+    #[allow(clippy::needless_range_loop)]
+    for i in 0..range.len() {
+        let taps: [(u32, i32); T] = std::array::from_fn(|t| subs[t][i]);
+        step::<T, FP16, DW>(cx, taps, bases, &mut acc);
     }
-    if FP16 {
-        let mut vals = [[0.0f32; LANES]; T];
-        for t in 0..T {
-            for l in 0..LANES {
-                vals[t][l] = (carry[t][l] + f64::from(acc[t][l])) as f32 + cx.bv[l];
-            }
-        }
-        vals
-    } else {
-        acc
-    }
+    acc
 }
 
 /// One tap of the tile micro-kernel: load the input lanes of each tile
 /// position (a broadcast for standard convs, the block's channels for
-/// depthwise), multiply against 8 weight lanes, round (FP16) and accumulate.
+/// depthwise), multiply against the position's 8 weight lanes, round
+/// (FP16, with the unblended [`round8_acc`]: operands are finite) and
+/// accumulate.
 #[inline(always)]
 fn step<const T: usize, const FP16: bool, const DW: bool>(
     cx: &BlockCtx,
-    tap: u32,
-    delta: isize,
+    taps: [(u32, i32); T],
     bases: &[isize; T],
     acc: &mut [[f32; LANES]; T],
 ) {
-    let wv = cx.wb[tap as usize];
     for t in 0..T {
-        let o = (bases[t] + delta) as usize;
-        let xv = if DW {
-            let mut v = [0.0f32; LANES];
-            for (l, lane) in v.iter_mut().enumerate().take(cx.real) {
-                *lane = cx.x[o + l * cx.ls];
-            }
-            v
-        } else {
-            [cx.x[o]; LANES]
+        let (tap, delta) = taps[t];
+        let o = (bases[t] + delta as isize) as usize;
+        debug_assert!((tap as usize) < cx.wb.len());
+        debug_assert!(o + (cx.real - 1) * cx.ls * usize::from(DW) < cx.x.len());
+        // SAFETY: `LaneConv::build` lists only taps `< ntaps == wb.len()`,
+        // each in bounds of the window of every pixel that runs the list
+        // in the geometry it stores, and `LaneConv::run` asserted that `x`
+        // is that geometry's whole physical input, so `o` (plus the
+        // block's real channel lanes for depthwise) indexes `x`.
+        let (wv, xv) = unsafe {
+            let wv = *cx.wb.get_unchecked(tap as usize);
+            let xv = if DW {
+                let mut v = [0.0f32; LANES];
+                for (l, lane) in v.iter_mut().enumerate().take(cx.real) {
+                    *lane = *cx.x.get_unchecked(o + l * cx.ls);
+                }
+                v
+            } else {
+                [*cx.x.get_unchecked(o); LANES]
+            };
+            (wv, xv)
         };
         let mut p = [0.0f32; LANES];
         for l in 0..LANES {
             p[l] = xv[l] * wv[l];
         }
         if FP16 {
-            let p = round8(p);
+            let p = round8_acc(p);
             let mut s = [0.0f32; LANES];
             for l in 0..LANES {
                 s[l] = acc[t][l] + p[l];
             }
-            acc[t] = round8(s);
+            acc[t] = round8_acc(s);
         } else {
             for l in 0..LANES {
                 acc[t][l] += p[l];
@@ -583,11 +699,22 @@ fn step<const T: usize, const FP16: bool, const DW: bool>(
 mod tests {
     use super::*;
 
-    /// Checks both `round8` bodies against `round_f16` on 8 bit patterns.
+    /// The default NaN x86 arithmetic returns for `inf + -inf`.
+    const DEFAULT_NAN: u32 = 0xffc0_0000;
+
+    /// Checks both `round8` bodies against `round_f16` on 8 bit patterns,
+    /// and `round8_acc` on those that are not NaN or are the default NaN.
     fn check8(bits: [u32; LANES]) {
         let v = bits.map(f32::from_bits);
-        for (name, got) in [("round8", round8(v)), ("portable", round8_portable(v))] {
+        for (name, got) in [
+            ("round8", round8(v)),
+            ("portable", round8_portable(v)),
+            ("acc", round8_acc(v)),
+        ] {
             for l in 0..LANES {
+                if name == "acc" && v[l].is_nan() && bits[l] != DEFAULT_NAN {
+                    continue;
+                }
                 let want = round_f16(v[l]);
                 assert_eq!(
                     got[l].to_bits(),
@@ -598,6 +725,17 @@ mod tests {
                     got[l]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn round8_acc_keeps_the_default_nan() {
+        let mut bits = [0u32; LANES];
+        bits[3] = DEFAULT_NAN;
+        check8(bits);
+        if cfg!(target_arch = "x86_64") {
+            let sum = f32::INFINITY + std::hint::black_box(f32::NEG_INFINITY);
+            assert_eq!(sum.to_bits(), DEFAULT_NAN, "x86 default NaN");
         }
     }
 
@@ -626,6 +764,92 @@ mod tests {
         }
         let mut small = vec![1.5f32, -0.25, 3.0e4, 1.0e-6, 0.0];
         assert!(round_f16_slice(&mut small));
+    }
+
+    /// The in-bounds taps of output pixel `(oy, ox)`'s window in dense
+    /// `(c_in, ky, kx)` order, as `(tap, input offset)` in CHW.
+    fn window_taps(g: &ConvGeom, c_ins: usize, oy: usize, ox: usize) -> Vec<(u32, isize)> {
+        let mut taps = Vec::new();
+        for c_in in 0..c_ins {
+            for ky in 0..g.kh {
+                for kx in 0..g.kw {
+                    let iy = (oy * g.s + ky) as isize - g.ph;
+                    let ix = (ox * g.s + kx) as isize - g.pw;
+                    if iy >= 0 && ix >= 0 && iy < g.ih as isize && ix < g.iw as isize {
+                        let tap = ((c_in * g.kh + ky) * g.kw + kx) as u32;
+                        taps.push((
+                            tap,
+                            (c_in * g.ih + iy as usize) as isize * g.iw as isize + ix,
+                        ));
+                    }
+                }
+            }
+        }
+        taps
+    }
+
+    #[test]
+    fn tile_schedule_covers_every_pixel_once_with_its_own_taps() {
+        use trtsim_ir::graph::LayerKind;
+        // The border-heavy shapes of `tests/fp16_exactness.rs`:
+        // `[oc, ic, k, stride, pad, groups]` over `[c, h, w]`.
+        let cases: [([usize; 6], [usize; 3]); 8] = [
+            ([16, 8, 5, 1, 2, 1], [8, 8, 8]),
+            ([12, 5, 3, 2, 1, 1], [5, 9, 8]),
+            ([8, 3, 7, 2, 3, 1], [3, 11, 10]),
+            ([10, 6, 3, 1, 1, 1], [6, 7, 9]),
+            ([9, 4, 5, 1, 2, 1], [4, 3, 2]),
+            ([8, 16, 1, 1, 0, 1], [16, 5, 5]),
+            ([12, 12, 3, 1, 1, 12], [12, 6, 6]),
+            ([10, 10, 5, 2, 2, 10], [10, 7, 7]),
+        ];
+        for ([oc, ic, k, s, p, groups], in_shape) in cases {
+            let LayerKind::Conv(mut params) = LayerKind::conv_seeded(oc, ic, k, s, p, 1) else {
+                unreachable!()
+            };
+            params.groups = groups;
+            params.weights =
+                trtsim_ir::weights::Weights::Dense(vec![0.5; params.expected_weight_len()]);
+            let g = ConvGeom::of(&params, in_shape);
+            let dense = params.weights.materialize();
+            let lanes = LaneConv::build(
+                &params,
+                &g,
+                &Tactic::conv_hmma(128, 64, ""),
+                &dense,
+                &[],
+                Layout::Chw,
+                Layout::Chw,
+            )
+            .expect("lane conv");
+            let c_ins = if groups > 1 { 1 } else { ic };
+            let mut seen = vec![0u32; g.oh * g.ow];
+            let mut tile_taps = 0;
+            for tile in &lanes.tiles {
+                let n = tile.n as usize;
+                assert!((1..=TILE).contains(&n));
+                let len = lanes.subs[tile.sub[0] as usize].len();
+                tile_taps += len;
+                for t in 0..n {
+                    let px = tile.px[t] as usize;
+                    seen[px] += 1;
+                    let (oy, ox) = (px / g.ow, px % g.ow);
+                    let sub = &lanes.subs[tile.sub[t] as usize];
+                    assert_eq!(sub.len(), len, "positions of a tile share a list length");
+                    let got: Vec<(u32, isize)> = sub
+                        .iter()
+                        .map(|&(tap, delta)| (tap, tile.origin[t] as isize + delta as isize))
+                        .collect();
+                    assert_eq!(got, window_taps(&g, c_ins, oy, ox), "pixel ({oy}, {ox})");
+                }
+            }
+            assert!(seen.iter().all(|&n| n == 1), "{in_shape:?}: {seen:?}");
+            if (k, p, in_shape) == (5, 2, [8, 8, 8]) {
+                // 1156 window taps per input channel in 289 full tiles: no
+                // partial tile at all.
+                assert_eq!(tile_taps, 289 * c_ins);
+            }
+        }
     }
 
     #[test]

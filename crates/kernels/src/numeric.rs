@@ -18,7 +18,7 @@ use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::Weights;
 use trtsim_util::f16::{round_f16, QuantParams};
 
-use crate::lanes::{round8, round_f16_slice, LaneConv, PathCounts};
+use crate::lanes::{round8, round8_acc, round_f16_slice, LaneConv, PathCounts};
 use crate::tactic::{AccumOrder, Tactic};
 
 /// Calibration scales for INT8 execution of one layer.
@@ -172,7 +172,7 @@ pub(crate) struct ConvGeom {
 }
 
 impl ConvGeom {
-    fn of(params: &ConvParams, in_shape: [usize; 3]) -> Self {
+    pub(crate) fn of(params: &ConvParams, in_shape: [usize; 3]) -> Self {
         let [ic, ih, iw] = in_shape;
         assert_eq!(ic, params.in_channels, "conv input channel mismatch");
         let (kh, kw) = (params.kernel_h, params.kernel_w);
@@ -920,19 +920,14 @@ impl PreparedConv {
         let mut out = Tensor::from_vec(shape, arena.take_buffer(shape.iter().product()));
         let values = self.geom.out_channels * self.geom.oh * self.geom.ow;
         if !lanes.fp16 {
-            lanes.run(
-                &self.geom,
-                params.activation,
-                input.as_slice(),
-                out.as_mut_slice(),
-            );
+            lanes.run(params.activation, input.as_slice(), out.as_mut_slice());
             return (out, PathCounts::vector(values));
         }
         let mut rx = arena.take_buffer(input.len());
         rx.copy_from_slice(input.as_slice());
         let finite = round_f16_slice(&mut rx);
         let counts = if finite && !lanes.force_dense {
-            lanes.run(&self.geom, params.activation, &rx, out.as_mut_slice());
+            lanes.run(params.activation, &rx, out.as_mut_slice());
             PathCounts::vector(values)
         } else {
             // Exact dense fallback in canonical CHW, converted at the edges
@@ -1201,6 +1196,9 @@ pub struct PreparedFc {
     lanes: Option<FcLanes>,
 }
 
+/// Output-feature blocks the FC lane kernel advances per pass.
+const FC_CHAINS: usize = 4;
+
 /// FC weights repacked for the lane micro-kernel: `[block][tap]` gives the
 /// weight lanes of 8 consecutive output features at input tap `tap`, so the
 /// inner loop broadcasts one input value against a contiguous vector.
@@ -1303,7 +1301,7 @@ impl PreparedFc {
             // FP32 lanes (always built) replay the reference order exactly
             // (bias-start, sequential taps), so they need no finiteness guard.
             let lanes = self.lanes.as_ref().expect("FP32 FC layers always lane");
-            self.run_lanes_f32(lanes, input.as_slice(), activation, &mut out);
+            self.run_lanes::<false>(lanes, input.as_slice(), activation, &mut out);
             return (out, PathCounts::vector(self.out_features));
         }
         let mut rx = arena.take_buffer(in_features);
@@ -1313,7 +1311,7 @@ impl PreparedFc {
             // Non-finite inputs make NaN payloads order-dependent; take the
             // exact reducer walk instead.
             Some(lanes) if finite => {
-                self.run_lanes_f16(lanes, &rx, activation, &mut out);
+                self.run_lanes::<true>(lanes, &rx, activation, &mut out);
                 PathCounts::vector(self.out_features)
             }
             _ => {
@@ -1325,61 +1323,69 @@ impl PreparedFc {
         (out, counts)
     }
 
-    /// FP32 lane kernel: 8 output features advance together; per feature
-    /// the f32 operations and their order are exactly the reference
-    /// `inner_product` walk, so the result is bitwise identical.
-    fn run_lanes_f32(
+    /// The lane kernel: up to [`FC_CHAINS`] blocks of 8 output features
+    /// advance together as independent accumulation chains, sharing each
+    /// input broadcast.
+    fn run_lanes<const FP16: bool>(
         &self,
         lanes: &FcLanes,
         x: &[f32],
         activation: Option<Activation>,
         out: &mut Tensor,
     ) {
-        for (b, wb) in lanes.w.iter().enumerate() {
-            let real = (self.out_features - b * LANES).min(LANES);
-            let mut acc = lanes.bias_v[b];
-            for (wv, &xv) in wb.iter().zip(x) {
-                for l in 0..LANES {
-                    acc[l] += xv * wv[l];
-                }
-            }
-            for (l, &a) in acc.iter().enumerate().take(real) {
-                *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, a);
-            }
+        let mut b = 0;
+        while b < lanes.w.len() {
+            b += match lanes.w.len() - b {
+                1 => self.fc_chains::<1, FP16>(lanes, b, x, activation, out),
+                2 => self.fc_chains::<2, FP16>(lanes, b, x, activation, out),
+                3 => self.fc_chains::<3, FP16>(lanes, b, x, activation, out),
+                _ => self.fc_chains::<FC_CHAINS, FP16>(lanes, b, x, activation, out),
+            };
         }
     }
 
-    /// FP16 lane kernel: 8 output features advance together, every
-    /// product and partial rounded by [`round8`] in reference order.
-    fn run_lanes_f16(
+    /// Blocks `b0..b0 + N` of the lane kernel; returns `N`. Per feature the
+    /// operations and their order are the reference walk's: FP32 starts
+    /// from the bias and adds taps in order, so even non-finite values
+    /// propagate identically; FP16 rounds every product and partial sum
+    /// with [`round8_acc`] (operands are finite on the binary16 grid) and
+    /// flushes split-K chunks into an f64 carry.
+    fn fc_chains<const N: usize, const FP16: bool>(
         &self,
         lanes: &FcLanes,
-        rx: &[f32],
+        b0: usize,
+        x: &[f32],
         activation: Option<Activation>,
         out: &mut Tensor,
-    ) {
-        for (b, wb) in lanes.w.iter().enumerate() {
-            let real = (self.out_features - b * LANES).min(LANES);
-            let mut acc = [0.0f32; LANES];
-            let mut carry = [0.0f64; LANES];
-            let mut ic = 0usize;
-            for (wv, &xv) in wb.iter().zip(rx) {
-                let p = round8(std::array::from_fn(|l| xv * wv[l]));
-                acc = round8(std::array::from_fn(|l| acc[l] + p[l]));
-                ic += 1;
-                if ic == lanes.chunk {
-                    for l in 0..LANES {
-                        carry[l] += f64::from(acc[l]);
-                        acc[l] = 0.0;
-                    }
-                    ic = 0;
+    ) -> usize {
+        let w: [&[[f32; LANES]]; N] = std::array::from_fn(|j| &lanes.w[b0 + j][..x.len()]);
+        let sums: [[f32; LANES]; N] = if FP16 {
+            let mut carry = [[0.0f64; LANES]; N];
+            let flushed = x.len() / lanes.chunk * lanes.chunk;
+            for lo in (0..flushed).step_by(lanes.chunk) {
+                let part = fc_taps::<N, true>(&w, x, lo..lo + lanes.chunk, [[0.0; LANES]; N]);
+                for (c, p) in carry.iter_mut().zip(&part) {
+                    *c = std::array::from_fn(|l| c[l] + f64::from(p[l]));
                 }
             }
-            for l in 0..real {
-                let v = (carry[l] + f64::from(acc[l])) as f32 + lanes.bias_v[b][l];
-                *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, v);
+            let rest = fc_taps::<N, true>(&w, x, flushed..x.len(), [[0.0; LANES]; N]);
+            std::array::from_fn(|j| {
+                std::array::from_fn(|l| {
+                    (carry[j][l] + f64::from(rest[j][l])) as f32 + lanes.bias_v[b0 + j][l]
+                })
+            })
+        } else {
+            let bias = std::array::from_fn(|j| lanes.bias_v[b0 + j]);
+            fc_taps::<N, false>(&w, x, 0..x.len(), bias)
+        };
+        for (j, v) in sums.iter().enumerate() {
+            let b = b0 + j;
+            let real = (self.out_features - b * LANES).min(LANES);
+            for (l, &a) in v.iter().enumerate().take(real) {
+                *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, a);
             }
         }
+        N
     }
 
     /// The legacy exact FP16 walk (`rx` already on the binary16 grid).
@@ -1397,6 +1403,32 @@ impl PreparedFc {
             *out.at_mut(o, 0, 0) = apply_act(activation, acc);
         }
     }
+}
+
+/// Accumulates FC taps `range` of `N` blocks onto `acc`, one input
+/// broadcast per tap shared by every block.
+#[inline(always)]
+fn fc_taps<const N: usize, const FP16: bool>(
+    w: &[&[[f32; LANES]]; N],
+    x: &[f32],
+    range: std::ops::Range<usize>,
+    mut acc: [[f32; LANES]; N],
+) -> [[f32; LANES]; N] {
+    let w: [&[[f32; LANES]]; N] = std::array::from_fn(|j| &w[j][range.clone()]);
+    for (i, &xv) in x[range].iter().enumerate() {
+        for j in 0..N {
+            let p: [f32; LANES] = std::array::from_fn(|l| xv * w[j][i][l]);
+            if FP16 {
+                let p = round8_acc(p);
+                acc[j] = round8_acc(std::array::from_fn(|l| acc[j][l] + p[l]));
+            } else {
+                for l in 0..LANES {
+                    acc[j][l] += p[l];
+                }
+            }
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -1877,6 +1909,87 @@ mod tests {
                 let (got, counts) = prepared.run(&input, Some(Activation::Relu), &mut arena);
                 assert_eq!(got, want);
                 assert_eq!(counts.vector + counts.scalar, out_features as u64);
+            }
+        }
+    }
+
+    /// A 3×3/pad-1 conv over a positive input whose taps `(1, 1)` and
+    /// `(1, 2)` weigh ±60000: their FP16 products round to +inf and -inf
+    /// and meet in one chunk of the lane accumulation (adjacent in every
+    /// in-bounds list that holds both), forming the default NaN there.
+    fn inf_cancelling_conv(channels: usize, groups: usize) -> (ConvParams, Tensor) {
+        let mut rng = Pcg32::seed_from_u64(2024);
+        let per_out = channels / groups * 9;
+        let weights = (0..channels * per_out)
+            .map(|i| match i % 9 {
+                4 => 60_000.0,
+                5 => -60_000.0,
+                _ => rng.normal() as f32 * 0.1,
+            })
+            .collect();
+        let params = ConvParams {
+            out_channels: channels,
+            in_channels: channels,
+            kernel_h: 3,
+            kernel_w: 3,
+            stride: 1,
+            pad_h: 1,
+            pad_w: 1,
+            groups,
+            weights: Weights::Dense(weights),
+            bias: Weights::Dense(vec![0.5; channels]),
+            activation: None,
+        };
+        let input = Tensor::from_fn([channels, 6, 7], |c, y, x| {
+            1.5 + ((c + y * 7 + x) % 5) as f32
+        });
+        (params, input)
+    }
+
+    #[test]
+    fn lanes_carry_inf_minus_inf_nan_bits_like_the_reference() {
+        let fp16 = |accum| {
+            let mut t = Tactic::conv_hmma(128, 64, "");
+            t.accum = accum;
+            t
+        };
+        for accum in [AccumOrder::Chunked(4), AccumOrder::Sequential] {
+            let tactic = fp16(accum);
+            for (channels, groups) in [(10, 1), (8, 8)] {
+                let (params, input) = inf_cancelling_conv(channels, groups);
+                let want = conv_forward(&params, &input, &tactic, None);
+                assert!(
+                    want.as_slice().iter().any(|v| v.to_bits() == 0xffc0_0000),
+                    "groups {groups} {accum:?}: no default NaN formed"
+                );
+                let prepared = PreparedConv::new(&params, input.shape(), &tactic, None);
+                let (_, counts) = prepared.run(&params, &input, &mut TensorArena::new());
+                assert_eq!(counts.vector, want.len() as u64, "lane path ran");
+                assert_layouts_match(&params, &input, &tactic);
+            }
+
+            let (out_features, in_features) = (20, 16);
+            let w: Vec<f32> = (0..out_features * in_features)
+                .map(|i| match i % in_features {
+                    2 => 60_000.0,
+                    3 => -60_000.0,
+                    _ => 0.25,
+                })
+                .collect();
+            let b = vec![0.5; out_features];
+            let input = Tensor::from_fn([in_features, 1, 1], |c, _, _| 1.5 + c as f32 * 0.25);
+            let want = fc_forward(&input, &w, &b, out_features, None, &tactic);
+            assert!(want.as_slice().iter().all(|v| v.to_bits() == 0xffc0_0000));
+            let prepared = PreparedFc::new(
+                &Weights::Dense(w),
+                &Weights::Dense(b),
+                out_features,
+                &tactic,
+            );
+            let (got, counts) = prepared.run(&input, None, &mut TensorArena::new());
+            assert_eq!(counts.vector, out_features as u64, "lane path ran");
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "fc {accum:?}");
             }
         }
     }
