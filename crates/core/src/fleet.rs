@@ -61,7 +61,7 @@ use trtsim_gpu::timeline::GpuTimeline;
 use trtsim_metrics::{Counter, LatencyPercentiles, Registry, TelemetryServer};
 
 use crate::engine::Engine;
-use crate::predict::{EngineFeatures, LatencyModel, PredictedLatency, QueueSignals};
+use crate::predict::{LatencyModel, PredictedLatency, QueueSignals};
 use crate::reqtrace::{
     FlightRecorder, RequestTrace, TraceCtx, TraceIdGen, TraceOptions, TraceOutcome,
 };
@@ -168,9 +168,6 @@ struct Replica {
     /// Frames the router sent here (accepted submissions).
     routed: AtomicU64,
     routed_metric: Counter,
-    /// Static (engine, device) features the predictive score evaluates the
-    /// shared model against.
-    features: EngineFeatures,
 }
 
 /// One served model's routing table: its replicas, plus per-tenant state
@@ -366,8 +363,6 @@ impl FleetBuilder {
                     registry: Arc::clone(&reg),
                 },
             )?;
-            let features =
-                EngineFeatures::measure(&engine, &device.spec, server_config.timing.host_glue_us);
             // Service-cost estimate for the router: one profiled inference
             // on a scratch context (does not touch the serving timeline).
             let ctx = ExecutionContext::new(&engine, device.spec.clone());
@@ -394,7 +389,6 @@ impl FleetBuilder {
                 service_us,
                 routed: AtomicU64::new(0),
                 routed_metric,
-                features,
             });
         }
         let predicted_metric = reg.counter(
@@ -501,18 +495,30 @@ impl Fleet {
         check_arrival(arrival_us)?;
         self.run_until(arrival_us);
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        let (rejected, prev) = {
-            let mut tenants = route.tenants.lock().expect("tenant routes");
-            if !tenants.contains_key(tenant) {
-                tenants.insert(
-                    tenant.to_string(),
-                    TenantRoute::register(&self.registry, model, tenant),
-                );
-            }
-            let entry = &tenants[tenant];
-            entry.submitted.inc();
-            (entry.rejected.clone(), entry.last_replica)
-        };
+        // The tenant's entry is looked up once, at admission, and held until
+        // the frame is placed or refused.
+        let mut tenants = route.tenants.lock().expect("tenant routes");
+        if let Some(entry) = tenants.get_mut(tenant) {
+            return self.place(route, entry, model, tenant, frame, arrival_us);
+        }
+        let entry = tenants
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantRoute::register(&self.registry, model, tenant));
+        self.place(route, entry, model, tenant, frame, arrival_us)
+    }
+
+    /// Prices the model's replicas for one request, offers it to them best
+    /// first, and counts the outcome against the (model, tenant) `entry`.
+    fn place(
+        &self,
+        route: &ModelRoute,
+        entry: &mut TenantRoute,
+        model: &str,
+        tenant: &str,
+        frame: u64,
+        arrival_us: f64,
+    ) -> Result<(), ServingError> {
+        entry.submitted.inc();
         // Predicted finish time when the shared model is warm: batch-1 p50
         // under each replica's live queue signals, which folds in batch
         // effects, backlog and busy streams the static heuristic cannot see.
@@ -527,7 +533,8 @@ impl Fleet {
             .map(|&r| {
                 let replica = &self.replicas[r];
                 let signals = replica.server.queue_signals(arrival_us);
-                let pred = warm_model.and_then(|m| m.predict(&replica.features, 1, &signals));
+                let pred =
+                    warm_model.and_then(|m| m.predict(replica.server.features()?, 1, &signals));
                 let score = pred.as_ref().map_or_else(
                     || (replica.server.queue_depth() as f64 + 1.0) * replica.service_us,
                     |p| p.p50_us,
@@ -545,7 +552,7 @@ impl Fleet {
         // the replica that served this (model, tenant) most recently —
         // sticky routing where the scores cannot tell replicas apart.
         let mut affinity_choice = None;
-        if let Some(prev) = prev.filter(|_| order.len() >= 2) {
+        if let Some(prev) = entry.last_replica.filter(|_| order.len() >= 2) {
             let bound = order[0].score * (1.0 + self.affinity_epsilon);
             let ties = order.iter().take_while(|p| p.score <= bound).count();
             if ties >= 2 {
@@ -585,11 +592,7 @@ impl Fleet {
                     if affinity_choice == Some(r) {
                         self.affinity_metric.inc();
                     }
-                    if let Some(entry) =
-                        route.tenants.lock().expect("tenant routes").get_mut(tenant)
-                    {
-                        entry.last_replica = Some(r);
-                    }
+                    entry.last_replica = Some(r);
                     return Ok(());
                 }
                 Err(ServingError::QueueFull) => continue,
@@ -601,7 +604,7 @@ impl Fleet {
             }
         }
         self.rejected.fetch_add(1, Ordering::Relaxed);
-        rejected.inc();
+        entry.rejected.inc();
         // Deadline-blocked everywhere reads differently from merely full:
         // the caller learns shedding was a latency decision, not capacity.
         let outcome = if deadline_blocked {
@@ -1245,5 +1248,48 @@ mod tests {
         let stats = fleet.drain();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.replicas[0].tenant.as_deref(), Some("cam-east"));
+    }
+
+    #[test]
+    fn per_tenant_counters_match_what_each_tenant_saw() {
+        let e = engine("fleet-tenant-counts");
+        let tight = config().with_workers(1).with_queue_capacity(2);
+        let fleet = FleetBuilder::new()
+            .device("agx0", DeviceSpec::xavier_agx())
+            .device("nx0", DeviceSpec::xavier_nx())
+            .replica("agx0", &e, tight)
+            .unwrap()
+            .replica("nx0", &e, tight)
+            .unwrap()
+            .start(FleetConfig::default())
+            .unwrap();
+        // Arrivals far faster than two one-worker replicas serve, so every
+        // tenant sees both placements and refusals.
+        let tenants = ["cam-a", "cam-b", "default", "cam-a", "cam-c"];
+        let mut seen: HashMap<&str, (u64, u64)> = HashMap::new();
+        for i in 0..200u64 {
+            let tenant = tenants[i as usize % tenants.len()];
+            let outcome = fleet.submit_as(tenant, e.name(), i, i as f64 * 20.0);
+            let (ok, refused) = seen.entry(tenant).or_default();
+            match outcome {
+                Ok(()) => *ok += 1,
+                Err(ServingError::QueueFull) => *refused += 1,
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        let reg = fleet.registry();
+        for (tenant, &(ok, refused)) in &seen {
+            assert!(
+                ok > 0 && refused > 0,
+                "{tenant}: {ok} placed, {refused} refused"
+            );
+            let labels: &[(&str, &str)] = &[("model", e.name()), ("tenant", tenant)];
+            let submitted = reg.counter("trtsim_fleet_submitted_total", "", labels);
+            let rejected = reg.counter("trtsim_fleet_rejected_total", "", labels);
+            assert_eq!((submitted.get(), rejected.get()), (ok + refused, refused));
+        }
+        let stats = fleet.drain();
+        let refused: u64 = seen.values().map(|&(_, r)| r).sum();
+        assert_eq!((stats.submitted, stats.rejected), (200, refused));
     }
 }

@@ -198,6 +198,11 @@ struct ModelInner {
     observations: u64,
     /// Log-bucket histogram of prequential `observed / predicted` ratios.
     ratio_counts: [u64; RATIO_BUCKETS],
+    /// The histogram's total mass, kept as buckets change.
+    ratio_total: u64,
+    /// The (p50, p99) calibration multipliers of the histogram as it
+    /// stands; `None` after an `observe` changed it, until the next read.
+    calibration: Option<(f64, f64)>,
     /// Prequential absolute-percentage-error accumulator, over warm
     /// predictions only (the ones schedulers actually acted on).
     mape_sum: f64,
@@ -209,23 +214,35 @@ impl ModelInner {
         self.weights.iter().zip(x).map(|(w, v)| w * v).sum()
     }
 
-    /// The ratio at quantile `q` of the residual histogram (bucket midpoint
-    /// on the log grid), or 1.0 before any residual landed.
-    fn ratio_quantile(&self, q: f64) -> f64 {
-        let total: u64 = self.ratio_counts.iter().sum();
-        if total == 0 {
-            return 1.0;
-        }
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, &n) in self.ratio_counts.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return RATIO_GROWTH.powi(i as i32 - RATIO_CENTER as i32);
-            }
-        }
-        RATIO_GROWTH.powi((RATIO_BUCKETS - 1 - RATIO_CENTER) as i32)
+    /// The (p50, p99) calibration multipliers, recomputed only when the
+    /// histogram changed since they were last read.
+    fn calibration(&mut self) -> (f64, f64) {
+        let (counts, total) = (&self.ratio_counts, self.ratio_total);
+        *self.calibration.get_or_insert_with(|| {
+            (
+                ratio_quantile(counts, total, 0.50),
+                ratio_quantile(counts, total, 0.99),
+            )
+        })
     }
+}
+
+/// The ratio at quantile `q` of a residual histogram holding `total`
+/// observations (bucket midpoint on the log grid), or 1.0 before any
+/// residual landed.
+fn ratio_quantile(counts: &[u64; RATIO_BUCKETS], total: u64, q: f64) -> f64 {
+    if total == 0 {
+        return 1.0;
+    }
+    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, &n) in counts.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return RATIO_GROWTH.powi(i as i32 - RATIO_CENTER as i32);
+        }
+    }
+    RATIO_GROWTH.powi((RATIO_BUCKETS - 1 - RATIO_CENTER) as i32)
 }
 
 /// The online-trained latency model. Interior-mutable and `Sync`: one
@@ -265,6 +282,8 @@ impl LatencyModel {
                 weights,
                 observations: 0,
                 ratio_counts: [0; RATIO_BUCKETS],
+                ratio_total: 0,
+                calibration: None,
                 mape_sum: 0.0,
                 mape_n: 0,
             }),
@@ -333,11 +352,14 @@ impl LatencyModel {
                 ((observed_us / predicted).ln() / RATIO_GROWTH.ln()).round() + RATIO_CENTER as f64;
             let idx = (idx.max(0.0) as usize).min(RATIO_BUCKETS - 1);
             inner.ratio_counts[idx] += 1;
-            if inner.ratio_counts.iter().sum::<u64>() >= RATIO_DECAY_AT {
+            inner.ratio_total += 1;
+            if inner.ratio_total >= RATIO_DECAY_AT {
                 for n in &mut inner.ratio_counts {
                     *n /= 2;
                 }
+                inner.ratio_total = inner.ratio_counts.iter().sum();
             }
+            inner.calibration = None;
         }
         // Projected normalized LMS: scale-free step, then clamp to w ≥ 0 so
         // predictions stay monotone in batch and queue depth. The step
@@ -366,13 +388,12 @@ impl LatencyModel {
         signals: &QueueSignals,
     ) -> Option<PredictedLatency> {
         let x = features.vector(batch, signals);
-        let inner = self.inner.lock().expect("model lock");
+        let mut inner = self.inner.lock().expect("model lock");
         if inner.observations < self.min_obs {
             return None;
         }
         let point = inner.raw_predict(&x);
-        let q50 = inner.ratio_quantile(0.50);
-        let q99 = inner.ratio_quantile(0.99);
+        let (q50, q99) = inner.calibration();
         let p50_us = point * q50;
         Some(PredictedLatency {
             p50_us,
@@ -393,8 +414,7 @@ impl LatencyModel {
     /// landed. Exported as `trtsim_predictor_*` gauges so calibration drift
     /// is scrapeable alongside the MAPE.
     pub fn calibration(&self) -> (f64, f64) {
-        let inner = self.inner.lock().expect("model lock");
-        (inner.ratio_quantile(0.50), inner.ratio_quantile(0.99))
+        self.inner.lock().expect("model lock").calibration()
     }
 }
 
@@ -557,5 +577,72 @@ mod tests {
         model.observe(&f, 1, &q, f64::INFINITY);
         assert_eq!(model.observations(), 0);
         assert!(model.predict(&f, 1, &q).is_none());
+    }
+
+    /// A warm prediction recomputed from scratch: the point estimate and
+    /// both quantiles of the histogram as it stands, its mass re-summed.
+    fn fresh_prediction(
+        model: &LatencyModel,
+        f: &EngineFeatures,
+        batch: usize,
+        q: &QueueSignals,
+    ) -> Option<(u64, u64)> {
+        let inner = model.inner.lock().expect("model lock");
+        if inner.observations < model.min_obs {
+            return None;
+        }
+        let total = inner.ratio_counts.iter().sum();
+        let point = inner.raw_predict(&f.vector(batch, q));
+        let p50 = point * ratio_quantile(&inner.ratio_counts, total, 0.50);
+        let p99 = (point * ratio_quantile(&inner.ratio_counts, total, 0.99)).max(p50);
+        Some((p50.to_bits(), p99.to_bits()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn cached_calibration_matches_a_fresh_scan_across_halvings(
+            seed in 0u64..1_000_000,
+            min_obs in 1u64..48,
+            noise in 0.0f64..0.8,
+        ) {
+            let f = features();
+            let model = LatencyModel::new(seed).with_min_obs(min_obs);
+            let mut rng = Pcg32::seed_from_u64(seed ^ 0xca1);
+            let (mut halvings, mut last_total) = (0, 0);
+            for _ in 0..900 {
+                let batch = 1 + rng.range_usize(8);
+                let q = QueueSignals::new(rng.range_usize(16) as f64, rng.next_f64())
+                    .with_committed_us(rng.next_f64() * 4_000.0);
+                // Some observations are followed by a read and some are not,
+                // so the cache is read both right after a change and after
+                // several.
+                if rng.range_usize(3) > 0 {
+                    let got = model
+                        .predict(&f, batch, &q)
+                        .map(|p| (p.p50_us.to_bits(), p.p99_us.to_bits()));
+                    proptest::prop_assert_eq!(got, fresh_prediction(&model, &f, batch, &q));
+                }
+                let jitter = 1.0 + noise * (2.0 * rng.next_f64() - 1.0);
+                model.observe(&f, batch, &q, true_latency(&f, batch, &q) * jitter);
+                let inner = model.inner.lock().expect("model lock");
+                proptest::prop_assert_eq!(inner.ratio_total, inner.ratio_counts.iter().sum::<u64>());
+                if inner.ratio_total < last_total {
+                    halvings += 1;
+                }
+                last_total = inner.ratio_total;
+            }
+            proptest::prop_assert!(halvings >= 2, "{halvings} halvings");
+            let fresh = {
+                let inner = model.inner.lock().expect("model lock");
+                let total = inner.ratio_counts.iter().sum();
+                (
+                    ratio_quantile(&inner.ratio_counts, total, 0.50),
+                    ratio_quantile(&inner.ratio_counts, total, 0.99),
+                )
+            };
+            proptest::prop_assert_eq!(model.calibration(), fresh);
+        }
     }
 }

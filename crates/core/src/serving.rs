@@ -773,7 +773,7 @@ impl InferenceServer {
         };
         let state = State {
             now_us: 0.0,
-            queue: VecDeque::with_capacity(config.queue_capacity),
+            queue: VecDeque::new(),
             in_service: (0..config.workers).map(|_| None).collect(),
             arrivals: ArrivalClock::new(config.arrival_period_us, config.arrival_process),
             draining: false,
@@ -1270,6 +1270,12 @@ impl InferenceServer {
     /// fleet router's least-loaded dispatch reads.
     pub fn queue_depth(&self) -> usize {
         self.lock().queue.len()
+    }
+
+    /// The static features this server's predictor evaluates its model
+    /// against — present exactly when [`InferenceServer::latency_model`] is.
+    pub(crate) fn features(&self) -> Option<&EngineFeatures> {
+        self.predictor.as_ref().map(|p| &p.features)
     }
 
     /// The online latency model this server trains — present when

@@ -104,7 +104,7 @@ pub struct MemcpyRecord {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostSpanRecord {
     /// What the host was doing (e.g. `"host_glue"`, `"batch_wait"`).
-    pub label: String,
+    pub label: &'static str,
     /// Stream whose progress the host work gated.
     pub stream: StreamId,
     /// Start time (µs).
@@ -422,17 +422,18 @@ impl GpuTimeline {
     /// Advances a stream's cursor by `us` of labelled host-side work and
     /// records it as a [`HostSpanRecord`] so traces show where stream time
     /// went between device operations. Non-positive durations advance nothing
-    /// and record nothing. Returns the stream's new cursor (µs).
+    /// and record nothing. The label is stored as given, so recording a span
+    /// allocates nothing. Returns the stream's new cursor (µs).
     ///
     /// # Panics
     ///
     /// Panics if the stream does not exist.
-    pub fn host_span(&mut self, stream: StreamId, label: &str, us: f64) -> f64 {
+    pub fn host_span(&mut self, stream: StreamId, label: &'static str, us: f64) -> f64 {
         if us > 0.0 {
             let start = self.stream_cursor[stream];
             let seq = self.bump_seq(stream);
             self.host_spans.push(HostSpanRecord {
-                label: label.to_string(),
+                label,
                 stream,
                 start_us: start,
                 duration_us: us,

@@ -151,7 +151,7 @@ pub fn chrome_trace_json_multi_with_spans(
                 h.stream,
                 h.seq,
                 complete_event(
-                    &h.label,
+                    h.label,
                     CAT_HOST,
                     h.start_us,
                     h.duration_us,
