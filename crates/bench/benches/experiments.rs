@@ -7,6 +7,7 @@ use std::time::Duration;
 use trtsim_gpu::device::Platform;
 use trtsim_models::ModelId;
 use trtsim_repro::exp_accuracy::AccuracyConfig;
+use trtsim_repro::support::EngineFarm;
 use trtsim_repro::*;
 
 fn tight<'c>(
@@ -21,30 +22,33 @@ fn tight<'c>(
 }
 
 fn bench_size_table(c: &mut Criterion) {
+    let farm = EngineFarm::new();
     let mut group = tight(c, "experiments");
-    group.bench_function("table2_model_sizes", |b| b.iter(exp_sizes::run));
+    group.bench_function("table2_model_sizes", |b| b.iter(|| exp_sizes::run(&farm)));
     group.finish();
 }
 
 fn bench_accuracy(c: &mut Criterion) {
     let config = AccuracyConfig::quick();
+    let farm = EngineFarm::new();
     let mut group = tight(c, "experiments-accuracy");
     group.bench_function("table3_benign_accuracy_quick", |b| {
-        b.iter(|| exp_accuracy::run_table3(black_box(&config)))
+        b.iter(|| exp_accuracy::run_table3(&farm, black_box(&config)))
     });
     group.finish();
 }
 
 fn bench_latency_and_concurrency(c: &mut Criterion) {
+    let farm = EngineFarm::new();
     let mut group = tight(c, "experiments-latency");
     group.bench_function("table9_latency_two_models", |b| {
-        b.iter(exp_latency::run_table9)
+        b.iter(|| exp_latency::run_table9(&farm))
     });
     group.bench_function("fig3_tinyyolo_nx", |b| {
-        b.iter(|| exp_concurrency::run(ModelId::TinyYolov3, Platform::Nx))
+        b.iter(|| exp_concurrency::run(&farm, ModelId::TinyYolov3, Platform::Nx))
     });
     group.bench_function("table17_bsp_inception", |b| {
-        b.iter(|| exp_bsp::run(ModelId::InceptionV4, 3))
+        b.iter(|| exp_bsp::run(&farm, ModelId::InceptionV4, 3))
     });
     group.finish();
 }

@@ -60,8 +60,14 @@ struct TraceRun {
 
 /// Replays `trace` on each board alone and on the fleet, absorbing every
 /// server's and the fleet's final series into `registry`.
-fn run_trace(model: ModelId, trace: &ArrivalTrace, queue: usize, registry: &Registry) -> TraceRun {
-    let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
+fn run_trace(
+    farm: &EngineFarm,
+    model: ModelId,
+    trace: &ArrivalTrace,
+    queue: usize,
+    registry: &Registry,
+) -> TraceRun {
+    let engine = farm.zoo(model, Platform::Nx, 0);
     // Each board alone, fed the identical trace.
     let mut solo = Vec::new();
     for (device, spec, workers) in devices() {
@@ -117,6 +123,7 @@ fn main() {
     let model = ModelId::Googlenet;
     let frames = if smoke { 64 } else { 384 };
     let queue = frames; // everything offered fits fleet- and solo-wide
+    let farm = EngineFarm::new();
     let traces = [
         ("poisson", ArrivalTrace::poisson(500.0, frames, 11)),
         (
@@ -131,7 +138,7 @@ fn main() {
     let mut fleet_fps_by_trace = Vec::new();
     let registry = Registry::new();
     for (name, trace) in &traces {
-        let run = run_trace(model, trace, queue, &registry);
+        let run = run_trace(&farm, model, trace, queue, &registry);
         let fleet_fps = run.fleet.aggregate_fps;
         let best_solo = run
             .solo
@@ -214,7 +221,7 @@ fn main() {
         summary,
         bit_identical: all_pass,
     };
-    EngineFarm::global().publish(&registry);
+    farm.publish(&registry);
     report.write(&out_path, &registry);
     println!("-> {out_path}");
     assert!(all_pass, "fleet benchmark invariants failed");

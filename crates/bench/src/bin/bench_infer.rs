@@ -59,8 +59,9 @@ fn main() {
     } else {
         AccuracyConfig::default()
     };
+    let farm = EngineFarm::new();
     let setup = AccuracySetup::new(model, &config);
-    let engine = setup.engine(Platform::Nx, 0);
+    let engine = setup.engine(&farm, Platform::Nx, 0);
     let images = setup.benign(&config);
     let inputs: Vec<&Tensor> = images.iter().map(|img| &img.image).collect();
     let threads = auto_threads();
@@ -181,7 +182,7 @@ fn main() {
     for ctx in [&planned_ctx, &parallel_ctx] {
         publish_plan(&registry, ctx.plan().expect("compiled"), &ctx.plan_stats());
     }
-    EngineFarm::global().publish(&registry);
+    farm.publish(&registry);
     report.write(&out_path, &registry);
 
     for p in &report.phases {

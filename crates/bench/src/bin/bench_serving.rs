@@ -301,7 +301,8 @@ fn main() {
     // the slowest board, brutal against the queueing delay both traces
     // build up at their peaks.
     let deadline_us = 25_000.0;
-    let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
+    let farm = EngineFarm::new();
+    let engine = farm.zoo(model, Platform::Nx, 0);
     // Bursty warm-up: training data must span the queueing regimes the
     // measured traces hit, or the model's queue-depth terms never learn and
     // admission control flies blind.
@@ -393,7 +394,7 @@ fn main() {
     // MAPE above tracks whatever build is actually serving.
     let device = DeviceSpec::xavier_nx();
     let builds: Vec<Engine> = (0..4)
-        .map(|seed| (*EngineFarm::global().zoo(model, Platform::Nx, seed)).clone())
+        .map(|seed| (*farm.zoo(model, Platform::Nx, seed)).clone())
         .collect();
     let bsp_errors = bsp_cross_build_error_percent(&builds, &device, 17);
     for (k, err) in bsp_errors.iter().enumerate() {
@@ -426,7 +427,7 @@ fn main() {
         summary,
         bit_identical: all_pass,
     };
-    EngineFarm::global().publish(&registry);
+    farm.publish(&registry);
     report.write(&out_path, &registry);
     println!("-> {out_path}");
     assert!(

@@ -21,7 +21,7 @@ use trtsim_models::ModelId;
 use trtsim_util::derive_seed;
 
 use crate::exp_accuracy::{AccuracyConfig, AccuracySetup};
-use crate::support::{TextTable, CAMPAIGN_SEED};
+use crate::support::{EngineFarm, TextTable, CAMPAIGN_SEED};
 
 /// One pass-ablation variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,13 +233,13 @@ pub struct Int8Row {
 }
 
 /// Runs the INT8 accuracy study on a numeric classifier.
-pub fn run_int8_accuracy(model: ModelId, config: &AccuracyConfig) -> Int8Row {
+pub fn run_int8_accuracy(farm: &EngineFarm, model: ModelId, config: &AccuracyConfig) -> Int8Row {
     let setup = AccuracySetup::new(model, config);
     let images = setup.benign(config);
     let labels: Vec<usize> = images.iter().map(|i| i.label).collect();
 
     let fp32 = setup.unopt_predictions(&images);
-    let fp16_engine = setup.engine(Platform::Nx, 0);
+    let fp16_engine = setup.engine(farm, Platform::Nx, 0);
     let fp16 = setup.engine_predictions(&fp16_engine, &images);
 
     let calibration = setup.dataset.calibration_batch(config.classes.min(8));
@@ -411,7 +411,7 @@ mod tests {
 
     #[test]
     fn int8_engines_stay_accurate() {
-        let row = run_int8_accuracy(ModelId::Vgg16, &AccuracyConfig::quick());
+        let row = run_int8_accuracy(&EngineFarm::new(), ModelId::Vgg16, &AccuracyConfig::quick());
         // INT8 with amax calibration tracks FP16 within a few points.
         assert!(
             row.int8_error <= row.fp16_error + 12.0,

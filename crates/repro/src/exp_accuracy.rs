@@ -111,11 +111,11 @@ impl AccuracySetup {
         }
     }
 
-    /// Builds (or fetches from the [`EngineFarm`]) TensorRT engine `index` on
+    /// Builds (or fetches from `farm`) TensorRT engine `index` on
     /// `platform` with the model-compression step (magnitude pruning)
     /// enabled. The class count salts the farm key because it changes the
     /// synthesized network.
-    pub fn engine(&self, platform: Platform, index: u64) -> Arc<Engine> {
+    pub fn engine(&self, farm: &EngineFarm, platform: Platform, index: u64) -> Arc<Engine> {
         let seed = derive_seed(
             CAMPAIGN_SEED,
             "accuracy-engine",
@@ -128,7 +128,7 @@ impl AccuracySetup {
             index,
             variant: self.dataset.classes() as u64,
         };
-        EngineFarm::global().get_or_build(key, |cache| {
+        farm.get_or_build(key, |cache| {
             // Compression enabled: magnitude pruning restores the exact zeros
             // an over-fitted model has smeared (the dominant denoising
             // effect) and clustering tidies the surviving levels.
@@ -210,7 +210,7 @@ pub struct AccuracyRow {
 }
 
 /// Computes Table III for the paper's three models.
-pub fn run_table3(config: &AccuracyConfig) -> Vec<AccuracyRow> {
+pub fn run_table3(farm: &EngineFarm, config: &AccuracyConfig) -> Vec<AccuracyRow> {
     [ModelId::Alexnet, ModelId::Resnet18, ModelId::Vgg16]
         .into_iter()
         .map(|model| {
@@ -218,8 +218,8 @@ pub fn run_table3(config: &AccuracyConfig) -> Vec<AccuracyRow> {
             let images = setup.benign(config);
             let labels: Vec<usize> = images.iter().map(|i| i.label).collect();
             let unopt = setup.unopt_predictions(&images);
-            let nx = setup.engine_predictions(&setup.engine(Platform::Nx, 0), &images);
-            let agx = setup.engine_predictions(&setup.engine(Platform::Agx, 0), &images);
+            let nx = setup.engine_predictions(&setup.engine(farm, Platform::Nx, 0), &images);
+            let agx = setup.engine_predictions(&setup.engine(farm, Platform::Agx, 0), &images);
             AccuracyRow {
                 model,
                 agx_error: top1_error_percent(&agx, &labels),
@@ -245,29 +245,13 @@ pub struct AdversarialRow {
     pub unopt_error: f64,
 }
 
-/// Diagnostic: Table III rows for ResNet-18 only (calibration loop).
-pub fn run_table3_resnet_only(config: &AccuracyConfig) -> Vec<AccuracyRow> {
-    let model = ModelId::Resnet18;
-    let setup = AccuracySetup::new(model, config);
-    let images = setup.benign(config);
-    let labels: Vec<usize> = images.iter().map(|i| i.label).collect();
-    let unopt = setup.unopt_predictions(&images);
-    let nx = setup.engine_predictions(&setup.engine(Platform::Nx, 0), &images);
-    vec![AccuracyRow {
-        model,
-        agx_error: 0.0,
-        nx_error: top1_error_percent(&nx, &labels),
-        unopt_error: top1_error_percent(&unopt, &labels),
-    }]
-}
-
 /// Computes Table IV (severities 1 and 5).
-pub fn run_table4(config: &AccuracyConfig) -> Vec<AdversarialRow> {
+pub fn run_table4(farm: &EngineFarm, config: &AccuracyConfig) -> Vec<AdversarialRow> {
     let mut rows = Vec::new();
     for model in [ModelId::Alexnet, ModelId::Resnet18, ModelId::Vgg16] {
         let setup = AccuracySetup::new(model, config);
-        let nx_engine = setup.engine(Platform::Nx, 0);
-        let agx_engine = setup.engine(Platform::Agx, 0);
+        let nx_engine = setup.engine(farm, Platform::Nx, 0);
+        let agx_engine = setup.engine(farm, Platform::Agx, 0);
         for severity in [Severity::new(1), Severity::new(5)] {
             let images = setup.adversarial(config, severity);
             let labels: Vec<usize> = images.iter().map(|i| i.label).collect();
@@ -337,7 +321,7 @@ mod tests {
     fn tensorrt_error_not_worse_than_unoptimized() {
         // Finding 1, on the quick configuration (36 images/model: one image
         // is ~3 percentage points, so judge the average and cap per model).
-        let rows = run_table3(&AccuracyConfig::quick());
+        let rows = run_table3(&EngineFarm::new(), &AccuracyConfig::quick());
         let mean_delta: f64 =
             rows.iter().map(|r| r.nx_error - r.unopt_error).sum::<f64>() / rows.len() as f64;
         assert!(
@@ -357,7 +341,7 @@ mod tests {
 
     #[test]
     fn severity_5_is_much_worse_than_1() {
-        let rows = run_table4(&AccuracyConfig::quick());
+        let rows = run_table4(&EngineFarm::new(), &AccuracyConfig::quick());
         for model in [ModelId::Alexnet, ModelId::Resnet18, ModelId::Vgg16] {
             let s1 = rows
                 .iter()
@@ -378,16 +362,11 @@ mod tests {
 
     #[test]
     fn errors_are_nontrivial_rates() {
-        let rows = run_table3(&AccuracyConfig::quick());
+        let rows = run_table3(&EngineFarm::new(), &AccuracyConfig::quick());
         for r in &rows {
             assert!(r.unopt_error > 0.0, "{}: dataset too easy", r.model);
             assert!(r.nx_error < 100.0, "{}: dataset impossible", r.model);
         }
-    }
-
-    #[test]
-    fn renders() {
-        let rows = run_table3(&AccuracyConfig::quick());
         assert!(render_table3(&rows).contains("Unoptimized"));
     }
 }

@@ -47,12 +47,14 @@ impl BspExperiment {
 }
 
 /// Runs the experiment: `engines` NX builds of `model`, predicted onto AGX.
-pub fn run(model: ModelId, engines: u64) -> BspExperiment {
+pub fn run(farm: &EngineFarm, model: ModelId, engines: u64) -> BspExperiment {
+    let wanted: Vec<_> = (0..engines).map(|i| (model, Platform::Nx, i)).collect();
+    farm.prefetch_zoo(&wanted);
     let nx = DeviceSpec::pinned_clock(Platform::Nx);
     let agx = DeviceSpec::pinned_clock(Platform::Agx);
     let rows = (0..engines)
         .map(|i| {
-            let engine = EngineFarm::global().zoo(model, Platform::Nx, i);
+            let engine = farm.zoo(model, Platform::Nx, i);
             let outcome = PredictionOutcome::evaluate(&engine, &nx, &agx, i ^ 0xb5b);
             BspRow {
                 engine: i + 1,
@@ -100,7 +102,7 @@ mod tests {
     fn inception_prediction_error_varies_across_engines() {
         // Paper: "a significant change of around 2-13% in the prediction
         // error across the three engines".
-        let exp = run(ModelId::InceptionV4, 3);
+        let exp = run(&EngineFarm::new(), ModelId::InceptionV4, 3);
         assert_eq!(exp.rows.len(), 3);
         assert!(
             exp.error_spread() > 0.2,
@@ -111,7 +113,7 @@ mod tests {
 
     #[test]
     fn predictions_are_right_order_of_magnitude() {
-        let exp = run(ModelId::Mobilenetv1, 2);
+        let exp = run(&EngineFarm::new(), ModelId::Mobilenetv1, 2);
         for r in &exp.rows {
             assert!(r.predicted_ms > 0.0);
             assert!(
@@ -125,7 +127,7 @@ mod tests {
 
     #[test]
     fn renders() {
-        let exp = run(ModelId::Mobilenetv1, 2);
+        let exp = run(&EngineFarm::new(), ModelId::Mobilenetv1, 2);
         let s = render(&exp);
         assert!(s.contains("Error (%)"));
         assert!(s.contains("error spread"));

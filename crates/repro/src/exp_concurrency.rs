@@ -38,8 +38,8 @@ impl ConcurrencyFigure {
 
 /// Computes the sweep for one (model, platform) at the board-maximum clock
 /// ("we obtain these statistics on the maximum GPU frequency", §IV-B).
-pub fn run(model: ModelId, platform: Platform) -> ConcurrencyFigure {
-    let engine = EngineFarm::global().zoo(model, platform, 0);
+pub fn run(farm: &EngineFarm, model: ModelId, platform: Platform) -> ConcurrencyFigure {
+    let engine = farm.zoo(model, platform, 0);
     let device = DeviceSpec::max_clock(platform);
     let ctx = ExecutionContext::new(&engine, device.clone());
     let profile = ctx.profile(model.info().host_glue_us);
@@ -81,10 +81,11 @@ mod tests {
 
     #[test]
     fn tiny_yolo_supports_more_threads_than_googlenet() {
+        let farm = EngineFarm::new();
         // Paper: 28 vs 16 on NX; 36 vs 24 on AGX.
         for platform in Platform::all() {
-            let yolo = run(ModelId::TinyYolov3, platform);
-            let goog = run(ModelId::Googlenet, platform);
+            let yolo = run(&farm, ModelId::TinyYolov3, platform);
+            let goog = run(&farm, ModelId::Googlenet, platform);
             assert!(
                 yolo.max_threads() > goog.max_threads(),
                 "{platform}: {} !> {}",
@@ -96,9 +97,10 @@ mod tests {
 
     #[test]
     fn agx_supports_more_threads_than_nx() {
+        let farm = EngineFarm::new();
         for model in [ModelId::TinyYolov3, ModelId::Googlenet] {
-            let nx = run(model, Platform::Nx);
-            let agx = run(model, Platform::Agx);
+            let nx = run(&farm, model, Platform::Nx);
+            let agx = run(&farm, model, Platform::Agx);
             assert!(
                 agx.max_threads() > nx.max_threads(),
                 "{model}: {} !> {}",
@@ -110,12 +112,13 @@ mod tests {
 
     #[test]
     fn utilization_saturates_around_the_paper_band() {
+        let farm = EngineFarm::new();
         // Paper: 82-86% at saturation.
         for (model, platform) in [
             (ModelId::TinyYolov3, Platform::Nx),
             (ModelId::TinyYolov3, Platform::Agx),
         ] {
-            let fig = run(model, platform);
+            let fig = run(&farm, model, platform);
             let sat = fig.saturation_utilization_percent();
             assert!(
                 (55.0..=90.0).contains(&sat),
@@ -126,7 +129,8 @@ mod tests {
 
     #[test]
     fn fps_and_util_rise_with_threads() {
-        let fig = run(ModelId::TinyYolov3, Platform::Nx);
+        let farm = EngineFarm::new();
+        let fig = run(&farm, ModelId::TinyYolov3, Platform::Nx);
         assert!(
             fig.points.len() >= 4,
             "too few points: {}",
@@ -140,7 +144,8 @@ mod tests {
 
     #[test]
     fn renders_series() {
-        let fig = run(ModelId::Googlenet, Platform::Nx);
+        let farm = EngineFarm::new();
+        let fig = run(&farm, ModelId::Googlenet, Platform::Nx);
         let s = render(&fig);
         assert!(s.contains("threads") && s.contains("GPU util"));
         assert_eq!(s.lines().count(), fig.points.len() + 3);

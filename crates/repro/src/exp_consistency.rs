@@ -13,7 +13,7 @@ use trtsim_models::ModelId;
 use trtsim_util::derive_seed;
 
 use crate::exp_accuracy::{AccuracyConfig, AccuracySetup};
-use crate::support::{TextTable, CAMPAIGN_SEED};
+use crate::support::{EngineFarm, TextTable, CAMPAIGN_SEED};
 
 /// The models the paper studies in Tables V/VI.
 pub fn consistency_models() -> [ModelId; 4] {
@@ -70,11 +70,11 @@ fn corpus(setup: &AccuracySetup, config: &AccuracyConfig) -> Vec<LabeledImage> {
 }
 
 /// Runs the study for one model.
-pub fn run(model: ModelId, config: &AccuracyConfig) -> ConsistencyStudy {
+pub fn run(farm: &EngineFarm, model: ModelId, config: &AccuracyConfig) -> ConsistencyStudy {
     let setup = AccuracySetup::new(model, config);
     let images = corpus(&setup, config);
     let predict = |platform: Platform, index: u64| -> Vec<usize> {
-        let engine = setup.engine(platform, index);
+        let engine = setup.engine(farm, platform, index);
         setup.engine_predictions(&engine, &images)
     };
     let nx: Vec<Vec<usize>> = (0..ENGINES).map(|i| predict(Platform::Nx, i)).collect();
@@ -166,7 +166,11 @@ mod tests {
 
     #[test]
     fn study_shapes_are_complete() {
-        let s = run(ModelId::Alexnet, &AccuracyConfig::quick());
+        let s = run(
+            &EngineFarm::new(),
+            ModelId::Alexnet,
+            &AccuracyConfig::quick(),
+        );
         assert_eq!(s.cross.len(), 3);
         assert_eq!(s.cross[0].len(), 3);
         assert!(s.total > 0);
@@ -175,13 +179,20 @@ mod tests {
                 assert_eq!(r.total, s.total);
             }
         }
+        let studies = vec![s];
+        assert!(render_table5(&studies).contains("NX1-AGX1"));
+        assert!(render_table6(&studies).contains("Engines 1-2"));
     }
 
     #[test]
     fn mismatch_rates_are_small() {
         // The paper's Tables V/VI: 0.1-0.8% of predictions differ — never
         // wholesale disagreement.
-        let s = run(ModelId::Resnet18, &AccuracyConfig::quick());
+        let s = run(
+            &EngineFarm::new(),
+            ModelId::Resnet18,
+            &AccuracyConfig::quick(),
+        );
         for row in &s.cross {
             for r in row {
                 assert!(
@@ -199,17 +210,9 @@ mod tests {
         let config = AccuracyConfig::quick();
         let setup = AccuracySetup::new(ModelId::Alexnet, &config);
         let images = setup.benign(&config);
-        let e = setup.engine(Platform::Nx, 0);
+        let e = setup.engine(&EngineFarm::new(), Platform::Nx, 0);
         let a = setup.engine_predictions(&e, &images);
         let b = setup.engine_predictions(&e, &images);
         assert_eq!(consistency(&a, &b).mismatches, 0);
-    }
-
-    #[test]
-    fn renders_both_tables() {
-        let s = run(ModelId::Alexnet, &AccuracyConfig::quick());
-        let studies = vec![s];
-        assert!(render_table5(&studies).contains("NX1-AGX1"));
-        assert!(render_table6(&studies).contains("Engines 1-2"));
     }
 }

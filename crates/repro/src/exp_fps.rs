@@ -68,8 +68,8 @@ pub fn unoptimized_latency_us(model: ModelId, device: &DeviceSpec) -> f64 {
 
 /// Simulated latency of the optimized engine, µs (engine resident, upload
 /// excluded).
-pub fn optimized_latency_us(model: ModelId, platform: Platform) -> f64 {
-    let engine = EngineFarm::global().zoo(model, platform, 0);
+pub fn optimized_latency_us(farm: &EngineFarm, model: ModelId, platform: Platform) -> f64 {
+    let engine = farm.zoo(model, platform, 0);
     let device = DeviceSpec::max_clock(platform);
     let ctx = ExecutionContext::new(&engine, device);
     let opts = TimingOptions::default()
@@ -80,14 +80,20 @@ pub fn optimized_latency_us(model: ModelId, platform: Platform) -> f64 {
 }
 
 /// Computes the table for the classification models.
-pub fn run() -> Table7 {
+pub fn run(farm: &EngineFarm) -> Table7 {
+    let wanted: Vec<_> = ModelId::classification_models()
+        .into_iter()
+        .flat_map(|m| [(m, Platform::Nx, 0), (m, Platform::Agx, 0)])
+        .collect();
+    farm.prefetch_zoo(&wanted);
     let rows = ModelId::classification_models()
         .into_iter()
         .map(|model| {
             let unopt = Platform::all().map(|p| {
                 fps_from_latency_us(unoptimized_latency_us(model, &DeviceSpec::max_clock(p)))
             });
-            let trt = Platform::all().map(|p| fps_from_latency_us(optimized_latency_us(model, p)));
+            let trt =
+                Platform::all().map(|p| fps_from_latency_us(optimized_latency_us(farm, model, p)));
             FpsRow {
                 model,
                 unoptimized: unopt,
@@ -136,7 +142,7 @@ mod tests {
     #[test]
     fn throughput_gain_in_paper_regime() {
         // Paper: ~27x on NX, ~23x on AGX (average over the three models).
-        let table = run();
+        let table = run(&EngineFarm::new());
         let mean_gain_nx: f64 =
             table.rows.iter().map(|r| r.gain()[0]).sum::<f64>() / table.rows.len() as f64;
         assert!(
@@ -149,7 +155,7 @@ mod tests {
     fn optimized_fps_ordering_matches_model_weight() {
         // VGG-16 is the heaviest classifier: lowest TensorRT FPS (paper: 49
         // vs 190/227).
-        let table = run();
+        let table = run(&EngineFarm::new());
         let fps = |m: ModelId| {
             table
                 .rows
@@ -165,7 +171,7 @@ mod tests {
     #[test]
     fn unoptimized_is_single_digit_fps() {
         // Paper: 0.66–14.2 FPS un-optimized.
-        let table = run();
+        let table = run(&EngineFarm::new());
         for r in &table.rows {
             assert!(r.unoptimized[0] < 40.0, "{}: {}", r.model, r.unoptimized[0]);
             assert!(r.unoptimized[0] > 0.05);

@@ -117,23 +117,22 @@ fn detect_anomalies(cells: &[LatencyCell; 4]) -> Vec<Anomaly> {
 }
 
 /// Computes Table VIII (all 13 models, nvprof attached).
-pub fn run() -> Table8 {
-    run_for(ModelId::all().to_vec(), true)
+pub fn run(farm: &EngineFarm) -> Table8 {
+    run_for(farm, ModelId::all().to_vec(), true)
 }
 
 /// Table VIII conditions on a caller-chosen subset of models.
-pub fn run_subset(models: &[ModelId]) -> Table8 {
-    run_for(models.to_vec(), true)
+pub fn run_subset(farm: &EngineFarm, models: &[ModelId]) -> Table8 {
+    run_for(farm, models.to_vec(), true)
 }
 
 /// Computes Table IX conditions (no nvprof) for the paper's two
 /// representative models.
-pub fn run_table9() -> Table8 {
-    run_for(vec![ModelId::InceptionV4, ModelId::Pednet], false)
+pub fn run_table9(farm: &EngineFarm) -> Table8 {
+    run_for(farm, vec![ModelId::InceptionV4, ModelId::Pednet], false)
 }
 
-fn run_for(models: Vec<ModelId>, profiled: bool) -> Table8 {
-    let farm = EngineFarm::global();
+fn run_for(farm: &EngineFarm, models: Vec<ModelId>, profiled: bool) -> Table8 {
     // Build every missing engine of the matrix concurrently up front.
     let wanted: Vec<_> = models
         .iter()
@@ -219,6 +218,7 @@ mod tests {
 
     fn small_table() -> Table8 {
         run_for(
+            &EngineFarm::new(),
             vec![ModelId::Resnet18, ModelId::Pednet, ModelId::Mtcnn],
             true,
         )
@@ -237,8 +237,9 @@ mod tests {
 
     #[test]
     fn nvprof_inflates_latency() {
-        let with = run_for(vec![ModelId::Pednet], true);
-        let without = run_for(vec![ModelId::Pednet], false);
+        let farm = EngineFarm::new();
+        let with = run_for(&farm, vec![ModelId::Pednet], true);
+        let without = run_for(&farm, vec![ModelId::Pednet], false);
         assert!(
             with.rows[0].cells[0].mean_ms > without.rows[0].cells[0].mean_ms,
             "profiled {} !> unprofiled {}",

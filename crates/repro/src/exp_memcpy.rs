@@ -44,11 +44,16 @@ pub fn table10_models() -> [ModelId; 5] {
 }
 
 /// Computes Table X.
-pub fn run_table10() -> Vec<MemcpyRow> {
+pub fn run_table10(farm: &EngineFarm) -> Vec<MemcpyRow> {
+    let wanted: Vec<_> = table10_models()
+        .into_iter()
+        .map(|m| (m, Platform::Nx, 0))
+        .collect();
+    farm.prefetch_zoo(&wanted);
     table10_models()
         .into_iter()
         .map(|model| {
-            let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
+            let engine = farm.zoo(model, Platform::Nx, 0);
             let opts = table8_options(model);
             let measure = |platform: Platform, with_memcpy: bool| {
                 let ctx = ExecutionContext::new(&engine, DeviceSpec::pinned_clock(platform));
@@ -98,8 +103,13 @@ pub fn render_table10(rows: &[MemcpyRow]) -> String {
 /// form the uniform H2D population the spike stands out from. Feed the
 /// result to `trtsim_profiler::anomaly::h2d_outliers` to recover the
 /// anomaly, or to `trtsim_profiler::chrome_trace` to look at it.
-pub fn memcpy_trace_timeline(model: ModelId, platform: Platform, runs: usize) -> GpuTimeline {
-    let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
+pub fn memcpy_trace_timeline(
+    farm: &EngineFarm,
+    model: ModelId,
+    platform: Platform,
+    runs: usize,
+) -> GpuTimeline {
+    let engine = farm.zoo(model, Platform::Nx, 0);
     let device = DeviceSpec::pinned_clock(platform);
     let ctx = ExecutionContext::new(&engine, device.clone());
     let mut tl = GpuTimeline::new(device);
@@ -118,12 +128,13 @@ pub fn memcpy_trace_timeline(model: ModelId, platform: Platform, runs: usize) ->
 ///
 /// Propagates the underlying filesystem error.
 pub fn write_memcpy_trace(
+    farm: &EngineFarm,
     path: impl AsRef<Path>,
     model: ModelId,
     platform: Platform,
     runs: usize,
 ) -> std::io::Result<()> {
-    let tl = memcpy_trace_timeline(model, platform, runs);
+    let tl = memcpy_trace_timeline(farm, model, platform, runs);
     write_chrome_trace(path, &tl, &format!("{model} cNX_r{platform}"))
 }
 
@@ -142,10 +153,12 @@ pub struct KernelCompareRow {
 
 /// Computes Table XI: per-kernel times of the same NX-built engine on both
 /// platforms, reporting kernels slower on AGX.
-pub fn run_table11(models: &[ModelId]) -> Vec<KernelCompareRow> {
+pub fn run_table11(farm: &EngineFarm, models: &[ModelId]) -> Vec<KernelCompareRow> {
+    let wanted: Vec<_> = models.iter().map(|&m| (m, Platform::Nx, 0)).collect();
+    farm.prefetch_zoo(&wanted);
     let mut out = Vec::new();
     for &model in models {
-        let engine = EngineFarm::global().zoo(model, Platform::Nx, 0);
+        let engine = farm.zoo(model, Platform::Nx, 0);
         let profile = |platform: Platform| -> Vec<KernelSummary> {
             let mut tl = GpuTimeline::new(DeviceSpec::pinned_clock(platform));
             let s = tl.create_stream();
@@ -200,7 +213,8 @@ mod tests {
 
     #[test]
     fn memcpy_excluded_is_faster() {
-        let rows = run_table10();
+        let farm = EngineFarm::new();
+        let rows = run_table10(&farm);
         for r in &rows {
             assert!(r.nx[1].mean_ms < r.nx[0].mean_ms, "{}", r.model);
             assert!(r.agx[1].mean_ms < r.agx[0].mean_ms, "{}", r.model);
@@ -209,8 +223,9 @@ mod tests {
 
     #[test]
     fn agx_memcpy_term_is_larger() {
+        let farm = EngineFarm::new();
         // The engine upload is the same bytes; the AGX path costs more.
-        let rows = run_table10();
+        let rows = run_table10(&farm);
         for r in &rows {
             let nx_memcpy = r.nx[0].mean_ms - r.nx[1].mean_ms;
             let agx_memcpy = r.agx[0].mean_ms - r.agx[1].mean_ms;
@@ -226,8 +241,12 @@ mod tests {
 
     #[test]
     fn some_kernels_slower_on_agx() {
+        let farm = EngineFarm::new();
         // The paper's Table XI finds such kernels in pednet/facenet/mobilenet.
-        let rows = run_table11(&[ModelId::Pednet, ModelId::Facenet, ModelId::Mobilenetv1]);
+        let rows = run_table11(
+            &farm,
+            &[ModelId::Pednet, ModelId::Facenet, ModelId::Mobilenetv1],
+        );
         assert!(
             !rows.is_empty(),
             "no kernel ran slower on AGX — the L2-share mechanism is dead"
@@ -239,8 +258,9 @@ mod tests {
 
     #[test]
     fn trace_timeline_contains_upload_spike_and_frames() {
+        let farm = EngineFarm::new();
         let runs = 8;
-        let tl = memcpy_trace_timeline(ModelId::Resnet18, Platform::Agx, runs);
+        let tl = memcpy_trace_timeline(&farm, ModelId::Resnet18, Platform::Agx, runs);
         // One upload + one input copy per run on the H2D side.
         let h2d: Vec<_> = tl
             .memcpys()
@@ -257,9 +277,10 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let s10 = render_table10(&run_table10()[..1]);
+        let farm = EngineFarm::new();
+        let s10 = render_table10(&run_table10(&farm)[..1]);
         assert!(s10.contains("memcpy incl."));
-        let s11 = render_table11(&run_table11(&[ModelId::Pednet]));
+        let s11 = render_table11(&run_table11(&farm, &[ModelId::Pednet]));
         assert!(s11.contains("Kernel"));
     }
 }

@@ -59,10 +59,15 @@ impl ServingSweep {
 /// Sweeps batch sizes 1, 2, 4, 8 at the board-maximum clock with 4 workers
 /// and full-batch (deterministic) coalescing. Each point's server
 /// registry is absorbed into `registry`.
-pub fn run(model: ModelId, platform: Platform, registry: &Registry) -> ServingSweep {
+pub fn run(
+    farm: &EngineFarm,
+    model: ModelId,
+    platform: Platform,
+    registry: &Registry,
+) -> ServingSweep {
     let workers = 4usize;
     let frames = 256u64;
-    let engine = EngineFarm::global().zoo(model, platform, 0);
+    let engine = farm.zoo(model, platform, 0);
     let device = DeviceSpec::max_clock(platform);
     let timing = TimingOptions::default()
         .without_engine_upload()
@@ -143,7 +148,12 @@ mod tests {
 
     #[test]
     fn batching_strictly_improves_fps() {
-        let sweep = run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
+        let sweep = run(
+            &EngineFarm::new(),
+            ModelId::TinyYolov3,
+            Platform::Nx,
+            &Registry::new(),
+        );
         assert_eq!(sweep.points.len(), 4);
         let fps: Vec<f64> = sweep.points.iter().map(|p| p.fps).collect();
         assert!(
@@ -156,7 +166,12 @@ mod tests {
     #[test]
     fn every_point_serves_all_frames() {
         let registry = Registry::new();
-        let sweep = run(ModelId::Googlenet, Platform::Agx, &registry);
+        let sweep = run(
+            &EngineFarm::new(),
+            ModelId::Googlenet,
+            Platform::Agx,
+            &registry,
+        );
         // Every point's server folds its final counts into the registry.
         let completed = registry.counter(
             "trtsim_server_completed_total",
@@ -177,7 +192,12 @@ mod tests {
 
     #[test]
     fn renders_table() {
-        let sweep = run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
+        let sweep = run(
+            &EngineFarm::new(),
+            ModelId::TinyYolov3,
+            Platform::Nx,
+            &Registry::new(),
+        );
         let s = render(&sweep);
         assert!(s.contains("batch") && s.contains("p99"));
         assert_eq!(s.lines().count(), sweep.points.len() + 3);

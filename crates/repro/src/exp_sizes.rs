@@ -30,13 +30,18 @@ pub struct Table2 {
 const MIB: f64 = (1u64 << 20) as f64;
 
 /// Builds every model and both engines, computing all plan sizes.
-pub fn run() -> Table2 {
+pub fn run(farm: &EngineFarm) -> Table2 {
+    let wanted: Vec<_> = ModelId::all()
+        .into_iter()
+        .flat_map(|m| [(m, Platform::Nx, 0), (m, Platform::Agx, 0)])
+        .collect();
+    farm.prefetch_zoo(&wanted);
     let rows = ModelId::all()
         .into_iter()
         .map(|model| {
             let graph = model.descriptor();
-            let nx = EngineFarm::global().zoo(model, Platform::Nx, 0);
-            let agx = EngineFarm::global().zoo(model, Platform::Agx, 0);
+            let nx = farm.zoo(model, Platform::Nx, 0);
+            let agx = farm.zoo(model, Platform::Agx, 0);
             SizeRow {
                 model,
                 architecture: format!(
@@ -85,7 +90,7 @@ mod tests {
 
     #[test]
     fn engines_are_smaller_than_models_for_big_networks() {
-        let table = run();
+        let table = run(&EngineFarm::new());
         for r in &table.rows {
             // Small models are dominated by the embedded runtime payload
             // (MTCNN grows, as in the paper); everything ≥ 20 MiB shrinks.
@@ -103,7 +108,7 @@ mod tests {
 
     #[test]
     fn fp16_engines_near_half_size() {
-        let table = run();
+        let table = run(&EngineFarm::new());
         let vgg = table
             .rows
             .iter()
@@ -117,7 +122,7 @@ mod tests {
     fn mtcnn_engine_grows_like_the_paper() {
         // Paper: 1.9 MiB model → 3.8 / 4.78 MiB engines (runtime payload
         // dominates tiny models).
-        let table = run();
+        let table = run(&EngineFarm::new());
         let m = table
             .rows
             .iter()
@@ -130,7 +135,7 @@ mod tests {
     #[test]
     fn googlenet_engine_is_far_below_half() {
         // Dead aux heads removed + FP16: 51 MiB → ~13.6 MiB in the paper.
-        let table = run();
+        let table = run(&EngineFarm::new());
         let g = table
             .rows
             .iter()
@@ -146,7 +151,7 @@ mod tests {
 
     #[test]
     fn renders_all_rows() {
-        let table = run();
+        let table = run(&EngineFarm::new());
         let s = table.render();
         assert_eq!(table.rows.len(), 13);
         assert!(s.contains("Tiny-Yolov3") && s.contains("MTCNN"));

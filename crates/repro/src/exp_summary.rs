@@ -6,7 +6,7 @@ use crate::exp_accuracy::{run_table3, AccuracyConfig};
 use crate::exp_concurrency;
 use crate::exp_fps;
 use crate::exp_latency;
-use crate::support::TextTable;
+use crate::support::{EngineFarm, TextTable};
 use trtsim_gpu::device::Platform;
 use trtsim_models::ModelId;
 
@@ -25,12 +25,12 @@ pub struct FindingRow {
 
 /// Computes the findings matrix from (scaled-down) reruns of the underlying
 /// experiments.
-pub fn run() -> Vec<FindingRow> {
+pub fn run(farm: &EngineFarm) -> Vec<FindingRow> {
     let mut rows = Vec::new();
 
     // Finding 1: accuracy maintained (average over models; single images
     // are worth ~3 points at the quick scale).
-    let acc = run_table3(&AccuracyConfig::quick());
+    let acc = run_table3(farm, &AccuracyConfig::quick());
     let mean_delta: f64 =
         acc.iter().map(|r| r.nx_error - r.unopt_error).sum::<f64>() / acc.len() as f64;
     let maintained = mean_delta <= 1.0;
@@ -51,9 +51,9 @@ pub fn run() -> Vec<FindingRow> {
     });
 
     // Finding 3: throughput gain + concurrency.
-    let fps = exp_fps::run();
+    let fps = exp_fps::run(farm);
     let mean_gain: f64 = fps.rows.iter().map(|r| r.gain()[0]).sum::<f64>() / fps.rows.len() as f64;
-    let yolo = exp_concurrency::run(ModelId::TinyYolov3, Platform::Agx);
+    let yolo = exp_concurrency::run(farm, ModelId::TinyYolov3, Platform::Agx);
     rows.push(FindingRow {
         finding: "Throughput gain, higher concurrency".into(),
         supported: mean_gain > 5.0 && yolo.max_threads() >= 16,
@@ -67,14 +67,17 @@ pub fn run() -> Vec<FindingRow> {
 
     // Findings 4-6: non-deterministic inference times / anomalies, on a
     // representative subset (the full matrix is table8's job).
-    let latency = exp_latency::run_subset(&[
-        ModelId::Alexnet,
-        ModelId::Resnet18,
-        ModelId::Pednet,
-        ModelId::Facenet,
-        ModelId::Mobilenetv1,
-        ModelId::Googlenet,
-    ]);
+    let latency = exp_latency::run_subset(
+        farm,
+        &[
+            ModelId::Alexnet,
+            ModelId::Resnet18,
+            ModelId::Pednet,
+            ModelId::Facenet,
+            ModelId::Mobilenetv1,
+            ModelId::Googlenet,
+        ],
+    );
     let anomalous = latency.anomalous_rows();
     rows.push(FindingRow {
         finding: "Non-deterministic inference times".into(),
@@ -115,7 +118,7 @@ pub fn render(rows: &[FindingRow]) -> String {
 mod tests {
     #[test]
     fn all_findings_supported() {
-        let rows = super::run();
+        let rows = super::run(&super::EngineFarm::new());
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(

@@ -37,8 +37,7 @@ impl VariabilityRow {
 }
 
 /// Computes Table XII for the given models (paper: all 13 on AGX).
-pub fn run_table12(models: &[ModelId]) -> Vec<VariabilityRow> {
-    let farm = EngineFarm::global();
+pub fn run_table12(farm: &EngineFarm, models: &[ModelId]) -> Vec<VariabilityRow> {
     let wanted: Vec<_> = models
         .iter()
         .flat_map(|&m| (0..ENGINES_PER_PLATFORM).map(move |i| (m, Platform::Agx, i)))
@@ -110,9 +109,13 @@ impl InvocationTable {
 }
 
 /// Computes Table XIII for one model on AGX.
-pub fn run_table13(model: ModelId) -> InvocationTable {
+pub fn run_table13(farm: &EngineFarm, model: ModelId) -> InvocationTable {
+    let wanted: Vec<_> = (0..ENGINES_PER_PLATFORM)
+        .map(|i| (model, Platform::Agx, i))
+        .collect();
+    farm.prefetch_zoo(&wanted);
     let engines: Vec<Arc<Engine>> = (0..ENGINES_PER_PLATFORM)
-        .map(|i| EngineFarm::global().zoo(model, Platform::Agx, i))
+        .map(|i| farm.zoo(model, Platform::Agx, i))
         .collect();
     let mut counts: BTreeMap<String, Vec<usize>> = BTreeMap::new();
     for (i, engine) in engines.iter().enumerate() {
@@ -152,11 +155,15 @@ pub fn render_table13(table: &InvocationTable) -> String {
 /// build; feed a pair to `trtsim_profiler::anomaly::kernel_set_diff` to
 /// recover the build-to-build kernel drift, or all of them to
 /// [`write_variability_trace`] to view the builds side by side.
-pub fn variability_trace_timelines(model: ModelId, runs: usize) -> Vec<GpuTimeline> {
+pub fn variability_trace_timelines(
+    farm: &EngineFarm,
+    model: ModelId,
+    runs: usize,
+) -> Vec<GpuTimeline> {
     let opts = table8_options(model).without_engine_upload();
     (0..ENGINES_PER_PLATFORM)
         .map(|i| {
-            let engine = EngineFarm::global().zoo(model, Platform::Agx, i);
+            let engine = farm.zoo(model, Platform::Agx, i);
             let device = DeviceSpec::pinned_clock(Platform::Agx);
             let ctx = ExecutionContext::new(&engine, device.clone());
             let mut tl = GpuTimeline::new(device);
@@ -176,11 +183,12 @@ pub fn variability_trace_timelines(model: ModelId, runs: usize) -> Vec<GpuTimeli
 ///
 /// Propagates the underlying filesystem error.
 pub fn write_variability_trace(
+    farm: &EngineFarm,
     path: impl AsRef<Path>,
     model: ModelId,
     runs: usize,
 ) -> std::io::Result<()> {
-    let timelines = variability_trace_timelines(model, runs);
+    let timelines = variability_trace_timelines(farm, model, runs);
     let names: Vec<String> = (1..=timelines.len())
         .map(|i| format!("{model} engine{i}"))
         .collect();
@@ -198,16 +206,18 @@ mod tests {
 
     #[test]
     fn latencies_vary_across_engines() {
+        let farm = EngineFarm::new();
         // Finding 6: different engines of the same model differ in runtime.
-        let rows = run_table12(&[ModelId::InceptionV4, ModelId::Resnet18]);
+        let rows = run_table12(&farm, &[ModelId::InceptionV4, ModelId::Resnet18]);
         let any_spread = rows.iter().any(|r| r.spread_percent() > 0.5);
         assert!(any_spread, "no build-to-build latency spread at all");
     }
 
     #[test]
     fn kernel_sets_vary_across_engines() {
+        let farm = EngineFarm::new();
         // Table XIII: invocation counts of at least one kernel symbol differ.
-        let t = run_table13(ModelId::InceptionV4);
+        let t = run_table13(&farm, ModelId::InceptionV4);
         assert!(
             !t.varying_kernels().is_empty(),
             "all three builds mapped to identical kernels"
@@ -216,7 +226,8 @@ mod tests {
 
     #[test]
     fn total_invocations_are_plausible() {
-        let t = run_table13(ModelId::Resnet18);
+        let farm = EngineFarm::new();
+        let t = run_table13(&farm, ModelId::Resnet18);
         for v in t.counts.values() {
             assert_eq!(v.len(), 3);
         }
@@ -230,7 +241,8 @@ mod tests {
 
     #[test]
     fn trace_timelines_reflect_build_drift() {
-        let timelines = variability_trace_timelines(ModelId::InceptionV4, 1);
+        let farm = EngineFarm::new();
+        let timelines = variability_trace_timelines(&farm, ModelId::InceptionV4, 1);
         assert_eq!(timelines.len() as u64, ENGINES_PER_PLATFORM);
         // At least one pair of builds must differ in the kernel records, the
         // drift Table XIII counts.
@@ -248,9 +260,10 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        let rows = run_table12(&[ModelId::Mtcnn]);
+        let farm = EngineFarm::new();
+        let rows = run_table12(&farm, &[ModelId::Mtcnn]);
         assert!(render_table12(&rows).contains("Engine3"));
-        let t = run_table13(ModelId::Mtcnn);
+        let t = run_table13(&farm, ModelId::Mtcnn);
         assert!(render_table13(&t).contains("calls"));
     }
 }

@@ -1,10 +1,12 @@
 //! Experiment harnesses: one module per table/figure of the paper.
 //!
 //! Every module exposes a `run()` returning a structured result with a
-//! `render()` method producing the table text; the binaries under
-//! `src/bin/` are thin wrappers. `cargo run --release -p trtsim-repro --bin
-//! all_experiments` regenerates everything (EXPERIMENTS.md records the
-//! paper-vs-measured comparison).
+//! `render()` method producing the table text. Harnesses that build engines
+//! take the [`support::EngineFarm`] of their caller. The [`campaign`]
+//! registry names each table's section, and the one binary runs it:
+//! `cargo run --release -p trtsim-repro --bin campaign [-- --only table7]`
+//! regenerates everything, or the named sections (EXPERIMENTS.md records
+//! the paper-vs-measured comparison).
 //!
 //! Experiment conditions follow §II-F: latency tables run at the pinned
 //! clocks (599 / 624 MHz) with ten measured runs; throughput/concurrency
@@ -12,6 +14,7 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod exp_ablation;
 pub mod exp_accuracy;
 pub mod exp_bsp;

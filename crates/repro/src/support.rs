@@ -1,5 +1,5 @@
-//! Shared harness plumbing: engine construction (direct and farmed),
-//! measurement conditions, and plain-text table rendering.
+//! Shared harness plumbing: the engine farm, measurement conditions, and
+//! plain-text table rendering.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -28,25 +28,6 @@ pub fn zoo_seed(model: ModelId, platform: Platform, build_index: u64) -> u64 {
         model.info().name,
         (platform as u64) << 32 | build_index,
     )
-}
-
-/// Builds engine number `build_index` of `model` on `platform` at the pinned
-/// experiment clock (the paper builds several engines per platform to study
-/// build-to-build variation), bypassing the [`EngineFarm`]. Harnesses should
-/// prefer [`EngineFarm::zoo`], which memoizes; this direct path is for
-/// reproducibility tests and for callers that need an owned [`Engine`].
-///
-/// # Errors
-///
-/// Propagates [`EngineError`] from the builder.
-pub fn build_engine(
-    model: ModelId,
-    platform: Platform,
-    build_index: u64,
-) -> Result<Engine, EngineError> {
-    let device = DeviceSpec::pinned_clock(platform);
-    let seed = zoo_seed(model, platform, build_index);
-    Builder::new(device, BuilderConfig::default().with_build_seed(seed)).build(&model.descriptor())
 }
 
 /// Identifies one engine request in the [`EngineFarm`].
@@ -97,14 +78,17 @@ pub struct FarmStats {
 /// 3. **Parallel prefetch** — [`EngineFarm::prefetch_zoo`] builds a request
 ///    list on the scoped worker pool.
 ///
-/// The farm owns a registry, which [`EngineFarm::publish`] folds into a
-/// binary's snapshot: its lookups count in
+/// A farm belongs to whoever runs the harnesses (the campaign, a scenario
+/// run, a bench binary, a test), and every harness that builds engines
+/// takes it by reference. The farm owns a registry, which
+/// [`EngineFarm::publish`] folds into its owner's snapshot: its lookups count in
 /// `trtsim_farm_events_total{event}` (`requests` for every lookup, `builds`
 /// when a build ran, `memoized` for dedup hand-outs), and it times each
 /// build it runs into `trtsim_build_*`.
 ///
-/// Farmed engines are bit-identical to [`build_engine`]'s output: the cache
-/// and the worker pool are output-invariant by construction.
+/// Farmed engines are bit-identical to a direct build with the same seed
+/// ([`zoo_seed`]): the cache and the worker pool are output-invariant by
+/// construction.
 ///
 /// # Examples
 ///
@@ -143,19 +127,6 @@ impl EngineFarm {
         )
     }
 
-    /// The process-wide farm shared by every experiment harness, so that
-    /// `all_experiments` (and the test suite) builds each engine once.
-    pub fn global() -> &'static EngineFarm {
-        static FARM: OnceLock<EngineFarm> = OnceLock::new();
-        FARM.get_or_init(EngineFarm::new)
-    }
-
-    /// The farm's shared timing cache (attach it to out-of-farm builders to
-    /// share the memoized timings).
-    pub fn timing_cache(&self) -> &Arc<TimingCache> {
-        &self.cache
-    }
-
     /// Folds the farm's registry and its timing cache's lookup counts into
     /// `registry` — what a binary does once, before writing its snapshot.
     pub fn publish(&self, registry: &Registry) {
@@ -164,7 +135,7 @@ impl EngineFarm {
     }
 
     /// The standard zoo engine `(model, platform, build_index)` — built on
-    /// first request, shared afterwards. Bit-identical to [`build_engine`].
+    /// first request, shared afterwards.
     ///
     /// # Panics
     ///
@@ -371,6 +342,21 @@ pub fn ms(us: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Engine `build_index` of `model` on `platform`, built directly
+    /// rather than through a farm.
+    fn build_engine(
+        model: ModelId,
+        platform: Platform,
+        build_index: u64,
+    ) -> Result<Engine, EngineError> {
+        let seed = zoo_seed(model, platform, build_index);
+        Builder::new(
+            DeviceSpec::pinned_clock(platform),
+            BuilderConfig::default().with_build_seed(seed),
+        )
+        .build(&model.descriptor())
+    }
 
     #[test]
     fn engines_build_for_both_platforms() {

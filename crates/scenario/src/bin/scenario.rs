@@ -16,7 +16,6 @@ use std::process::ExitCode;
 
 use trtsim_bench::report::git_rev;
 use trtsim_metrics::Registry;
-use trtsim_repro::support::EngineFarm;
 use trtsim_scenario::{check_src, compile_src, driver, emit, CompileOptions};
 
 const USAGE: &str = "usage:
@@ -196,7 +195,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     if let Some(out_path) = out {
         let mode = if smoke { "smoke" } else { "full" };
-        EngineFarm::global().publish(&registry);
         emit::to_bench_report(&report, mode, &git_rev(args)).write(&out_path, &registry);
         eprintln!("report written to {out_path}");
     }

@@ -1,7 +1,7 @@
 //! The one generic driver every scenario runs through.
 //!
 //! This is the piece the repro bins used to hand-roll twenty times over:
-//! given an [`ExecutionPlan`], source the engines (shared
+//! given an [`ExecutionPlan`], source the engines (the run's own
 //! [`EngineFarm`] zoo for `source = zoo`, seeded fresh builds for
 //! `source = fresh`), execute each unit's traffic — closed-loop latency via
 //! [`ExecutionContext::measure_latency`], closed-loop or Poisson open-loop
@@ -182,8 +182,7 @@ impl ScenarioReport {
 
 /// Sources the engine for `(unit, build)` — the farm zoo for `zoo`, a
 /// memoized seeded build on the unit's execution device for `fresh`.
-fn engine_for(unit: &PlanUnit, build: u32) -> Arc<Engine> {
-    let farm = EngineFarm::global();
+fn engine_for(farm: &EngineFarm, unit: &PlanUnit, build: u32) -> Arc<Engine> {
     match unit.source {
         EngineSource::Zoo => farm.zoo(unit.network, unit.device.platform, u64::from(build)),
         EngineSource::Fresh { seed } => {
@@ -223,6 +222,7 @@ fn unit_timing(unit: &PlanUnit, jitter_sd: f64) -> TimingOptions {
 }
 
 fn run_latency_unit(
+    farm: &EngineFarm,
     unit: &PlanUnit,
     runs: u32,
     jitter_sd: f64,
@@ -232,7 +232,7 @@ fn run_latency_unit(
     let mut builds = Vec::new();
     let mut all = Vec::new();
     for build in 0..unit.builds {
-        let engine = engine_for(unit, build);
+        let engine = engine_for(farm, unit, build);
         let ctx = ExecutionContext::new(&engine, unit.device_spec());
         // Seeding by build index matches the legacy harnesses: exp_fps uses
         // seed 0 for its single build, adas_pipeline seeds run `b` with `b`.
@@ -263,6 +263,7 @@ fn run_latency_unit(
 
 #[allow(clippy::too_many_arguments)]
 fn run_serving_unit(
+    farm: &EngineFarm,
     unit: &PlanUnit,
     frames: u32,
     workers: u32,
@@ -271,7 +272,7 @@ fn run_serving_unit(
     arrival: Option<(f64, u64)>,
     deadline_us: Option<f64>,
 ) -> Result<ServingUnitResult, DriverError> {
-    let engine = engine_for(unit, 0);
+    let engine = engine_for(farm, unit, 0);
     let device = unit.device_spec();
     // Serving is deterministic (jitter 0), matching exp_serving.
     let mut config = ServerConfig::default()
@@ -353,6 +354,7 @@ fn fleet_arrivals(trace: &FleetTrace, frames: u32, seed: u64) -> ArrivalTrace {
 /// router ([`trtsim_core::fleet::Fleet`]).
 #[allow(clippy::too_many_arguments)]
 fn run_fleet_unit(
+    farm: &EngineFarm,
     unit: &PlanUnit,
     trace: &FleetTrace,
     frames: u32,
@@ -362,7 +364,7 @@ fn run_fleet_unit(
     tenant: Option<&str>,
     deadline_us: Option<f64>,
 ) -> Result<ServingUnitResult, DriverError> {
-    let engine = engine_for(unit, 0);
+    let engine = engine_for(farm, unit, 0);
     let mut config = ServerConfig::default()
         .with_workers(workers as usize)
         .with_queue_capacity(queue as usize)
@@ -447,8 +449,8 @@ fn run_fleet_unit(
 /// One concurrency unit: the closed-form saturation sweep, mirroring
 /// `trtsim_repro::exp_concurrency::run` exactly (same engine provenance,
 /// same profile inputs) so the parity tests can pin equality.
-fn run_concurrency_unit(unit: &PlanUnit) -> Vec<(String, f64)> {
-    let engine = engine_for(unit, 0);
+fn run_concurrency_unit(farm: &EngineFarm, unit: &PlanUnit) -> Vec<(String, f64)> {
+    let engine = engine_for(farm, unit, 0);
     let device = unit.device_spec();
     let ctx = ExecutionContext::new(&engine, device.clone());
     let profile = ctx.profile(unit.host_glue_us);
@@ -461,8 +463,9 @@ fn run_concurrency_unit(unit: &PlanUnit) -> Vec<(String, f64)> {
     ]
 }
 
-/// Executes every unit of the plan, then checks every assertion. Driver
-/// activity and the final series of every server and fleet a unit ran are
+/// Executes every unit of the plan on engines from one [`EngineFarm`] of
+/// its own, then checks every assertion. Driver activity, the final series
+/// of every server and fleet a unit ran, and the farm's build activity are
 /// folded into `registry`.
 ///
 /// # Errors
@@ -470,6 +473,7 @@ fn run_concurrency_unit(unit: &PlanUnit) -> Vec<(String, f64)> {
 /// Returns the first [`DriverError`] — an invalid serving configuration
 /// that survived validation (a driver bug, surfaced rather than hidden).
 pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, DriverError> {
+    let farm = EngineFarm::new();
     let mut units = Vec::with_capacity(plan.units.len());
     for unit in &plan.units {
         let started = std::time::Instant::now();
@@ -480,7 +484,7 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
                 compare_unoptimized,
             } => {
                 let (metrics, builds) =
-                    run_latency_unit(unit, *runs, *jitter_sd, *compare_unoptimized);
+                    run_latency_unit(&farm, unit, *runs, *jitter_sd, *compare_unoptimized);
                 ("latency", metrics, builds, Vec::new())
             }
             TrafficKind::Closed {
@@ -489,8 +493,16 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
                 queue,
                 timeout_us,
             } => {
-                let (metrics, traces, owner) =
-                    run_serving_unit(unit, *frames, *workers, *queue, *timeout_us, None, None)?;
+                let (metrics, traces, owner) = run_serving_unit(
+                    &farm,
+                    unit,
+                    *frames,
+                    *workers,
+                    *queue,
+                    *timeout_us,
+                    None,
+                    None,
+                )?;
                 registry.absorb(&owner);
                 ("closed", metrics, Vec::new(), traces)
             }
@@ -503,6 +515,7 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
                 deadline_us,
             } => {
                 let (metrics, traces, owner) = run_serving_unit(
+                    &farm,
                     unit,
                     *frames,
                     *workers,
@@ -524,6 +537,7 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
                 deadline_us,
             } => {
                 let (metrics, traces, owner) = run_fleet_unit(
+                    &farm,
                     unit,
                     trace,
                     *frames,
@@ -538,7 +552,7 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
             }
             TrafficKind::Concurrency => (
                 "concurrency",
-                run_concurrency_unit(unit),
+                run_concurrency_unit(&farm, unit),
                 Vec::new(),
                 Vec::new(),
             ),
@@ -584,6 +598,7 @@ pub fn run(plan: &ExecutionPlan, registry: &Registry) -> Result<ScenarioReport, 
             });
         }
     }
+    farm.publish(registry);
     Ok(ScenarioReport {
         name: plan.name.clone(),
         units,

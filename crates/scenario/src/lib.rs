@@ -25,7 +25,7 @@
 //!    [`ScenarioGraph`];
 //! 3. [`compile`](compile::compile): lowering to a flat [`ExecutionPlan`]
 //!    of fully resolved units;
-//! 4. [`driver::run`]: the one generic driver, built on the existing
+//! 4. [`driver::run`]: the one generic driver, built on a per-run
 //!    [`EngineFarm`](trtsim_repro::support::EngineFarm),
 //!    [`InferenceServer`](trtsim_core::serving::InferenceServer), and
 //!    telemetry [`Registry`](trtsim_metrics::Registry);

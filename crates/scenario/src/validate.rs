@@ -238,8 +238,8 @@ pub enum PowerMode {
 /// Where a model node's engines come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSource {
-    /// The shared [`trtsim_repro::support::EngineFarm`] zoo (pinned-clock
-    /// builds, campaign seeds) — what the repro bins use.
+    /// The [`trtsim_repro::support::EngineFarm`] zoo (pinned-clock builds,
+    /// campaign seeds) — what the paper campaign uses.
     Zoo,
     /// Fresh builds with an explicit base seed, one per build index.
     Fresh {

@@ -10,6 +10,7 @@ use trtsim_core::{Builder, BuilderConfig};
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
+use trtsim_repro::support::EngineFarm;
 use trtsim_repro::{exp_fps, exp_serving};
 use trtsim_scenario::{check_src, compile_src, driver, emit, CompileOptions};
 
@@ -30,7 +31,7 @@ fn run_scn(name: &str) -> driver::ScenarioReport {
 #[test]
 fn table7_scn_matches_legacy_harness() {
     let report = run_scn("table7_fps.scn");
-    let legacy = exp_fps::run();
+    let legacy = exp_fps::run(&EngineFarm::new());
     assert_eq!(report.units.len(), legacy.rows.len() * 2);
     for row in &legacy.rows {
         for (i, platform) in Platform::all().into_iter().enumerate() {
@@ -55,7 +56,12 @@ fn table7_scn_matches_legacy_harness() {
 #[test]
 fn serving_scn_matches_legacy_sweep() {
     let report = run_scn("serving_batch_sweep.scn");
-    let legacy = exp_serving::run(ModelId::TinyYolov3, Platform::Nx, &Registry::new());
+    let legacy = exp_serving::run(
+        &EngineFarm::new(),
+        ModelId::TinyYolov3,
+        Platform::Nx,
+        &Registry::new(),
+    );
     assert_eq!(report.units.len(), legacy.points.len());
     for point in &legacy.points {
         let unit = report
@@ -205,8 +211,9 @@ fn concurrency_scn_matches_legacy_harness() {
     // exactly — same zoo engine, same profile, same sweep.
     let report = run_scn("fig3_fig4_concurrency.scn");
     assert_eq!(report.units.len(), 4);
+    let farm = EngineFarm::new();
     for unit in &report.units {
-        let legacy = trtsim_repro::exp_concurrency::run(unit.network, unit.platform);
+        let legacy = trtsim_repro::exp_concurrency::run(&farm, unit.network, unit.platform);
         assert_eq!(
             unit.metric("max_threads"),
             Some(f64::from(legacy.max_threads())),

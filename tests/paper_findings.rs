@@ -6,6 +6,7 @@ use trtsim::engine::{Builder, BuilderConfig};
 use trtsim::gpu::contention;
 use trtsim::gpu::device::{DeviceSpec, Platform};
 use trtsim::models::ModelId;
+use trtsim::repro::support::EngineFarm;
 
 /// Finding 3: TensorRT throughput gain is an order of magnitude or more.
 #[test]
@@ -14,7 +15,7 @@ fn finding3_throughput_gain() {
     let model = ModelId::Resnet18;
     let device = DeviceSpec::max_clock(Platform::Nx);
     let unopt = exp_fps::unoptimized_latency_us(model, &device);
-    let opt = exp_fps::optimized_latency_us(model, Platform::Nx);
+    let opt = exp_fps::optimized_latency_us(&EngineFarm::new(), model, Platform::Nx);
     let gain = unopt / opt;
     assert!(
         (8.0..80.0).contains(&gain),

@@ -12,6 +12,7 @@ use trtsim::profiler::{
 };
 use trtsim::repro::exp_memcpy::memcpy_trace_timeline;
 use trtsim::repro::exp_variability::variability_trace_timelines;
+use trtsim::repro::support::EngineFarm;
 use trtsim::{
     Builder, BuilderConfig, DeviceSpec, InferenceServer, ProfileOptions, ServerConfig, ServerStats,
     TimingOptions, TraceOptions,
@@ -318,7 +319,7 @@ fn flight_recorder_routes_serve_loadable_trace_documents() {
 fn detector_flags_the_engine_upload_as_h2d_outlier() {
     // Table X's anomaly source: the plan-sized engine upload dwarfs the
     // steady per-frame input copies.
-    let tl = memcpy_trace_timeline(ModelId::Resnet18, Platform::Agx, 16);
+    let tl = memcpy_trace_timeline(&EngineFarm::new(), ModelId::Resnet18, Platform::Agx, 16);
     let outliers = h2d_outliers(&tl, &DetectorConfig::default());
     assert!(!outliers.is_empty(), "upload spike not flagged");
     let biggest = tl
@@ -346,7 +347,7 @@ fn detector_finds_kernel_slowdowns_in_repro_timelines() {
     // Tables XI/XIII territory: within one engine's run, repeated symbols
     // (pooling, shared conv tactics) stretch on their large-layer
     // invocations relative to the symbol median.
-    let timelines = variability_trace_timelines(ModelId::InceptionV4, 2);
+    let timelines = variability_trace_timelines(&EngineFarm::new(), ModelId::InceptionV4, 2);
     let slow = kernel_slowdowns(&timelines[0], &DetectorConfig::default());
     assert!(
         !slow.is_empty(),
@@ -362,7 +363,7 @@ fn detector_finds_kernel_slowdowns_in_repro_timelines() {
 fn detector_sees_kernel_set_drift_between_builds() {
     // Table XIII: different builds of the same model map layers to
     // different kernel sets / invocation counts.
-    let timelines = variability_trace_timelines(ModelId::InceptionV4, 1);
+    let timelines = variability_trace_timelines(&EngineFarm::new(), ModelId::InceptionV4, 1);
     let drifted = timelines
         .iter()
         .skip(1)
@@ -372,7 +373,7 @@ fn detector_sees_kernel_set_drift_between_builds() {
 
 #[test]
 fn full_detect_report_is_consistent() {
-    let tl = memcpy_trace_timeline(ModelId::Resnet18, Platform::Agx, 8);
+    let tl = memcpy_trace_timeline(&EngineFarm::new(), ModelId::Resnet18, Platform::Agx, 8);
     let report = detect(&tl, &DetectorConfig::default());
     assert_eq!(
         report.h2d_outliers,
@@ -387,7 +388,7 @@ fn full_detect_report_is_consistent() {
 
 #[test]
 fn multi_stream_trace_of_repro_builds_is_valid_json() {
-    let timelines = variability_trace_timelines(ModelId::Resnet18, 1);
+    let timelines = variability_trace_timelines(&EngineFarm::new(), ModelId::Resnet18, 1);
     let named: Vec<(String, &trtsim::gpu::timeline::GpuTimeline)> = timelines
         .iter()
         .enumerate()
