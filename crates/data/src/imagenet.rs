@@ -1,5 +1,7 @@
 //! Class-prototype synthetic image generator (the "benign" dataset).
 
+use std::sync::OnceLock;
+
 use trtsim_ir::tensor::Tensor;
 use trtsim_util::derive_seed;
 use trtsim_util::rng::Pcg32;
@@ -20,6 +22,9 @@ pub struct LabeledImage {
 /// drawn from a seed derived from `(class, index)` so every consumer sees the
 /// same images.
 ///
+/// Each prototype is rendered on first use and kept in the value (clones
+/// carry what was rendered so far), so a sample costs its noise draw only.
+///
 /// # Examples
 ///
 /// ```
@@ -39,6 +44,8 @@ pub struct SyntheticImageNet {
     signal: f32,
     /// Pixel-noise standard deviation.
     noise: f32,
+    /// Class `c`'s rendered prototype, once something asked for it.
+    prototypes: Vec<OnceLock<Tensor>>,
 }
 
 impl SyntheticImageNet {
@@ -51,6 +58,7 @@ impl SyntheticImageNet {
             seed,
             signal: 1.0,
             noise: 1.0,
+            prototypes: (0..classes).map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -72,8 +80,22 @@ impl SyntheticImageNet {
     }
 
     /// The class prototype: what a noiseless class member looks like.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `class` is out of range.
     pub fn prototype(&self, class: usize) -> Tensor {
+        self.cached_prototype(class).clone()
+    }
+
+    /// Class `class`'s prototype, rendered on first use.
+    fn cached_prototype(&self, class: usize) -> &Tensor {
         assert!(class < self.classes, "class out of range");
+        self.prototypes[class].get_or_init(|| self.render_prototype(class))
+    }
+
+    /// Renders class `class`'s prototype from its seed.
+    fn render_prototype(&self, class: usize) -> Tensor {
         let mut rng = Pcg32::seed_from_u64(derive_seed(self.seed, "prototype", class as u64));
         let [c, h, w] = self.shape;
         // A few random 2-D sinusoid components per channel: smooth, distinct,
@@ -112,13 +134,16 @@ impl SyntheticImageNet {
     ///
     /// Panics if `class` is out of range.
     pub fn sample(&self, class: usize, index: usize) -> LabeledImage {
-        let proto = self.prototype(class);
+        self.sample_from(self.cached_prototype(class).clone(), class, index)
+    }
+
+    /// Sample `index` of `class`, drawn around `prototype` (that class's).
+    fn sample_from(&self, mut image: Tensor, class: usize, index: usize) -> LabeledImage {
         let mut rng = Pcg32::seed_from_u64(derive_seed(
             self.seed,
             "sample",
             (class as u64) << 32 | index as u64,
         ));
-        let mut image = proto;
         let signal = self.signal;
         let noise = self.noise;
         image.map_inplace(|v| v * signal);
@@ -228,6 +253,56 @@ mod tests {
     fn calibration_batch_sized() {
         assert_eq!(data().calibration_batch(4).len(), 4);
         assert_eq!(data().calibration_batch(100).len(), 8);
+    }
+
+    /// Asserts every class's prototype and a few samples equal a fresh,
+    /// uncached render.
+    fn assert_matches_uncached(d: &SyntheticImageNet) {
+        for class in 0..d.classes() {
+            let fresh = d.render_prototype(class);
+            assert_eq!(d.prototype(class), fresh, "prototype {class}");
+            for index in [0, 1, 1000, usize::MAX / 2] {
+                let expected = d.sample_from(fresh.clone(), class, index);
+                assert_eq!(
+                    d.sample(class, index),
+                    expected,
+                    "sample ({class}, {index})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_prototypes_and_samples_equal_uncached_renders() {
+        let d = data().with_snr(1.0, 0.7);
+        let partly_warm = {
+            let _ = d.sample(3, 0);
+            d.clone()
+        };
+        assert_matches_uncached(&d);
+        // Twice: the second pass reads only memoized prototypes.
+        assert_matches_uncached(&d);
+        assert_matches_uncached(&d.clone());
+        assert_matches_uncached(&partly_warm);
+        assert_matches_uncached(&data().clone());
+    }
+
+    #[test]
+    fn classes_first_touched_from_several_threads_match_uncached_renders() {
+        let d = data();
+        let classes = d.classes();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let d = &d;
+                s.spawn(move || {
+                    for k in 0..classes {
+                        let class = (k + 3 * t) % classes;
+                        assert_eq!(d.prototype(class), d.render_prototype(class));
+                    }
+                });
+            }
+        });
+        assert_matches_uncached(&d);
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! The engine builder's weight-clustering pass partially removes that
 //! jitter, which is why optimized engines score slightly *better* — the
 //! paper's explanation, executed.
+//!
+//! The paper's *un-optimized* network is [`unoptimized_engine`]: the graph
+//! built as an FP32 engine with no graph pass and no weight compression,
+//! run through the same precompiled plan as every TensorRT engine.
 
+use trtsim_core::runtime::ExecutionContext;
+use trtsim_core::{Builder, BuilderConfig, Engine, EngineError};
+use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_ir::graph::{Activation, Graph, LayerKind, NodeId};
 use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::Weights;
-use trtsim_ir::ReferenceExecutor;
+use trtsim_kernels::catalog::PrecisionPolicy;
 use trtsim_util::derive_seed;
 use trtsim_util::rng::Pcg32;
 
@@ -30,6 +37,28 @@ const RELU: Option<Activation> = Some(Activation::Relu);
 
 /// Input shape of every numeric model.
 pub const NUMERIC_INPUT: [usize; 3] = [3, 32, 32];
+
+/// Build seed of [`unoptimized_engine`]. Every FP32 tactic computes the
+/// same bits, so the seed only fixes which kernel names the engine lists.
+const UNOPTIMIZED_BUILD_SEED: u64 = 0;
+
+/// Builds `network` as the paper's un-optimized network: an FP32-only
+/// engine with no graph pass, no pruning and no clustering, under a fixed
+/// build seed. On finite inputs its plan computes exactly what the
+/// reference interpreter (`trtsim_ir::ReferenceExecutor`) computes, at a
+/// fraction of the cost; on a non-finite input the plan scrubs NaN to zero
+/// after every layer and the interpreter does not.
+///
+/// # Errors
+///
+/// Returns [`EngineError`] if `network` does not validate.
+pub fn unoptimized_engine(network: &Graph) -> Result<Engine, EngineError> {
+    let config = BuilderConfig::default()
+        .with_policy(PrecisionPolicy::fp32_only())
+        .without_graph_passes()
+        .with_build_seed(UNOPTIMIZED_BUILD_SEED);
+    Builder::new(DeviceSpec::pinned_clock(Platform::Nx), config).build(network)
+}
 
 /// Builds the feature extractor for a model's numeric variant (topology
 /// mirrors the full model, channels scaled down ~16×). Ends with a flatten
@@ -147,17 +176,17 @@ pub fn build_classifier(
 
     // Fit the prototype head on the clean extractor.
     let features: Vec<Vec<f32>> = {
-        let g = b.graph().clone();
-        let mut g = g;
+        for p in prototypes {
+            assert_eq!(p.shape(), NUMERIC_INPUT, "prototype shape mismatch");
+        }
+        let mut g = b.graph().clone();
         g.mark_output(feat);
-        let exec = ReferenceExecutor::new(&g).expect("extractor is valid");
-        prototypes
-            .iter()
-            .map(|p| {
-                assert_eq!(p.shape(), NUMERIC_INPUT, "prototype shape mismatch");
-                let out = exec.run(p).expect("extractor runs");
-                out[0].as_slice().to_vec()
-            })
+        let engine = unoptimized_engine(&g).expect("extractor is valid");
+        let ctx = ExecutionContext::new(&engine, DeviceSpec::pinned_clock(engine.build_platform()));
+        ctx.infer_batch(prototypes, 1)
+            .expect("extractor runs")
+            .into_iter()
+            .map(|out| out[0].as_slice().to_vec())
             .collect()
     };
     let classes = prototypes.len();
@@ -274,6 +303,7 @@ impl NetBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trtsim_ir::ReferenceExecutor;
 
     fn prototypes(classes: usize) -> Vec<Tensor> {
         let mut rng = Pcg32::seed_from_u64(1);

@@ -198,6 +198,19 @@ impl Campaign {
         }
     }
 
+    /// Writes one section's header and text to `out` and flushes it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors on `out`.
+    pub fn write_section(&self, section: &Section, out: &mut impl Write) -> io::Result<()> {
+        writeln!(out, "== {} ==", section.name)?;
+        for block in (section.render)(self) {
+            writeln!(out, "{block}")?;
+        }
+        out.flush()
+    }
+
     /// Writes each section's header and text to `out`. With `out_dir`, also writes the sections'
     /// trace files and one telemetry snapshot (the campaign registry with
     /// the farm published into it) there; without it, writes no file.
@@ -217,11 +230,7 @@ impl Campaign {
         }
         for section in sections {
             let started = Instant::now();
-            writeln!(out, "== {} ==", section.name)?;
-            for block in (section.render)(self) {
-                writeln!(out, "{block}")?;
-            }
-            out.flush()?;
+            self.write_section(section, out)?;
             if let (Some(dir), Some((file, write))) = (out_dir, section.artifact) {
                 let path = dir.join(file);
                 write(&self.farm, &path)?;

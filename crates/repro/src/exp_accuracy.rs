@@ -15,13 +15,12 @@ use trtsim_core::{Builder, BuilderConfig, Engine};
 use trtsim_data::corruptions::{apply_corruption, Corruption, Severity};
 use trtsim_data::imagenet::{LabeledImage, SyntheticImageNet};
 use trtsim_gpu::device::{DeviceSpec, Platform};
-use trtsim_ir::Tensor;
-use trtsim_ir::{Graph, ReferenceExecutor};
+use trtsim_ir::{Graph, Tensor};
 use trtsim_metrics::top1_error_percent;
-use trtsim_models::numeric::{build_classifier, NUMERIC_INPUT};
+use trtsim_models::numeric::{build_classifier, unoptimized_engine, NUMERIC_INPUT};
 use trtsim_models::ModelId;
 use trtsim_util::derive_seed;
-use trtsim_util::pool::{auto_threads, map_indexed};
+use trtsim_util::pool::auto_threads;
 
 use crate::support::{EngineFarm, FarmKey, TextTable, CAMPAIGN_SEED};
 
@@ -146,45 +145,55 @@ impl AccuracySetup {
         self.dataset.evaluation_set(config.benign_per_class)
     }
 
-    /// Adversarial evaluation set at one severity.
+    /// Adversarial evaluation set at one severity: family-major, then
+    /// class, then index, each image a corrupted copy of the base sample
+    /// `(class, 1000 + index)`. Each base is synthesized once and shared by
+    /// every family.
     pub fn adversarial(&self, config: &AccuracyConfig, severity: Severity) -> Vec<LabeledImage> {
+        let bases: Vec<(usize, usize, Tensor)> = (0..config.classes)
+            .flat_map(|class| (0..config.adversarial_per_class).map(move |idx| (class, idx)))
+            .map(|(class, idx)| (class, idx, self.dataset.sample(class, 1000 + idx).image))
+            .collect();
         let mut out = Vec::new();
         for corruption in Corruption::all()
             .into_iter()
             .take(config.corruption_families)
         {
-            for class in 0..config.classes {
-                for idx in 0..config.adversarial_per_class {
-                    let base = self.dataset.sample(class, 1000 + idx);
-                    let image = apply_corruption(
-                        &base.image,
-                        corruption,
-                        severity,
-                        derive_seed(
-                            CAMPAIGN_SEED,
-                            corruption.label(),
-                            (class * 131 + idx) as u64,
-                        ),
-                    );
-                    out.push(LabeledImage {
-                        image,
-                        label: class,
-                    });
-                }
+            for (class, idx, base) in &bases {
+                let seed = derive_seed(
+                    CAMPAIGN_SEED,
+                    corruption.label(),
+                    (class * 131 + idx) as u64,
+                );
+                out.push(LabeledImage {
+                    image: apply_corruption(base, corruption, severity, seed),
+                    label: *class,
+                });
             }
         }
         out
     }
 
-    /// Predictions of the un-optimized network, evaluated across worker
-    /// threads (order-stable: results line up with `images`).
+    /// Predictions of the un-optimized network: its FP32 no-pass engine
+    /// ([`unoptimized_engine`]) through [`AccuracySetup::engine_predictions`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an image holds a non-finite pixel: the engine equals the
+    /// reference interpreter only on finite inputs.
     pub fn unopt_predictions(&self, images: &[LabeledImage]) -> Vec<usize> {
-        let exec = ReferenceExecutor::new(&self.network).expect("valid network");
-        map_indexed(auto_threads(), images.len(), |i| {
-            exec.run(&images[i].image).expect("runs")[0]
-                .argmax()
-                .unwrap_or(0)
-        })
+        if let Some(i) = images
+            .iter()
+            .position(|img| img.image.as_slice().iter().any(|v| !v.is_finite()))
+        {
+            panic!(
+                "image {i} (label {}) has a non-finite pixel; the un-optimized column is only \
+                 defined on finite images",
+                images[i].label
+            );
+        }
+        let engine = unoptimized_engine(&self.network).expect("valid network");
+        self.engine_predictions(&engine, images)
     }
 
     /// Predictions of an engine through its precompiled plan, batched across
