@@ -53,11 +53,9 @@ pub struct Choice {
 }
 
 /// Knobs of one autotuning run, split from [`crate::BuilderConfig`] so the
-/// selector can be driven directly (property tests, benches).
-///
-/// Follows the workspace's configuration convention (DESIGN §6): start from
-/// `Default`, chain consuming `with_*` setters. The fields stay public for
-/// struct-literal construction in tests.
+/// selector can be driven directly (property tests, benches). Built as a
+/// struct literal; [`crate::BuilderConfig`]'s setters validate the values
+/// the builder passes in.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AutotuneOptions<'a> {
     /// Relative standard deviation of each timing measurement.
@@ -69,33 +67,6 @@ pub struct AutotuneOptions<'a> {
     pub threads: usize,
     /// Optional shared cache for the deterministic timing component.
     pub cache: Option<&'a TimingCache>,
-}
-
-impl<'a> AutotuneOptions<'a> {
-    /// Sets the relative standard deviation of each timing measurement,
-    /// clamped to `[0, 1]` like [`crate::BuilderConfig::with_timing_noise_sd`].
-    pub fn with_noise_sd(mut self, sd: f64) -> Self {
-        self.noise_sd = if sd.is_nan() { 0.0 } else { sd.clamp(0.0, 1.0) };
-        self
-    }
-
-    /// Sets the averaging count per tactic (floored at 1 when resolved).
-    pub fn with_samples(mut self, samples: u32) -> Self {
-        self.samples = samples;
-        self
-    }
-
-    /// Sets the measurement worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Attaches a shared timing cache for the deterministic component.
-    pub fn with_cache(mut self, cache: &'a TimingCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
 }
 
 /// Selects a tactic for every node; `None` for structural nodes.

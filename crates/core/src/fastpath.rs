@@ -8,8 +8,9 @@
 //!
 //! * every node's tactic and precision resolve to a plan step with a
 //!   pre-lowered kernel ([`trtsim_kernels::numeric::PreparedConv`] /
-//!   [`PreparedFc`]) — weights materialized, precision-converted, and
-//!   pruned zeros elided from the multiply stream;
+//!   [`PreparedFc`]) — weights materialized and precision-converted, packed
+//!   into lane blocks for FP32/FP16, and for INT8 quantized with pruned
+//!   zeros elided from the multiply stream;
 //! * liveness analysis ([`trtsim_ir::liveness::Liveness`]) assigns every
 //!   activation to a reusable slot, and a [`trtsim_ir::arena::TensorArena`]
 //!   recycles freed buffers into later same-size-class allocations;
@@ -138,7 +139,7 @@ pub struct PlanStats {
     /// Reformat (layout-convert) steps executed.
     pub layout_converts: u64,
     /// Output values the conv/FC kernels produced on the SIMD lanes and on
-    /// scalar walks (dense fallbacks, legacy kernels).
+    /// scalar walks (dense fallbacks, reference walks).
     pub lanes: PathCounts,
 }
 

@@ -688,11 +688,6 @@ impl Fleet {
         }
     }
 
-    /// Device names, in declaration order.
-    pub fn device_names(&self) -> Vec<&str> {
-        self.devices.iter().map(|d| d.name.as_str()).collect()
-    }
-
     /// The bound address of the fleet-wide telemetry endpoint, when
     /// [`FleetConfig::telemetry_addr`] was set.
     pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {

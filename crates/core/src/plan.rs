@@ -354,7 +354,6 @@ fn put_unit(buf: &mut BytesMut, unit: &ExecUnit) {
                     buf.put_u8(1);
                     buf.put_u32_le(n);
                 }
-                AccumOrder::Pairwise => buf.put_u8(2),
             }
             // Kernel.
             let k = &c.kernel;
@@ -635,7 +634,6 @@ fn get_unit(r: &mut Reader<'_>) -> Result<ExecUnit, EngineError> {
             let accum = match r.u8()? {
                 0 => AccumOrder::Sequential,
                 1 => AccumOrder::Chunked(r.u32()?),
-                2 => AccumOrder::Pairwise,
                 t => return Err(malformed(format!("unknown accum tag {t}"))),
             };
             let tactic = Tactic {

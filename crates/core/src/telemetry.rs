@@ -229,7 +229,7 @@ pub fn publish_plan(registry: &Registry, plan: &InferencePlan<'_>, stats: &PlanS
         ),
         (
             "trtsim_kernel_scalar_fallback_total",
-            "Output values produced by scalar walks (dense fallbacks, legacy kernels)",
+            "Output values produced by scalar walks (dense fallbacks, reference walks)",
             &[],
             stats.lanes.scalar,
         ),

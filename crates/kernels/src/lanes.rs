@@ -44,7 +44,7 @@
 //!
 //! Each prepared-kernel call returns how many output values it produced on
 //! the vector path and on scalar walks (dense fallbacks for non-finite
-//! operands, legacy prepared kernels) as a [`PathCounts`]; the plan sums
+//! operands, the INT8 and reference walks) as a [`PathCounts`]; the plan sums
 //! them, and its owner publishes them as `trtsim_kernel_vector_lanes_total`
 //! / `trtsim_kernel_scalar_fallback_total`.
 
@@ -54,7 +54,7 @@ use trtsim_ir::layout::{Layout, LANES};
 use trtsim_util::f16::round_f16;
 
 use crate::numeric::{apply_act, fold_chunk, ConvGeom};
-use crate::tactic::{AccumOrder, Tactic};
+use crate::tactic::Tactic;
 
 /// Output-pixel positions advanced together by the tile micro-kernel.
 const TILE: usize = 4;
@@ -67,7 +67,7 @@ pub struct PathCounts {
     /// Values produced by the vectorized lane-array path.
     pub vector: u64,
     /// Values produced by scalar walks: dense fallbacks for non-finite
-    /// operands and the legacy (non-lane) prepared kernels.
+    /// operands, the INT8 sparse walk and the reference walks.
     pub scalar: u64,
 }
 
@@ -368,9 +368,8 @@ struct BlockCtx<'a> {
 }
 
 impl LaneConv {
-    /// Lowers the conv onto lane kernels, or `None` when the shape/tactic
-    /// combination stays on the legacy prepared paths (grouped non-depthwise
-    /// convolutions, pairwise FP16, INT8).
+    /// Lowers the conv onto lane kernels, or `None` for INT8 tactics and
+    /// grouped non-depthwise convolutions, which have no lane kernel.
     pub(crate) fn build(
         params: &ConvParams,
         g: &ConvGeom,
@@ -382,8 +381,8 @@ impl LaneConv {
     ) -> Option<Self> {
         let fp16 = match tactic.precision {
             Precision::Fp32 => false,
-            Precision::Fp16 if tactic.accum != AccumOrder::Pairwise => true,
-            _ => return None,
+            Precision::Fp16 => true,
+            Precision::Int8 => return None,
         };
         let depthwise = params.groups > 1
             && params.groups == params.in_channels

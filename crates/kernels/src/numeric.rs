@@ -18,7 +18,7 @@ use trtsim_ir::tensor::Tensor;
 use trtsim_ir::weights::Weights;
 use trtsim_util::f16::{round_f16, QuantParams};
 
-use crate::lanes::{round8, round8_acc, round_f16_slice, LaneConv, PathCounts};
+use crate::lanes::{round8_acc, round_f16_slice, LaneConv, PathCounts};
 use crate::tactic::{AccumOrder, Tactic};
 
 /// Calibration scales for INT8 execution of one layer.
@@ -39,7 +39,6 @@ pub struct QuantDesc {
 pub struct Reducer {
     order: AccumOrder,
     fp16: bool,
-    scratch: Vec<f32>,
 }
 
 impl Reducer {
@@ -48,12 +47,11 @@ impl Reducer {
         Self {
             order: tactic.accum,
             fp16: tactic.precision == Precision::Fp16,
-            scratch: Vec::new(),
         }
     }
 
     /// Reduces `terms` (already precision-rounded products) to a scalar.
-    pub fn reduce(&mut self, terms: &[f32]) -> f32 {
+    pub fn reduce(&self, terms: &[f32]) -> f32 {
         match self.order {
             AccumOrder::Sequential => self.fold_run(terms),
             AccumOrder::Chunked(chunk) => {
@@ -63,22 +61,6 @@ impl Reducer {
                     carry += f64::from(self.fold_run(c));
                 }
                 carry as f32
-            }
-            AccumOrder::Pairwise => {
-                self.scratch.clear();
-                self.scratch.extend_from_slice(terms);
-                while self.scratch.len() > 1 {
-                    let half = self.scratch.len().div_ceil(2);
-                    for i in 0..self.scratch.len() / 2 {
-                        let s = self.scratch[2 * i] + self.scratch[2 * i + 1];
-                        self.scratch[i] = if self.fp16 { round_f16(s) } else { s };
-                    }
-                    if self.scratch.len() % 2 == 1 {
-                        self.scratch[half - 1] = self.scratch[self.scratch.len() - 1];
-                    }
-                    self.scratch.truncate(half);
-                }
-                self.scratch.first().copied().unwrap_or(0.0)
             }
         }
     }
@@ -131,15 +113,10 @@ pub fn conv_forward(
 /// ([`crate::cost::preferred_layout`]): `CHWc8` for ungrouped convolutions
 /// (output-channel lanes, contiguous blocked stores), `NHWC` for depthwise
 /// ones (channel lanes, contiguous channel loads). `None` means the conv
-/// has no lane kernel — grouped non-depthwise shapes, pairwise FP16, and
-/// INT8 all stay on the legacy CHW paths.
+/// has no lane kernel and stays in CHW: INT8 convs on their sparse walk,
+/// grouped non-depthwise FP32/FP16 convs on the reference walk.
 pub fn lane_layout(params: &ConvParams, tactic: &Tactic) -> Option<Layout> {
-    let prec_ok = match tactic.precision {
-        Precision::Fp32 => true,
-        Precision::Fp16 => tactic.accum != AccumOrder::Pairwise,
-        Precision::Int8 => false,
-    };
-    if !prec_ok {
+    if tactic.precision == Precision::Int8 {
         return None;
     }
     let depthwise = params.groups > 1
@@ -229,7 +206,7 @@ impl Interior {
 pub(crate) fn fold_chunk(accum: AccumOrder) -> usize {
     match accum {
         AccumOrder::Chunked(c) => c.max(1) as usize,
-        _ => usize::MAX,
+        AccumOrder::Sequential => usize::MAX,
     }
 }
 
@@ -261,8 +238,8 @@ fn conv_fp16(
 }
 
 /// The dense FP16 walk over every output pixel, with operands already on the
-/// binary16 grid. Shared by the per-call path ([`conv_fp16`]) and the
-/// prepared fallback paths.
+/// binary16 grid. Shared by the per-call path ([`conv_fp16`]) and the lane
+/// kernels' non-finite fallback.
 pub(crate) fn conv_fp16_dense(
     g: &ConvGeom,
     rx: &[f32],
@@ -273,19 +250,11 @@ pub(crate) fn conv_fp16_dense(
     out: &mut Tensor,
 ) {
     let chunk = fold_chunk(tactic.accum);
-    let mut pairwise = (tactic.accum == AccumOrder::Pairwise).then(|| Reducer::for_tactic(tactic));
-    let mut terms: Vec<f32> = Vec::new();
     for oc in 0..g.out_channels {
         let b = bias.get(oc).copied().unwrap_or(0.0);
         for oy in 0..g.oh {
             for ox in 0..g.ow {
-                let sum = match &mut pairwise {
-                    Some(reducer) => {
-                        fp16_pixel_pairwise(rx, rw, g, oc, oy, ox, reducer, &mut terms)
-                    }
-                    None => fp16_pixel_folded(rx, rw, g, oc, oy, ox, chunk, false),
-                };
-                let acc = sum + b;
+                let acc = fp16_pixel(rx, rw, g, oc, oy, ox, chunk) + b;
                 *out.at_mut(oc, oy, ox) = match activation {
                     Some(a) => a.apply(acc),
                     None => acc,
@@ -295,17 +264,10 @@ pub(crate) fn conv_fp16_dense(
     }
 }
 
-/// One output pixel under folded (sequential/chunked) FP16 accumulation:
-/// an FP16 accumulator with an FP32-ish carry at chunk flushes (split-K
-/// semantics; see [`Reducer`]). Returns the pre-bias sum.
-///
-/// With `skip_zeros`, products against exactly-zero weights or exactly-zero
-/// activations are elided; they still advance the split-K chunk position, so
-/// flush boundaries land exactly where the dense walk puts them. Callers
-/// must guarantee all `rx` values are finite (0·∞ would be NaN in the dense
-/// walk).
-#[allow(clippy::too_many_arguments)]
-fn fp16_pixel_folded(
+/// One output pixel under FP16 accumulation: an FP16 accumulator with an
+/// FP32-ish carry at chunk flushes (split-K semantics; see [`Reducer`]).
+/// Returns the pre-bias sum.
+fn fp16_pixel(
     rx: &[f32],
     rw: &[f32],
     g: &ConvGeom,
@@ -313,7 +275,6 @@ fn fp16_pixel_folded(
     oy: usize,
     ox: usize,
     chunk: usize,
-    skip_zeros: bool,
 ) -> f32 {
     let group = oc / g.cpg_out;
     let w_base = oc * g.cpg_in * g.kh * g.kw;
@@ -334,9 +295,7 @@ fn fp16_pixel_folded(
                     continue;
                 }
                 let w = rw[w_base + (icg * g.kh + ky) * g.kw + kx];
-                if !(skip_zeros && (w == 0.0 || rx[row + ix as usize] == 0.0)) {
-                    chunk_acc = round_f16(chunk_acc + round_f16(rx[row + ix as usize] * w));
-                }
+                chunk_acc = round_f16(chunk_acc + round_f16(rx[row + ix as usize] * w));
                 in_chunk += 1;
                 if in_chunk == chunk {
                     carry += f64::from(chunk_acc);
@@ -347,44 +306,6 @@ fn fp16_pixel_folded(
         }
     }
     (carry + f64::from(chunk_acc)) as f32
-}
-
-/// One output pixel under pairwise FP16 reduction (tree shape depends on
-/// the term count, so no term may be elided). Returns the pre-bias sum.
-#[allow(clippy::too_many_arguments)]
-fn fp16_pixel_pairwise(
-    rx: &[f32],
-    rw: &[f32],
-    g: &ConvGeom,
-    oc: usize,
-    oy: usize,
-    ox: usize,
-    reducer: &mut Reducer,
-    terms: &mut Vec<f32>,
-) -> f32 {
-    let group = oc / g.cpg_out;
-    let w_base = oc * g.cpg_in * g.kh * g.kw;
-    terms.clear();
-    for icg in 0..g.cpg_in {
-        let c_in = group * g.cpg_in + icg;
-        for ky in 0..g.kh {
-            let iy = (oy * g.s) as isize + ky as isize - g.ph;
-            if iy < 0 || iy >= g.ih as isize {
-                continue;
-            }
-            let row = (c_in * g.ih + iy as usize) * g.iw;
-            for kx in 0..g.kw {
-                let ix = (ox * g.s) as isize + kx as isize - g.pw;
-                if ix < 0 || ix >= g.iw as isize {
-                    continue;
-                }
-                terms.push(round_f16(
-                    rx[row + ix as usize] * rw[w_base + (icg * g.kh + ky) * g.kw + kx],
-                ));
-            }
-        }
-    }
-    reducer.reduce(terms)
 }
 
 fn conv_int8(
@@ -480,7 +401,7 @@ pub fn fc_forward(
                 out_features * in_features,
                 "fc weight mismatch"
             );
-            let mut reducer = Reducer::for_tactic(tactic);
+            let reducer = Reducer::for_tactic(tactic);
             let mut terms = Vec::with_capacity(in_features);
             let x = input.as_slice();
             let mut out = Tensor::zeros([out_features, 1, 1]);
@@ -516,9 +437,9 @@ pub fn apply_precision(tensor: &mut Tensor, precision: Precision) {
     }
 }
 
-/// One live (nonzero-weight) tap of a prepared convolution kernel.
+/// One live (nonzero-weight) tap of a prepared INT8 convolution kernel.
 #[derive(Debug, Clone, Copy)]
-struct SparseEntry<W> {
+struct SparseEntry {
     /// Input offset from `(oy·s)·iw + ox·s` — valid only for interior
     /// output pixels, where every tap is in bounds.
     delta: isize,
@@ -527,45 +448,25 @@ struct SparseEntry<W> {
     /// Tap offsets relative to the window origin, padding applied.
     dy: isize,
     dx: isize,
-    /// FP16 split-K: a chunk boundary falls between the previous live term
-    /// and this one (counting the elided zeros), so the FP16 accumulator
-    /// must flush into the carry before this term.
-    flush_before: bool,
-    w: W,
+    w: i32,
 }
 
-/// Extracts the nonzero taps of every output channel, in the exact order
-/// the dense walk visits them, with statically-resolved split-K flush
-/// points.
-fn build_sparse<W: Copy>(
-    g: &ConvGeom,
-    dense: &[W],
-    chunk: usize,
-    is_zero: impl Fn(W) -> bool,
-) -> Vec<Vec<SparseEntry<W>>> {
+/// Extracts the nonzero taps of every output channel, in the order the
+/// dense walk visits them.
+fn build_sparse(g: &ConvGeom, dense: &[i32]) -> Vec<Vec<SparseEntry>> {
     (0..g.out_channels)
         .map(|oc| {
             let group = oc / g.cpg_out;
             let w_base = oc * g.cpg_in * g.kh * g.kw;
             let mut entries = Vec::new();
-            // Ordinal of the current / previous-live tap among the window's
-            // terms (interior pixels see every tap, so ordinals are static).
-            let mut pos = 0usize;
-            let mut last_live = 0usize;
             for icg in 0..g.cpg_in {
                 let c_in = group * g.cpg_in + icg;
                 for ky in 0..g.kh {
                     for kx in 0..g.kw {
-                        pos += 1;
                         let w = dense[w_base + (icg * g.kh + ky) * g.kw + kx];
-                        if is_zero(w) {
+                        if w == 0 {
                             continue;
                         }
-                        // Chunk boundaries fall after ordinals chunk, 2·chunk,
-                        // …; any boundary in [last_live, pos) forces a flush
-                        // before this term. `boundary` is the largest one not
-                        // past `pos - 1`.
-                        let boundary = (pos - 1) / chunk * chunk;
                         let dy = ky as isize - g.ph;
                         let dx = kx as isize - g.pw;
                         entries.push(SparseEntry {
@@ -573,10 +474,8 @@ fn build_sparse<W: Copy>(
                             c_in,
                             dy,
                             dx,
-                            flush_before: boundary > 0 && boundary >= last_live,
                             w,
                         });
-                        last_live = pos;
                     }
                 }
             }
@@ -588,31 +487,18 @@ fn build_sparse<W: Copy>(
 /// Per-precision lowering of a prepared convolution.
 #[derive(Debug, Clone)]
 enum PreparedKind {
-    /// SIMD lane-array micro-kernels ([`crate::lanes`]): 8 channels advance
-    /// in lockstep, operands in per-tactic physical layouts. No zero
-    /// elision — dense vector arithmetic beats sparse scalar walks by a
-    /// wide margin on the catalog's weight densities.
-    Lanes(LaneConv),
-    /// FP32 sequential: reference order with zero terms elided.
-    Fp32 {
-        dense: Vec<f32>,
-        sparse: Vec<Vec<SparseEntry<f32>>>,
-    },
-    /// FP16 sequential/chunked: weights pre-rounded to binary16, zero terms
-    /// elided with statically-resolved split-K flush points.
-    Fp16 {
-        rdense: Vec<f32>,
-        sparse: Vec<Vec<SparseEntry<f32>>>,
-        chunk: usize,
-    },
-    /// FP16 pairwise: the tree shape depends on the term count, so nothing
-    /// can be elided; prepared weights still save the per-call weight
-    /// rounding pass.
-    Fp16Pairwise { rdense: Vec<f32> },
-    /// INT8: integer accumulation is exact and associative, so zero
-    /// skipping needs no finiteness guard at all.
+    /// FP32/FP16: SIMD lane-array micro-kernels ([`crate::lanes`]): 8
+    /// channels advance in lockstep, operands in per-tactic physical
+    /// layouts. No zero elision — dense vector arithmetic beats sparse
+    /// scalar walks by a wide margin on the catalog's weight densities.
+    Lanes(Box<LaneConv>),
+    /// FP32/FP16 grouped non-depthwise convs, which no lane kernel takes
+    /// and no zoo model builds: the reference walk [`conv_forward`] itself.
+    Reference,
+    /// INT8: integer accumulation is exact and associative, so pruned zero
+    /// taps are elided with no finiteness guard at all.
     Int8 {
-        sparse: Vec<Vec<SparseEntry<i32>>>,
+        sparse: Vec<Vec<SparseEntry>>,
         input: QuantParams,
         out_scale: f32,
     },
@@ -621,12 +507,10 @@ enum PreparedKind {
 /// A convolution pre-lowered for repeated execution under a fixed tactic.
 ///
 /// Construction does all per-layer work once — weight materialization,
-/// FP16 rounding / INT8 quantization of the weight blob, and extraction of
-/// the *nonzero* taps with precomputed input offsets and split-K flush
-/// points — so each [`PreparedConv::run`] call only walks live terms.
-/// Pruned engines (the accuracy experiments zero ~40 % of trained weights)
-/// skip the dead multiplies entirely while staying bit-identical to
-/// [`conv_forward`] under the tactic's accumulation order.
+/// FP16 rounding and packing into lane blocks, or INT8 quantization with
+/// extraction of the *nonzero* taps — so each [`PreparedConv::run`] call
+/// only executes arithmetic, bit-identical to [`conv_forward`] under the
+/// tactic's accumulation order.
 ///
 /// # Examples
 ///
@@ -690,7 +574,7 @@ impl PreparedConv {
     ///
     /// Panics (in addition to [`PreparedConv::new`]'s conditions) when a
     /// non-CHW layout is requested for a conv that has no lane kernel
-    /// (see [`lane_layout`]) — the legacy prepared paths are CHW-only.
+    /// (see [`lane_layout`]) — the INT8 and reference walks are CHW-only.
     pub fn with_layouts(
         params: &ConvParams,
         in_shape: [usize; 3],
@@ -700,7 +584,6 @@ impl PreparedConv {
         layout_out: Layout,
     ) -> Self {
         let geom = ConvGeom::of(params, in_shape);
-        let interior = Interior::of(params, &geom);
         let dense = params.weights.materialize().into_owned();
         assert_eq!(
             dense.len(),
@@ -708,59 +591,32 @@ impl PreparedConv {
             "conv weight length mismatch"
         );
         let bias: Vec<f32> = params.bias.iter().collect();
-        if let Some(lanes) =
-            LaneConv::build(params, &geom, tactic, &dense, &bias, layout_in, layout_out)
-        {
-            return Self {
-                geom,
-                interior,
-                bias,
-                tactic: tactic.clone(),
-                kind: PreparedKind::Lanes(lanes),
-                layout_in,
-                layout_out,
-            };
-        }
-        assert!(
-            layout_in == Layout::Chw && layout_out == Layout::Chw,
-            "legacy prepared conv paths are CHW-only"
-        );
-        let kind = match tactic.precision {
-            Precision::Fp32 => {
-                let sparse = build_sparse(&geom, &dense, usize::MAX, |w| w == 0.0);
-                PreparedKind::Fp32 { dense, sparse }
-            }
-            Precision::Fp16 => {
-                let rdense: Vec<f32> = dense.iter().map(|&v| round_f16(v)).collect();
-                if tactic.accum == AccumOrder::Pairwise {
-                    PreparedKind::Fp16Pairwise { rdense }
-                } else {
-                    let chunk = fold_chunk(tactic.accum);
-                    let sparse = build_sparse(&geom, &rdense, chunk, |w| w == 0.0);
-                    PreparedKind::Fp16 {
-                        rdense,
-                        sparse,
-                        chunk,
-                    }
-                }
-            }
-            Precision::Int8 => {
+        let lanes = LaneConv::build(params, &geom, tactic, &dense, &bias, layout_in, layout_out);
+        let kind = match (lanes, tactic.precision) {
+            (Some(lanes), _) => PreparedKind::Lanes(Box::new(lanes)),
+            (None, Precision::Int8) => {
                 let q = quant.expect("INT8 tactic requires calibration scales");
                 let qdense: Vec<i32> = dense
                     .iter()
                     .map(|&w| i32::from(q.weights.quantize(w)))
                     .collect();
-                let sparse = build_sparse(&geom, &qdense, usize::MAX, |w| w == 0);
                 PreparedKind::Int8 {
-                    sparse,
+                    sparse: build_sparse(&geom, &qdense),
                     input: q.input,
                     out_scale: q.input.scale * q.weights.scale,
                 }
             }
+            (None, _) => PreparedKind::Reference,
         };
+        if !matches!(kind, PreparedKind::Lanes(_)) {
+            assert!(
+                layout_in == Layout::Chw && layout_out == Layout::Chw,
+                "INT8 and reference conv walks are CHW-only"
+            );
+        }
         Self {
             geom,
-            interior,
+            interior: Interior::of(params, &geom),
             bias,
             tactic: tactic.clone(),
             kind,
@@ -789,26 +645,6 @@ impl PreparedConv {
         self.layout_out.physical_shape(self.out_shape())
     }
 
-    /// Multiply terms evaluated per interior output pixel after zero
-    /// elision, summed over output channels (the dense count for pairwise
-    /// tactics and for the lane kernels, which trade elision for vector
-    /// arithmetic).
-    pub fn live_terms(&self) -> usize {
-        match &self.kind {
-            PreparedKind::Fp32 { sparse, .. } | PreparedKind::Fp16 { sparse, .. } => {
-                sparse.iter().map(Vec::len).sum()
-            }
-            PreparedKind::Int8 { sparse, .. } => sparse.iter().map(Vec::len).sum(),
-            PreparedKind::Fp16Pairwise { .. } | PreparedKind::Lanes(_) => self.dense_terms(),
-        }
-    }
-
-    /// Multiply terms per interior output pixel before zero elision, summed
-    /// over output channels.
-    pub fn dense_terms(&self) -> usize {
-        self.geom.out_channels * self.geom.cpg_in * self.geom.kh * self.geom.kw
-    }
-
     /// Executes the convolution; bit-identical (under `f32` equality) to
     /// [`conv_forward`] with the same tactic and calibration, modulo the
     /// prepared layouts' pure permutation of element positions. Also
@@ -828,62 +664,11 @@ impl PreparedConv {
             self.in_physical_shape(),
             "prepared conv input shape mismatch"
         );
-        if let PreparedKind::Lanes(lanes) = &self.kind {
-            return self.run_lanes(lanes, params, input, arena);
-        }
-        let mut out = arena.alloc_zeroed(self.out_shape());
-        match &self.kind {
-            PreparedKind::Lanes(_) => unreachable!("handled above"),
-            PreparedKind::Fp32 { dense, sparse } => {
-                if input.as_slice().iter().all(|v| v.is_finite()) {
-                    self.run_f32(sparse, input.as_slice(), params.activation, &mut out);
-                } else {
-                    // 0·∞ = NaN: zero elision is unsound, take the dense path.
-                    let dense_out = trtsim_ir::ops::conv2d(input, dense, &self.bias, params);
-                    out.as_mut_slice().copy_from_slice(dense_out.as_slice());
-                }
-            }
-            PreparedKind::Fp16 {
-                rdense,
-                sparse,
-                chunk,
-            } => {
-                let mut rx = arena.take_buffer(input.len());
-                let mut finite = true;
-                for (r, &v) in rx.iter_mut().zip(input.as_slice()) {
-                    *r = round_f16(v);
-                    finite &= r.is_finite();
-                }
-                if finite {
-                    self.run_f16(sparse, rdense, &rx, *chunk, params.activation, &mut out);
-                } else {
-                    conv_fp16_dense(
-                        &self.geom,
-                        &rx,
-                        rdense,
-                        &self.bias,
-                        &self.tactic,
-                        params.activation,
-                        &mut out,
-                    );
-                }
-                arena.give_buffer(rx);
-            }
-            PreparedKind::Fp16Pairwise { rdense } => {
-                let mut rx = arena.take_buffer(input.len());
-                for (r, &v) in rx.iter_mut().zip(input.as_slice()) {
-                    *r = round_f16(v);
-                }
-                conv_fp16_dense(
-                    &self.geom,
-                    &rx,
-                    rdense,
-                    &self.bias,
-                    &self.tactic,
-                    params.activation,
-                    &mut out,
-                );
-                arena.give_buffer(rx);
+        let out = match &self.kind {
+            PreparedKind::Lanes(lanes) => return self.run_lanes(lanes, params, input, arena),
+            PreparedKind::Reference => {
+                let want = conv_forward(params, input, &self.tactic, None);
+                arena.alloc_copy(&want)
             }
             PreparedKind::Int8 {
                 sparse,
@@ -895,10 +680,12 @@ impl PreparedConv {
                     .iter()
                     .map(|&x| i32::from(qin.quantize(x)))
                     .collect();
+                let mut out = arena.alloc_zeroed(self.out_shape());
                 self.run_i8(sparse, &qx, *out_scale, params.activation, &mut out);
+                out
             }
-        }
-        // Every value the legacy kinds produce comes from a scalar walk.
+        };
+        // Both CHW walks are scalar.
         let values = out.len();
         (out, PathCounts::scalar(values))
     }
@@ -974,150 +761,9 @@ impl PreparedConv {
         ((oy * self.geom.s) * self.geom.iw + self.interior.ox_lo * self.geom.s) as isize
     }
 
-    fn run_f32(
-        &self,
-        sparse: &[Vec<SparseEntry<f32>>],
-        x: &[f32],
-        activation: Option<Activation>,
-        out: &mut Tensor,
-    ) {
-        let g = self.geom;
-        let it = self.interior;
-        let width = it.ox_hi.saturating_sub(it.ox_lo);
-        let mut acc_row = vec![0.0f32; width];
-        for (oc, entries) in sparse.iter().enumerate() {
-            let b = self.bias.get(oc).copied().unwrap_or(0.0);
-            for oy in 0..g.oh {
-                let interior_row = width > 0 && oy >= it.oy_lo && oy < it.oy_hi;
-                if interior_row {
-                    // Entry-outer over the whole row: each entry touches a
-                    // contiguous (stride 1) or strided input span, which the
-                    // compiler vectorizes across output pixels.
-                    acc_row.fill(b);
-                    for e in entries {
-                        let src = (self.row_base(oy) + e.delta) as usize;
-                        if g.s == 1 {
-                            for (a, &xv) in acc_row.iter_mut().zip(&x[src..src + width]) {
-                                *a += xv * e.w;
-                            }
-                        } else {
-                            for (i, a) in acc_row.iter_mut().enumerate() {
-                                *a += x[src + i * g.s] * e.w;
-                            }
-                        }
-                    }
-                    for (i, ox) in (it.ox_lo..it.ox_hi).enumerate() {
-                        *out.at_mut(oc, oy, ox) = apply_act(activation, acc_row[i]);
-                    }
-                }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
-                } else {
-                    Box::new(0..g.ow)
-                };
-                for ox in border_cols {
-                    let mut acc = b;
-                    for e in entries {
-                        let iy = (oy * g.s) as isize + e.dy;
-                        let ix = (ox * g.s) as isize + e.dx;
-                        if iy < 0 || iy >= g.ih as isize || ix < 0 || ix >= g.iw as isize {
-                            continue;
-                        }
-                        let xv = x[(e.c_in * g.ih + iy as usize) * g.iw + ix as usize];
-                        if xv != 0.0 {
-                            acc += xv * e.w;
-                        }
-                    }
-                    *out.at_mut(oc, oy, ox) = apply_act(activation, acc);
-                }
-            }
-        }
-    }
-
-    fn run_f16(
-        &self,
-        sparse: &[Vec<SparseEntry<f32>>],
-        rdense: &[f32],
-        rx: &[f32],
-        chunk: usize,
-        activation: Option<Activation>,
-        out: &mut Tensor,
-    ) {
-        let g = self.geom;
-        let it = self.interior;
-        let width = it.ox_hi.saturating_sub(it.ox_lo);
-        let mut acc_row = vec![0.0f32; width];
-        let mut carry_row = vec![0.0f64; width];
-        for (oc, entries) in sparse.iter().enumerate() {
-            let b = self.bias.get(oc).copied().unwrap_or(0.0);
-            for oy in 0..g.oh {
-                let interior_row = width > 0 && oy >= it.oy_lo && oy < it.oy_hi;
-                if interior_row {
-                    self.f16_interior_row(entries, rx, oy, &mut acc_row, &mut carry_row);
-                    for (i, ox) in (it.ox_lo..it.ox_hi).enumerate() {
-                        let sum = (carry_row[i] + f64::from(acc_row[i])) as f32;
-                        *out.at_mut(oc, oy, ox) = apply_act(activation, sum + b);
-                    }
-                }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
-                } else {
-                    Box::new(0..g.ow)
-                };
-                for ox in border_cols {
-                    // Border pixels drop taps dynamically, so chunk
-                    // positions can't be resolved statically; walk the
-                    // dense order, skipping zero-weight multiplies.
-                    let sum = fp16_pixel_folded(rx, rdense, &g, oc, oy, ox, chunk, true);
-                    *out.at_mut(oc, oy, ox) = apply_act(activation, sum + b);
-                }
-            }
-        }
-    }
-
-    /// One whole interior output row of a folded FP16 convolution,
-    /// entry-outer: each nonzero tap streams across every pixel in the row,
-    /// eight pixels per [`round8`] pair and the remainder through
-    /// [`round_f16`]. Both round exactly, so the row is bit-identical to the
-    /// dense per-pixel walk.
-    fn f16_interior_row(
-        &self,
-        entries: &[SparseEntry<f32>],
-        rx: &[f32],
-        oy: usize,
-        acc: &mut [f32],
-        carry: &mut [f64],
-    ) {
-        let s = self.geom.s;
-        acc.fill(0.0);
-        carry.fill(0.0);
-        for e in entries {
-            if e.flush_before {
-                for (c, a) in carry.iter_mut().zip(acc.iter_mut()) {
-                    *c += f64::from(*a);
-                    *a = 0.0;
-                }
-            }
-            let src = (self.row_base(oy) + e.delta) as usize;
-            let x = |i: usize| rx[src + i * s];
-            let mut chunks = acc.chunks_exact_mut(LANES);
-            let mut i = 0;
-            for a in &mut chunks {
-                let p = round8(std::array::from_fn(|l| x(i + l) * e.w));
-                let sum: [f32; LANES] = std::array::from_fn(|l| a[l] + p[l]);
-                a.copy_from_slice(&round8(sum));
-                i += LANES;
-            }
-            for a in chunks.into_remainder() {
-                *a = round_f16(*a + round_f16(x(i) * e.w));
-                i += 1;
-            }
-        }
-    }
-
     fn run_i8(
         &self,
-        sparse: &[Vec<SparseEntry<i32>>],
+        sparse: &[Vec<SparseEntry>],
         qx: &[i32],
         out_scale: f32,
         activation: Option<Activation>,
@@ -1253,19 +899,13 @@ impl PreparedFc {
         let bias: Vec<f32> = bias.iter().collect();
         let lanes = match tactic.precision {
             Precision::Fp32 => Some(FcLanes::build(&weights, &bias, out_features, usize::MAX)),
-            // Pairwise trees can't lane (shape depends on term count);
-            // non-finite rounded weights make NaN payloads order-dependent.
-            Precision::Fp16
-                if tactic.accum != AccumOrder::Pairwise
-                    && weights.iter().all(|v| v.is_finite()) =>
-            {
-                Some(FcLanes::build(
-                    &weights,
-                    &bias,
-                    out_features,
-                    fold_chunk(tactic.accum),
-                ))
-            }
+            // Non-finite rounded weights make NaN payloads order-dependent.
+            Precision::Fp16 if weights.iter().all(|v| v.is_finite()) => Some(FcLanes::build(
+                &weights,
+                &bias,
+                out_features,
+                fold_chunk(tactic.accum),
+            )),
             _ => None,
         };
         Self {
@@ -1309,13 +949,22 @@ impl PreparedFc {
         let finite = round_f16_slice(&mut rx);
         let counts = match &self.lanes {
             // Non-finite inputs make NaN payloads order-dependent; take the
-            // exact reducer walk instead.
+            // reference walk instead (re-rounding the binary16 weights is
+            // the identity).
             Some(lanes) if finite => {
                 self.run_lanes::<true>(lanes, &rx, activation, &mut out);
                 PathCounts::vector(self.out_features)
             }
             _ => {
-                self.run_reducer_f16(&rx, activation, &mut out);
+                let want = fc_forward(
+                    input,
+                    &self.weights,
+                    &self.bias,
+                    self.out_features,
+                    activation,
+                    &self.tactic,
+                );
+                out.as_mut_slice().copy_from_slice(want.as_slice());
                 PathCounts::scalar(self.out_features)
             }
         };
@@ -1386,22 +1035,6 @@ impl PreparedFc {
             }
         }
         N
-    }
-
-    /// The legacy exact FP16 walk (`rx` already on the binary16 grid).
-    fn run_reducer_f16(&self, rx: &[f32], activation: Option<Activation>, out: &mut Tensor) {
-        let in_features = rx.len();
-        let mut reducer = Reducer::for_tactic(&self.tactic);
-        let mut terms = Vec::with_capacity(in_features);
-        for o in 0..self.out_features {
-            terms.clear();
-            let row = &self.weights[o * in_features..(o + 1) * in_features];
-            for (xi, wi) in rx.iter().zip(row.iter()) {
-                terms.push(round_f16(xi * wi));
-            }
-            let acc = reducer.reduce(&terms) + self.bias.get(o).copied().unwrap_or(0.0);
-            *out.at_mut(o, 0, 0) = apply_act(activation, acc);
-        }
     }
 }
 
@@ -1539,42 +1172,26 @@ mod tests {
 
     #[test]
     fn reducer_orders_differ_on_adversarial_input() {
-        let t_seq = Tactic::conv_fp32(1, 1); // sequential fp32
-        let mut seq = Reducer::for_tactic(&t_seq);
-        let mut chunked = Reducer {
-            order: AccumOrder::Chunked(2),
-            fp16: true,
-            scratch: Vec::new(),
-        };
-        let mut pair = Reducer {
-            order: AccumOrder::Pairwise,
-            fp16: true,
-            scratch: Vec::new(),
-        };
-        let terms: Vec<f32> = (0..64)
-            .map(|i| {
-                if i % 2 == 0 {
-                    1.0 + i as f32 * 1e-3
-                } else {
-                    -1.0
-                }
-            })
-            .collect();
-        let a = seq.reduce(&terms);
-        let b = chunked.reduce(&terms);
-        let c = pair.reduce(&terms);
-        // All approximate the same sum...
+        // Finding 2 in one reduction: the same FP16 terms summed in one run
+        // and split-K give different bits.
+        let fp16 = |order| Reducer { order, fp16: true };
+        // Growing terms: one FP16 run loses low bits at its large running
+        // total that short chunks keep.
+        let terms: Vec<f32> = (0..64).map(|i| 1.0 + i as f32 * 0.0137).collect();
+        let seq = fp16(AccumOrder::Sequential).reduce(&terms);
+        let chunked = fp16(AccumOrder::Chunked(8)).reduce(&terms);
+        // Both approximate the same sum...
         let exact: f32 = terms.iter().sum();
-        for v in [a, b, c] {
-            assert!((v - exact).abs() < 0.1);
+        for v in [seq, chunked] {
+            assert!((v - exact).abs() < 0.005 * exact, "{v} vs {exact}");
         }
-        // ...but fp16 orders disagree with exact sequential fp32.
-        assert!(b != a || c != a);
+        // ...in different bits.
+        assert_ne!(seq.to_bits(), chunked.to_bits());
     }
 
     #[test]
     fn reducer_handles_empty_and_single() {
-        let mut r = Reducer::for_tactic(&Tactic::conv_hmma(128, 64, ""));
+        let r = Reducer::for_tactic(&Tactic::conv_hmma(128, 64, ""));
         assert_eq!(r.reduce(&[]), 0.0);
         assert_eq!(r.reduce(&[2.5]), 2.5);
     }
@@ -1588,7 +1205,7 @@ mod tests {
     }
 
     /// Zeroes small weights, mimicking the accuracy experiments' magnitude
-    /// pruning (the sparsity the prepared kernels exploit).
+    /// pruning (the sparsity the INT8 walk elides).
     fn prune(params: &mut ConvParams, thresh: f32) {
         let w: Vec<f32> = params
             .weights
@@ -1662,9 +1279,7 @@ mod tests {
         chunk_small.accum = AccumOrder::Chunked(4); // stress static flush points
         let mut seq = Tactic::conv_hmma(128, 64, "");
         seq.accum = AccumOrder::Sequential;
-        let mut pair = Tactic::conv_hmma(128, 64, "");
-        pair.accum = AccumOrder::Pairwise;
-        for tactic in [Tactic::conv_hmma(128, 64, ""), chunk_small, seq, pair] {
+        for tactic in [Tactic::conv_hmma(128, 64, ""), chunk_small, seq] {
             let mut square = test_conv(31);
             prune(&mut square, 0.15);
             assert_prepared_matches(&square, &test_input(32), &tactic, None);
@@ -1710,28 +1325,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn prepared_elides_pruned_terms() {
-        // Grouped (non-depthwise) convs stay on the legacy sparse path,
-        // which elides zero weights; lane-kernel convs run dense.
-        let mut params = strided_conv(61);
-        prune(&mut params, 0.2);
-        let p = PreparedConv::new(&params, [4, 9, 8], &Tactic::conv_hmma(128, 64, ""), None);
-        assert!(
-            p.live_terms() < p.dense_terms(),
-            "{} !< {}",
-            p.live_terms(),
-            p.dense_terms()
-        );
-        let square = PreparedConv::new(
-            &test_conv(61),
-            [8, 8, 8],
-            &Tactic::conv_hmma(128, 64, ""),
-            None,
-        );
-        assert_eq!(square.live_terms(), square.dense_terms(), "lanes run dense");
     }
 
     /// Runs `params` under every (layout_in, layout_out) pair, converting
@@ -1856,9 +1449,6 @@ mod tests {
             lane_layout(&square, &Tactic::conv_fp32(128, 64)),
             Some(Layout::Chwc8)
         );
-        let mut pair = Tactic::conv_hmma(128, 64, "");
-        pair.accum = AccumOrder::Pairwise;
-        assert_eq!(lane_layout(&square, &pair), None);
         assert_eq!(lane_layout(&square, &Tactic::conv_int8(128, 64)), None);
         // Grouped non-depthwise: no lane kernel.
         assert_eq!(

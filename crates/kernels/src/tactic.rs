@@ -34,6 +34,10 @@ pub enum TacticFamily {
 /// `h884` kernels accumulate in FP16, where the difference is large enough to
 /// flip borderline classifications. This is the paper's Finding 2 made
 /// concrete.
+///
+/// FP32 and FP16 kernels visit every in-bounds tap in this order, pruned
+/// zero weights included. Only INT8 kernels, whose integer accumulation is
+/// exact, elide pruned zeros.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccumOrder {
     /// Straight sequential accumulation in reading order.
@@ -41,8 +45,6 @@ pub enum AccumOrder {
     /// Split-K: sequential within chunks of the given size, chunk partials
     /// combined afterwards (tile-size dependent).
     Chunked(u32),
-    /// Pairwise/tree reduction.
-    Pairwise,
 }
 
 /// One pre-implemented kernel the builder can select.

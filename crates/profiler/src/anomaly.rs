@@ -54,32 +54,6 @@ impl Default for DetectorConfig {
     }
 }
 
-impl DetectorConfig {
-    /// Sets the robust z-score cutoff for H2D outliers.
-    pub fn with_h2d_z_threshold(mut self, z: f64) -> Self {
-        self.h2d_z_threshold = z;
-        self
-    }
-
-    /// Sets the zero-spread fallback ratio for H2D outliers.
-    pub fn with_h2d_ratio_threshold(mut self, ratio: f64) -> Self {
-        self.h2d_ratio_threshold = ratio;
-        self
-    }
-
-    /// Sets the per-invocation slowdown ratio.
-    pub fn with_slowdown_ratio(mut self, ratio: f64) -> Self {
-        self.slowdown_ratio = ratio;
-        self
-    }
-
-    /// Sets the minimum invocation count for slowdown judgement.
-    pub fn with_min_invocations(mut self, n: usize) -> Self {
-        self.min_invocations = n;
-        self
-    }
-}
-
 /// One H2D copy flagged as anomalous (anomaly class 1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct H2dOutlier {

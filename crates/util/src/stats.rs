@@ -67,15 +67,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (n denominator; 0 when empty).
-    pub fn variance_population(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Smallest observation (∞ when empty).
     pub fn min(&self) -> f64 {
         self.min

@@ -1,18 +1,22 @@
 //! Workspace property tests for the numeric inference fast path.
 //!
 //! The contract under test is the one `bench_infer` enforces on one model:
-//! the precompiled [`trtsim::InferencePlan`] must be bit-identical (under
-//! `f32` equality) to the naive interpreter, and the batch APIs must return
-//! the same results at every thread count — here checked across *random*
-//! networks and inputs instead of a single zoo model.
+//! the precompiled [`trtsim::InferencePlan`] must be bit-identical to the
+//! naive interpreter, and the batch APIs must return the same results at
+//! every thread count — here checked across *random* networks and inputs
+//! instead of a single zoo model.
 
 use proptest::prelude::*;
 use trtsim::data::SyntheticImageNet;
-use trtsim::engine::{Builder, BuilderConfig, ExecutionContext};
+use trtsim::engine::plan::{deserialize, serialize};
+use trtsim::engine::{Builder, BuilderConfig, Engine, ExecutionContext};
+use trtsim::gpu::kernel::Precision;
 use trtsim::ir::graph::{Activation, ConvParams, Graph, LayerKind, PoolKind};
 use trtsim::ir::layout::{convert, Layout};
 use trtsim::ir::weights::Weights;
 use trtsim::ir::Tensor;
+use trtsim::kernels::catalog::PrecisionPolicy;
+use trtsim::kernels::AccumOrder;
 use trtsim::models::numeric::{build_classifier, NUMERIC_INPUT};
 use trtsim::models::ModelId;
 use trtsim::util::rng::Pcg32;
@@ -36,9 +40,42 @@ fn depthwise_seeded(channels: usize, seed: u64) -> LayerKind {
     })
 }
 
+/// A seeded 3x3 conv from 4 to 6 channels in two groups, with about a third
+/// of its weights pruned to exact zeros. No lane kernel takes a grouped
+/// non-depthwise conv, so FP32/FP16 plans run it on the reference walk and
+/// INT8 plans on the sparse walk that elides the zeros.
+fn grouped_pruned(seed: u64) -> LayerKind {
+    let mut rng = Pcg32::seed_from_u64(seed);
+    let weights = (0..6 * 2 * 9)
+        .map(|_| {
+            let w = (rng.normal() * 0.4) as f32;
+            if w.abs() < 0.17 {
+                0.0
+            } else {
+                w
+            }
+        })
+        .collect();
+    LayerKind::Conv(ConvParams {
+        out_channels: 6,
+        in_channels: 4,
+        kernel_h: 3,
+        kernel_w: 3,
+        stride: 1,
+        pad_h: 1,
+        pad_w: 1,
+        groups: 2,
+        weights: Weights::Dense(weights),
+        bias: Weights::Dense(vec![0.05; 6]),
+        activation: Some(Activation::Relu),
+    })
+}
+
 /// A random small conv/branch/pool network over a `[3, 16, 16]` input.
 /// Roughly every third stage tacks on a depthwise conv, so the proptests
-/// below also cover the NHWC lane path and its layout converts.
+/// below also cover the NHWC lane path and its layout converts. The last
+/// stage feeds a 1x1 conv to 4 channels and then [`grouped_pruned`] (named
+/// `grp`), whose output the branches read.
 fn arb_network() -> impl Strategy<Value = Graph> {
     (1u64..1000, 2usize..5, 1usize..3).prop_map(|(seed, depth, branches)| {
         let mut rng = Pcg32::seed_from_u64(seed);
@@ -62,10 +99,16 @@ fn arb_network() -> impl Strategy<Value = Graph> {
             frontier.push((stage, out_c));
         }
         let (last, last_c) = *frontier.last().unwrap();
+        let pre = g.add_layer(
+            "pre",
+            LayerKind::conv_seeded(4, last_c, 1, 1, 0, seed + 900),
+            &[last],
+        );
+        let grp = g.add_layer("grp", grouped_pruned(seed + 901), &[pre]);
         let mut branch_ids = Vec::new();
         for i in 0..branches {
-            let kind = LayerKind::conv_seeded(4, last_c, 1, 1, 0, 100 + i as u64);
-            branch_ids.push(g.add_layer(format!("b{i}"), kind, &[last]));
+            let kind = LayerKind::conv_seeded(4, 6, 1, 1, 0, 100 + i as u64);
+            branch_ids.push(g.add_layer(format!("b{i}"), kind, &[grp]));
         }
         let out = if branch_ids.len() > 1 {
             g.add_layer("cat", LayerKind::Concat, &branch_ids)
@@ -99,25 +142,133 @@ fn random_input(seed: u64) -> Tensor {
     })
 }
 
+/// [`random_input`] with `inf`, `-inf` and NaN pixels.
+fn non_finite_input(seed: u64) -> Tensor {
+    let mut input = random_input(seed);
+    *input.at_mut(0, 0, 0) = f32::INFINITY;
+    *input.at_mut(1, 7, 3) = f32::NAN;
+    *input.at_mut(2, 15, 15) = f32::NEG_INFINITY;
+    input
+}
+
+/// The numeric route an engine's convs take: the tactics the autotuner
+/// picks under the default FP16 policy, FP32 only, FP16 with every HMMA
+/// tactic's accumulation order replaced, or INT8 (with calibration) and
+/// FP32 under noise-free timing, where the cost model ranks INT8 first for
+/// `grp`.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Catalog,
+    Fp32,
+    Fp16(AccumOrder),
+    Int8,
+}
+
+impl Route {
+    const ALL: [Route; 5] = [
+        Route::Catalog,
+        Route::Fp32,
+        Route::Fp16(AccumOrder::Sequential),
+        Route::Fp16(AccumOrder::Chunked(4)),
+        Route::Int8,
+    ];
+
+    fn build(self, g: &Graph, build_seed: u64) -> Engine {
+        let config = BuilderConfig::default().with_build_seed(build_seed);
+        let config = match self {
+            Route::Fp32 => config.with_policy(PrecisionPolicy::fp32_only()),
+            Route::Int8 => config
+                .with_policy(PrecisionPolicy {
+                    allow_fp16: false,
+                    allow_int8: true,
+                })
+                .with_timing_noise_sd(0.0)
+                .with_calibration((0..4).map(|i| random_input(build_seed + i)).collect()),
+            Route::Catalog | Route::Fp16(_) => config,
+        };
+        let engine = Builder::new(DeviceSpec::xavier_nx(), config)
+            .build(g)
+            .expect("builds");
+        match self {
+            Route::Fp16(accum) => with_hmma_accum(&engine, accum),
+            _ => engine,
+        }
+    }
+}
+
+/// `engine` with every FP16 implicit-GEMM tactic re-encoded to accumulate
+/// in `accum`, through the public plan codec. Catalog HMMA tactics all
+/// accumulate `Chunked(min(tile))`; this reaches the orders none of them
+/// has. In the blob, a tactic's variant string (`u32` length, bytes) is
+/// followed by its order: tag 0, or tag 1 and a `u32` chunk.
+fn with_hmma_accum(engine: &Engine, accum: AccumOrder) -> Engine {
+    let variant = b"ldg8_relu_exp";
+    let mut needle = (variant.len() as u32).to_le_bytes().to_vec();
+    needle.extend_from_slice(variant);
+    let order: Vec<u8> = match accum {
+        AccumOrder::Sequential => vec![0],
+        AccumOrder::Chunked(n) => [1].into_iter().chain(n.to_le_bytes()).collect(),
+    };
+    let blob = serialize(engine);
+    let mut out = Vec::with_capacity(blob.len());
+    let mut i = 0;
+    while i < blob.len() {
+        if blob[i..].starts_with(&needle) {
+            let at = i + needle.len();
+            assert_eq!(blob[at], 1, "catalog HMMA tactics accumulate chunked");
+            out.extend_from_slice(&needle);
+            out.extend_from_slice(&order);
+            i = at + 5;
+        } else {
+            out.push(blob[i]);
+            i += 1;
+        }
+    }
+    deserialize(&out).expect("re-encoded plan decodes")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The plan's output tensors equal the interpreter's exactly, for every
-    /// output, across random networks, build seeds, and inputs.
+    /// The plan's output tensors equal the interpreter's bit for bit, for
+    /// every output, across random networks, build seeds, and finite and
+    /// non-finite inputs, on every numeric route of the pruned grouped conv
+    /// `grp`: FP32 and both FP16 orders on the reference walk, INT8 on the
+    /// sparse walk, and whatever the autotuner picks.
     #[test]
     fn plan_is_bit_identical_to_interpreter(g in arb_network(), build_seed in 0u64..500) {
-        let engine = Builder::new(
-            DeviceSpec::xavier_nx(),
-            BuilderConfig::default().with_build_seed(build_seed),
-        )
-        .build(&g)
-        .expect("builds");
-        let ctx = ExecutionContext::new(&engine, DeviceSpec::xavier_nx());
-        for i in 0..3u64 {
-            let input = random_input(build_seed * 31 + i);
-            let planned = ctx.infer(&input).expect("planned path runs");
-            let naive = ctx.infer_unplanned(&input).expect("interpreter runs");
-            prop_assert_eq!(planned, naive);
+        for route in Route::ALL {
+            let engine = route.build(&g, build_seed);
+            let grp = engine
+                .graph()
+                .nodes()
+                .iter()
+                .find(|n| n.name == "grp")
+                .expect("grouped conv survives the passes");
+            let tactic = &engine.units()[grp.id].choice.as_ref().expect("conv tactic").tactic;
+            match route {
+                Route::Catalog => {}
+                Route::Fp32 => prop_assert_eq!(tactic.precision, Precision::Fp32),
+                Route::Fp16(accum) => {
+                    prop_assert_eq!(tactic.precision, Precision::Fp16);
+                    prop_assert_eq!(tactic.accum, accum);
+                }
+                Route::Int8 => prop_assert_eq!(tactic.precision, Precision::Int8),
+            }
+            let ctx = ExecutionContext::new(&engine, DeviceSpec::xavier_nx());
+            let mut inputs: Vec<Tensor> =
+                (0..3).map(|i| random_input(build_seed * 31 + i)).collect();
+            inputs.push(non_finite_input(build_seed * 31 + 3));
+            for input in &inputs {
+                let planned = ctx.infer(input).expect("planned path runs");
+                let naive = ctx.infer_unplanned(input).expect("interpreter runs");
+                prop_assert_eq!(planned.len(), naive.len());
+                for (p, n) in planned.iter().zip(&naive) {
+                    prop_assert_eq!(p.shape(), n.shape());
+                    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert!(bits(p) == bits(n), "{:?}: plan and interpreter differ", route);
+                }
+            }
         }
     }
 }

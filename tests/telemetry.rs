@@ -552,12 +552,10 @@ proptest! {
 }
 
 /// Output values the lane kernels produce per execution: every conv step
-/// whose tactic lowers onto a lane kernel (FP32, or FP16 without pairwise
-/// accumulation, on an ungrouped or depthwise conv) writes its whole output
-/// on the vector path.
+/// whose tactic lowers onto a lane kernel (FP32 or FP16, on an ungrouped or
+/// depthwise conv) writes its whole output on the vector path.
 fn lane_values_per_execution(engine: &Engine) -> u64 {
     use trtsim::gpu::kernel::Precision;
-    use trtsim::kernels::tactic::AccumOrder;
     engine
         .graph()
         .nodes()
@@ -567,11 +565,7 @@ fn lane_values_per_execution(engine: &Engine) -> u64 {
                 return None;
             };
             let tactic = &engine.units()[node.id].choice.as_ref()?.tactic;
-            let lanes = match tactic.precision {
-                Precision::Fp32 => true,
-                Precision::Fp16 => tactic.accum != AccumOrder::Pairwise,
-                Precision::Int8 => false,
-            };
+            let lanes = tactic.precision != Precision::Int8;
             let depthwise = conv.groups == conv.in_channels && conv.groups == conv.out_channels;
             let [c, h, w] = engine.shapes()[node.id];
             (lanes && (conv.groups == 1 || depthwise)).then_some((c * h * w) as u64)
