@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use trtsim_gpu::device::Platform;
+use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_repro::exp_accuracy::AccuracyConfig;
 use trtsim_repro::support::EngineFarm;
@@ -44,8 +44,9 @@ fn bench_latency_and_concurrency(c: &mut Criterion) {
     group.bench_function("table9_latency_two_models", |b| {
         b.iter(|| exp_latency::run_table9(&farm))
     });
-    group.bench_function("fig3_tinyyolo_nx", |b| {
-        b.iter(|| exp_concurrency::run(&farm, ModelId::TinyYolov3, Platform::Nx))
+    let registry = Registry::new();
+    group.bench_function("fig3_fig4_concurrency_scn", |b| {
+        b.iter(|| campaign::run_checked_in(campaign::CONCURRENCY_SCN, &farm, &registry))
     });
     group.bench_function("table17_bsp_inception", |b| {
         b.iter(|| exp_bsp::run(&farm, ModelId::InceptionV4, 3))

@@ -1,7 +1,7 @@
 //! Times whole-zoo engine builds under the build-performance subsystem:
 //! cold sequential, warm-timing-cache sequential, cold parallel farm, and
 //! warm (memoized) farm, writing the results to `BENCH_build.json` in the
-//! shared [`trtsim_bench::report`] schema (plus a telemetry snapshot next
+//! shared [`trtsim_metrics::report`] schema (plus a telemetry snapshot next
 //! to it).
 //!
 //! ```text
@@ -18,7 +18,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_core::autotune::candidate_kernels;
 use trtsim_core::{
     publish_build, publish_timing_cache, Builder, BuilderConfig, Engine, TimingCache,
@@ -27,6 +26,7 @@ use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_gpu::kernel::KernelDesc;
 use trtsim_gpu::timing::kernel_time_us;
 use trtsim_kernels::catalog::PrecisionPolicy;
+use trtsim_metrics::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_metrics::{CacheStats, Registry};
 use trtsim_models::ModelId;
 use trtsim_repro::support::EngineFarm;

@@ -1,5 +1,5 @@
 //! Times the paper campaign section by section over repeated fresh runs and
-//! writes `BENCH_campaign.json` in the shared [`trtsim_bench::report`]
+//! writes `BENCH_campaign.json` in the shared [`trtsim_metrics::report`]
 //! schema.
 //!
 //! ```text
@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
+use trtsim_metrics::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_repro::campaign::{Campaign, SECTIONS};
 use trtsim_repro::exp_accuracy::AccuracyConfig;
 use trtsim_util::pool::auto_threads;

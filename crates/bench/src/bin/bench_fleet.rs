@@ -2,7 +2,7 @@
 //! the [`trtsim_core::fleet`] router versus each board alone, under the
 //! open-loop Poisson and burst traces from [`trtsim_data::traffic`].
 //! Results land in `BENCH_fleet.json` in the shared
-//! [`trtsim_bench::report`] schema (plus a telemetry snapshot next to it).
+//! [`trtsim_metrics::report`] schema (plus a telemetry snapshot next to it).
 //!
 //! ```text
 //! cargo run --release -p trtsim-bench --bin bench_fleet            # full set
@@ -16,12 +16,12 @@
 //! router steers load away from the saturated board (the single-worker
 //! pinned NX must serve less than its uniform share).
 
-use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_core::fleet::{FleetBuilder, FleetConfig, FleetStats};
 use trtsim_core::runtime::TimingOptions;
 use trtsim_core::serving::{InferenceServer, ServerConfig};
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::device::{DeviceSpec, Platform};
+use trtsim_metrics::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_repro::support::EngineFarm;

@@ -2,7 +2,7 @@
 //! per-call interpreter, the precompiled [`trtsim_core::InferencePlan`], and
 //! the plan fanned out over worker threads — on a mid-size numeric zoo
 //! model, writing the results to `BENCH_infer.json` in the shared
-//! [`trtsim_bench::report`] schema (plus a telemetry snapshot next to it).
+//! [`trtsim_metrics::report`] schema (plus a telemetry snapshot next to it).
 //!
 //! ```text
 //! cargo run --release -p trtsim-bench --bin bench_infer            # full set
@@ -19,11 +19,11 @@
 
 use std::time::Instant;
 
-use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_core::publish_plan;
 use trtsim_core::runtime::ExecutionContext;
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_ir::Tensor;
+use trtsim_metrics::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_repro::exp_accuracy::{AccuracyConfig, AccuracySetup};

@@ -4,7 +4,7 @@
 //! deadline accounting, once with the learned latency model driving
 //! deadline-based admission, SLO-aware batching, and predicted-finish-time
 //! routing. Results land in `BENCH_serving.json` in the shared
-//! [`trtsim_bench::report`] schema (plus a telemetry snapshot next to it).
+//! [`trtsim_metrics::report`] schema (plus a telemetry snapshot next to it).
 //!
 //! ```text
 //! cargo run --release -p trtsim-bench --bin bench_serving            # full
@@ -20,7 +20,6 @@
 //! argument, the analytic BSP model's error spread across four build
 //! seeds of the same network (λs calibrated once, on build 0).
 
-use trtsim_bench::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_core::engine::Engine;
 use trtsim_core::fleet::{Fleet, FleetBuilder, FleetConfig};
 use trtsim_core::reqtrace::TraceOutcome;
@@ -28,6 +27,7 @@ use trtsim_core::runtime::TimingOptions;
 use trtsim_core::serving::{ServerConfig, ServingError};
 use trtsim_data::traffic::ArrivalTrace;
 use trtsim_gpu::device::{DeviceSpec, Platform};
+use trtsim_metrics::report::{git_rev, BenchReport, PhaseReport};
 use trtsim_metrics::Registry;
 use trtsim_models::ModelId;
 use trtsim_perfmodel::learned::bsp_cross_build_error_percent;

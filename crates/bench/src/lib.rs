@@ -9,12 +9,10 @@
 //! bench_build`) times whole-zoo engine builds cold, warm-cache, and
 //! parallel, and writes `BENCH_build.json`; `bench_infer` does the same for
 //! the numeric fast path and writes `BENCH_infer.json`. Both emit the shared
-//! [`report::BenchReport`] schema and dump the process telemetry registry
-//! next to the report.
+//! [`trtsim_metrics::report::BenchReport`] schema and dump the process
+//! telemetry registry next to the report.
 
 #![warn(missing_docs)]
-
-pub mod report;
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};

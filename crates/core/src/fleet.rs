@@ -70,6 +70,11 @@ use crate::serving::{
     check_arrival, FleetShared, InferenceServer, ServerConfig, ServerStats, ServingError,
 };
 
+/// Dispatch scores within this relative margin of the best count as a tie,
+/// which the affinity tie-break resolves toward the replica that served
+/// this (model, tenant) most recently.
+const AFFINITY_EPSILON: f64 = 0.05;
+
 /// Fleet-wide knobs.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -87,10 +92,6 @@ pub struct FleetConfig {
     /// Completions the shared model needs before it is warm (see
     /// [`LatencyModel::with_min_obs`]).
     pub predictor_min_obs: u64,
-    /// Scores within this relative margin of the best count as a tie, which
-    /// the affinity tie-break resolves toward the replica that served this
-    /// (model, tenant) most recently.
-    pub affinity_epsilon: f64,
     /// Seed for the shared model's deterministic weight initialisation.
     pub predictor_seed: u64,
     /// Request-trace flight-recorder knobs, shared by every replica: one
@@ -105,7 +106,6 @@ impl Default for FleetConfig {
             telemetry_addr: None,
             predictive: false,
             predictor_min_obs: 64,
-            affinity_epsilon: 0.05,
             predictor_seed: 0x1eaf,
             trace: TraceOptions::default(),
         }
@@ -122,12 +122,6 @@ impl FleetConfig {
     /// Sets the shared model's warm-up threshold.
     pub fn with_predictor_min_obs(mut self, n: u64) -> Self {
         self.predictor_min_obs = n;
-        self
-    }
-
-    /// Sets the affinity tie margin (relative, e.g. `0.05` = 5%).
-    pub fn with_affinity_epsilon(mut self, eps: f64) -> Self {
-        self.affinity_epsilon = eps;
         self
     }
 
@@ -423,7 +417,6 @@ impl FleetBuilder {
             heuristic_metric,
             affinity_metric,
             model: shared_model,
-            affinity_epsilon: config.affinity_epsilon,
             exporter,
             recorder,
             idgen,
@@ -448,7 +441,6 @@ pub struct Fleet {
     /// Fleet-shared online latency model, present when
     /// [`FleetConfig::predictive`] is set.
     model: Option<Arc<LatencyModel>>,
-    affinity_epsilon: f64,
     exporter: Option<TelemetryServer>,
     /// Fleet-shared flight recorder every replica records into.
     recorder: Arc<FlightRecorder>,
@@ -553,7 +545,7 @@ impl Fleet {
         // sticky routing where the scores cannot tell replicas apart.
         let mut affinity_choice = None;
         if let Some(prev) = entry.last_replica.filter(|_| order.len() >= 2) {
-            let bound = order[0].score * (1.0 + self.affinity_epsilon);
+            let bound = order[0].score * (1.0 + AFFINITY_EPSILON);
             let ties = order.iter().take_while(|p| p.score <= bound).count();
             if ties >= 2 {
                 if let Some(pos) = order[..ties].iter().position(|p| p.replica == prev) {

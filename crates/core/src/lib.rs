@@ -75,8 +75,7 @@ pub use reqtrace::{
 };
 pub use runtime::{ExecutionContext, TimingOptions};
 pub use serving::{
-    InferenceServer, KernelTime, ProfileOptions, RequestRecord, ServerConfig, ServerStats,
-    ServingError,
+    InferenceServer, KernelTime, RequestRecord, ServerConfig, ServerStats, ServingError,
 };
 pub use telemetry::{publish_build, publish_plan, publish_timing_cache, GpuSampler};
 pub use timing_cache::TimingCache;

@@ -52,13 +52,6 @@ use trtsim_util::derive_seed;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(u64);
 
-impl TraceId {
-    /// The raw 64-bit id.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for TraceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
@@ -446,7 +439,7 @@ impl RequestTrace {
 }
 
 /// Renders a set of traces as one JSON array of full trace objects —
-/// the `scenario run --trace-out` dump format.
+/// the `campaign --scn FILE --out-dir DIR` dump format.
 pub fn traces_json(traces: &[RequestTrace]) -> String {
     let mut out = String::from("[");
     for (i, t) in traces.iter().enumerate() {

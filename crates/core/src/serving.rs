@@ -46,12 +46,11 @@
 //! * **Observability** — [`ServerStats`] carries per-request simulated
 //!   latency percentiles (via [`trtsim_metrics::LatencyPercentiles`]), the
 //!   batch-size histogram, the exact queue-depth high-water mark, and the
-//!   rejected count. With [`ProfileOptions`] enabled
-//!   ([`ServerConfig::with_profile`]) each [`RequestRecord`] additionally
-//!   carries a span-id range joining it to the exact timeline records that
-//!   served it, and the stats gain a per-kernel time breakdown plus the
-//!   full captured timeline — ready for `trtsim_profiler`'s chrome-trace
-//!   export and anomaly detectors.
+//!   rejected count. Each [`RequestRecord`] carries a span-id range joining
+//!   it to the exact timeline records that served it; with
+//!   [`ServerConfig::profile`] on, the stats also gain a per-kernel time
+//!   breakdown plus the full captured timeline — ready for
+//!   `trtsim_profiler`'s chrome-trace export and anomaly detectors.
 //! * **Telemetry** — each server owns a [`Registry`] (a fleet replica uses
 //!   its fleet's) holding its `trtsim_server_*` and `trtsim_trace_*`
 //!   series; [`InferenceServer::registry`] hands it out and the optional
@@ -111,46 +110,6 @@ impl std::fmt::Display for ServingError {
 }
 
 impl std::error::Error for ServingError {}
-
-/// Observability knobs for [`InferenceServer`] — what the server keeps
-/// around, beyond counters, for post-run trace analysis.
-///
-/// Span attribution itself (the `span_lo`/`span_hi` range on every
-/// [`RequestRecord`]) is always on: it costs two integer reads per batch.
-/// These knobs gate the parts with real memory or time cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProfileOptions {
-    /// Keep a clone of the full [`GpuTimeline`] in [`ServerStats::timeline`]
-    /// at snapshot/drain time, for chrome-trace export and anomaly detection
-    /// (`trtsim-profiler`).
-    pub capture_timeline: bool,
-    /// Aggregate per-kernel busy time into [`ServerStats::kernel_breakdown`]
-    /// so a slow percentile can be attributed to specific kernels.
-    pub kernel_breakdown: bool,
-}
-
-impl ProfileOptions {
-    /// Everything on — what the `trace_export` example and the repro
-    /// harnesses use.
-    pub fn full() -> Self {
-        Self {
-            capture_timeline: true,
-            kernel_breakdown: true,
-        }
-    }
-
-    /// Enables timeline capture.
-    pub fn with_capture_timeline(mut self, on: bool) -> Self {
-        self.capture_timeline = on;
-        self
-    }
-
-    /// Enables the per-kernel time breakdown.
-    pub fn with_kernel_breakdown(mut self, on: bool) -> Self {
-        self.kernel_breakdown = on;
-        self
-    }
-}
 
 /// Total busy time attributed to one kernel symbol over a serving run — the
 /// [`ServerStats::kernel_breakdown`] row type.
@@ -232,8 +191,12 @@ pub struct ServerConfig {
     pub predictor_min_obs: u64,
     /// Timing harness options applied to every enqueue.
     pub timing: TimingOptions,
-    /// Observability knobs (timeline capture, per-kernel breakdown).
-    pub profile: ProfileOptions,
+    /// Keep the run's full [`GpuTimeline`] ([`ServerStats::timeline`]) and
+    /// its per-kernel busy time ([`ServerStats::kernel_breakdown`]) at
+    /// snapshot/drain, for chrome-trace export and anomaly detection
+    /// (`trtsim-profiler`). Span attribution on every [`RequestRecord`] is
+    /// always on; this gates the parts with real memory or time cost.
+    pub profile: bool,
     /// When set, the server binds a [`trtsim_metrics::TelemetryServer`] on
     /// this address (`GET /metrics` Prometheus text, `GET /metrics.json`
     /// snapshot) and runs the tegrastats-style [`GpuSampler`] for the life
@@ -263,7 +226,7 @@ impl Default for ServerConfig {
             predictive: false,
             predictor_min_obs: 64,
             timing: TimingOptions::default(),
-            profile: ProfileOptions::default(),
+            profile: false,
             telemetry_addr: None,
             telemetry_sample_ms: 50,
             trace: TraceOptions::default(),
@@ -340,9 +303,10 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the observability knobs.
-    pub fn with_profile(mut self, profile: ProfileOptions) -> Self {
-        self.profile = profile;
+    /// Enables timeline capture and the per-kernel breakdown (see
+    /// [`ServerConfig::profile`]).
+    pub fn with_profile(mut self, on: bool) -> Self {
+        self.profile = on;
         self
     }
 
@@ -499,10 +463,10 @@ pub struct ServerStats {
     /// Per-request completion log, in completion order per worker.
     pub completions: Vec<RequestRecord>,
     /// Per-kernel busy-time totals, heaviest first. Populated when
-    /// [`ProfileOptions::kernel_breakdown`] is set; empty otherwise.
+    /// [`ServerConfig::profile`] is set; empty otherwise.
     pub kernel_breakdown: Vec<KernelTime>,
     /// The run's full simulated timeline. Populated when
-    /// [`ProfileOptions::capture_timeline`] is set; feed it to
+    /// [`ServerConfig::profile`] is set; feed it to
     /// `trtsim_profiler::chrome_trace` / `trtsim_profiler::anomaly`.
     pub timeline: Option<GpuTimeline>,
 }
@@ -1354,12 +1318,12 @@ impl InferenceServer {
         let st = self.lock();
         let (elapsed_us, gr3d_percent, kernel_breakdown, timeline) = {
             let tl = self.timeline.lock().expect("timeline lock");
-            let breakdown = if self.config.profile.kernel_breakdown {
+            let breakdown = if self.config.profile {
                 kernel_breakdown(&tl)
             } else {
                 Vec::new()
             };
-            let captured = self.config.profile.capture_timeline.then(|| tl.clone());
+            let captured = self.config.profile.then(|| tl.clone());
             (
                 tl.elapsed_us(),
                 tegrastats::mean_gr3d_percent(&tl),
@@ -1862,7 +1826,7 @@ mod tests {
                 .with_max_batch_size(4)
                 .with_batch_timeout_us(f64::INFINITY)
                 .with_timing(opts())
-                .with_profile(ProfileOptions::full()),
+                .with_profile(true),
         )
         .unwrap();
         for frame in 0..64 {

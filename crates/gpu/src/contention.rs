@@ -45,12 +45,6 @@ impl EngineProfile {
     pub fn utilization_single(&self) -> f64 {
         self.busy_us / self.latency_us()
     }
-
-    /// Per-thread DRAM bandwidth demand at single-stream speed, bytes/s —
-    /// the `Bth` of the paper's Equation 1.
-    pub fn thread_bandwidth_demand(&self) -> f64 {
-        self.dram_bytes as f64 * self.fps_single()
-    }
 }
 
 /// What limited the supported thread count.

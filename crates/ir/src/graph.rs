@@ -92,11 +92,6 @@ impl ConvParams {
     pub fn expected_weight_len(&self) -> usize {
         self.out_channels * (self.in_channels / self.groups) * self.kernel_h * self.kernel_w
     }
-
-    /// Whether the kernel is square.
-    pub fn is_square(&self) -> bool {
-        self.kernel_h == self.kernel_w
-    }
 }
 
 /// One layer's operation. See the crate docs for the modeling conventions.

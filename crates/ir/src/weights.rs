@@ -91,11 +91,6 @@ impl Weights {
         self.iter().fold(0.0f32, |acc, x| acc.max(x.abs()))
     }
 
-    /// Sum of absolute values, streamed. Used by pruning statistics.
-    pub fn l1_norm(&self) -> f64 {
-        self.iter().map(|x| f64::from(x.abs())).sum()
-    }
-
     /// Applies `f` element-wise, producing dense weights.
     ///
     /// For seeded weights this materializes first (subject to

@@ -13,6 +13,8 @@
 //! * [`telemetry`] — the per-owner metric [`Registry`] (counters, gauges,
 //!   log-bucket histograms) with Prometheus/JSON exporters and a std-only
 //!   TCP scrape endpoint.
+//! * [`report`] — the machine-diffable JSON report schema every bench
+//!   binary and scenario run writes.
 
 #![warn(missing_docs)]
 
@@ -21,6 +23,7 @@ pub mod classification;
 pub mod detection;
 pub mod latency;
 pub mod memory;
+pub mod report;
 pub mod telemetry;
 
 pub use cache::CacheStats;

@@ -1,4 +1,5 @@
-//! The shared machine-diffable report schema for the bench binaries.
+//! The shared machine-diffable report schema of the bench binaries and
+//! scenario runs.
 //!
 //! `bench_build` and `bench_infer` historically wrote two ad-hoc JSON
 //! shapes; diffing the bench trajectory across commits meant special-casing
@@ -32,7 +33,7 @@
 //! time is always milliseconds; the per-benchmark throughput unit is named
 //! once at the top level.
 
-use trtsim_metrics::{json_string, Registry};
+use crate::{json_string, Registry};
 
 /// One timed phase of a benchmark run.
 #[derive(Debug, Clone)]

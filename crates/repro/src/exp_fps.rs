@@ -6,44 +6,19 @@
 //! engine. Both run at the board-maximum clock; FPS counts inference only
 //! ("excluding the time to load the image from the disk", §II-E) so the
 //! engine upload is excluded.
+//!
+//! The experiment is `scenarios/table7_fps.scn`, run by the scenario
+//! driver; this module supplies the un-optimized latency its
+//! `compare_unoptimized` traffic needs and renders the table from its report.
 
-use trtsim_core::runtime::{ExecutionContext, TimingOptions};
 use trtsim_gpu::device::{DeviceSpec, Platform};
 use trtsim_gpu::timeline::GpuTimeline;
 use trtsim_ir::flops::graph_costs;
 use trtsim_kernels::generic::{framework_kernels, FRAMEWORK_LAYER_GLUE_US};
-use trtsim_metrics::fps_from_latency_us;
 use trtsim_models::ModelId;
 
-use crate::support::{EngineFarm, TextTable};
-
-/// One Table VII row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FpsRow {
-    /// Model.
-    pub model: ModelId,
-    /// Un-optimized FPS on NX / AGX.
-    pub unoptimized: [f64; 2],
-    /// TensorRT FPS on NX / AGX.
-    pub tensorrt: [f64; 2],
-}
-
-impl FpsRow {
-    /// Speedup factors NX / AGX.
-    pub fn gain(&self) -> [f64; 2] {
-        [
-            self.tensorrt[0] / self.unoptimized[0],
-            self.tensorrt[1] / self.unoptimized[1],
-        ]
-    }
-}
-
-/// The computed table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table7 {
-    /// One row per classification model (paper shows three; we cover five).
-    pub rows: Vec<FpsRow>,
-}
+use crate::scenario::ScenarioReport;
+use crate::support::TextTable;
 
 /// Simulated latency of the un-optimized framework path, µs.
 pub fn unoptimized_latency_us(model: ModelId, device: &DeviceSpec) -> f64 {
@@ -66,115 +41,87 @@ pub fn unoptimized_latency_us(model: ModelId, device: &DeviceSpec) -> f64 {
     timeline.sync(stream)
 }
 
-/// Simulated latency of the optimized engine, µs (engine resident, upload
-/// excluded).
-pub fn optimized_latency_us(farm: &EngineFarm, model: ModelId, platform: Platform) -> f64 {
-    let engine = farm.zoo(model, platform, 0);
-    let device = DeviceSpec::max_clock(platform);
-    let ctx = ExecutionContext::new(&engine, device);
-    let opts = TimingOptions::default()
-        .without_engine_upload()
-        .with_host_glue_us(model.info().host_glue_us)
-        .with_run_jitter_sd(0.0);
-    ctx.measure_latency(&opts, 1, 0)[0]
-}
-
-/// Computes the table for the classification models.
-pub fn run(farm: &EngineFarm) -> Table7 {
-    let wanted: Vec<_> = ModelId::classification_models()
-        .into_iter()
-        .flat_map(|m| [(m, Platform::Nx, 0), (m, Platform::Agx, 0)])
-        .collect();
-    farm.prefetch_zoo(&wanted);
-    let rows = ModelId::classification_models()
-        .into_iter()
-        .map(|model| {
-            let unopt = Platform::all().map(|p| {
-                fps_from_latency_us(unoptimized_latency_us(model, &DeviceSpec::max_clock(p)))
-            });
-            let trt =
-                Platform::all().map(|p| fps_from_latency_us(optimized_latency_us(farm, model, p)));
-            FpsRow {
-                model,
-                unoptimized: unopt,
-                tensorrt: trt,
-            }
-        })
-        .collect();
-    Table7 { rows }
-}
-
-impl Table7 {
-    /// Renders in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "NN Model".into(),
-            "NX-Unoptimized".into(),
-            "NX-TensorRT".into(),
-            "AGX-Unoptimized".into(),
-            "AGX-TensorRT".into(),
-            "Gain NX".into(),
-            "Gain AGX".into(),
+/// Renders Table VII from a report of `scenarios/table7_fps.scn`: one row
+/// per NX unit, in plan order, beside its network's AGX unit.
+///
+/// # Panics
+///
+/// Panics if a network lacks a latency unit with `compare_unoptimized` on
+/// either platform.
+pub fn render(report: &ScenarioReport) -> String {
+    let mut t = TextTable::new(vec![
+        "NN Model".into(),
+        "NX-Unoptimized".into(),
+        "NX-TensorRT".into(),
+        "AGX-Unoptimized".into(),
+        "AGX-TensorRT".into(),
+        "Gain NX".into(),
+        "Gain AGX".into(),
+    ]);
+    let nx_units = report
+        .units
+        .iter()
+        .filter(|u| u.plan.device.platform == Platform::Nx);
+    for model in nx_units.map(|u| u.plan.network) {
+        let [nx, agx] = Platform::all().map(|p| {
+            let unit = report
+                .unit(model, p)
+                .expect("a Table VII unit per platform");
+            ["unoptimized_fps", "fps", "gain"].map(|key| {
+                unit.metric(key)
+                    .expect("Table VII units compare against the un-optimized path")
+            })
+        });
+        t.row(vec![
+            model.to_string(),
+            format!("{:.2}", nx[0]),
+            format!("{:.1}", nx[1]),
+            format!("{:.2}", agx[0]),
+            format!("{:.1}", agx[1]),
+            format!("{:.1}x", nx[2]),
+            format!("{:.1}x", agx[2]),
         ]);
-        for r in &self.rows {
-            let g = r.gain();
-            t.row(vec![
-                r.model.to_string(),
-                format!("{:.2}", r.unoptimized[0]),
-                format!("{:.1}", r.tensorrt[0]),
-                format!("{:.2}", r.unoptimized[1]),
-                format!("{:.1}", r.tensorrt[1]),
-                format!("{:.1}x", g[0]),
-                format!("{:.1}x", g[1]),
-            ]);
-        }
-        format!(
-            "Table VII: FPS for TensorRT optimized and un-optimized engines\n{}",
-            t.render()
-        )
     }
+    format!(
+        "Table VII: FPS for TensorRT optimized and un-optimized engines\n{}",
+        t.render()
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use trtsim_gpu::device::Platform;
+    use trtsim_models::ModelId;
+
+    use crate::campaign::{run_checked_in, TABLE7_SCN};
 
     #[test]
-    fn throughput_gain_in_paper_regime() {
+    fn table7_has_the_papers_shape() {
+        let report = run_checked_in(TABLE7_SCN, &Default::default(), &Default::default());
+        let nx = |m: ModelId, key: &str| report.unit(m, Platform::Nx).unwrap().metric(key).unwrap();
+        let models = ModelId::classification_models();
+        let nx_units = report
+            .units
+            .iter()
+            .filter(|u| u.plan.device.platform == Platform::Nx);
+        assert!(nx_units.map(|u| u.plan.network).eq(models));
         // Paper: ~27x on NX, ~23x on AGX (average over the three models).
-        let table = run(&EngineFarm::new());
-        let mean_gain_nx: f64 =
-            table.rows.iter().map(|r| r.gain()[0]).sum::<f64>() / table.rows.len() as f64;
+        let mean_gain_nx = models.iter().map(|&m| nx(m, "gain")).sum::<f64>() / models.len() as f64;
         assert!(
             (10.0..60.0).contains(&mean_gain_nx),
             "mean NX gain {mean_gain_nx:.1} outside the paper's order of magnitude"
         );
-    }
-
-    #[test]
-    fn optimized_fps_ordering_matches_model_weight() {
         // VGG-16 is the heaviest classifier: lowest TensorRT FPS (paper: 49
         // vs 190/227).
-        let table = run(&EngineFarm::new());
-        let fps = |m: ModelId| {
-            table
-                .rows
-                .iter()
-                .find(|r| r.model == m)
-                .map(|r| r.tensorrt[0])
-                .unwrap()
-        };
-        assert!(fps(ModelId::Vgg16) < fps(ModelId::Alexnet));
-        assert!(fps(ModelId::Vgg16) < fps(ModelId::Resnet18));
-    }
-
-    #[test]
-    fn unoptimized_is_single_digit_fps() {
+        assert!(nx(ModelId::Vgg16, "fps") < nx(ModelId::Alexnet, "fps"));
+        assert!(nx(ModelId::Vgg16, "fps") < nx(ModelId::Resnet18, "fps"));
         // Paper: 0.66–14.2 FPS un-optimized.
-        let table = run(&EngineFarm::new());
-        for r in &table.rows {
-            assert!(r.unoptimized[0] < 40.0, "{}: {}", r.model, r.unoptimized[0]);
-            assert!(r.unoptimized[0] > 0.05);
+        for model in models {
+            let unoptimized = nx(model, "unoptimized_fps");
+            assert!(
+                unoptimized < 40.0 && unoptimized > 0.05,
+                "{model}: {unoptimized}"
+            );
         }
     }
 }

@@ -24,14 +24,6 @@ pub struct MemcpyRow {
     pub agx: [LatencyCell; 2],
 }
 
-impl MemcpyRow {
-    /// Whether removing the memcpy flips the NX/AGX ordering (the ResNet-18
-    /// / Inception-v4 pattern in the paper).
-    pub fn memcpy_explains_anomaly(&self) -> bool {
-        self.agx[0].mean_ms > self.nx[0].mean_ms && self.agx[1].mean_ms < self.nx[1].mean_ms
-    }
-}
-
 /// The models the paper examines in Table X.
 pub fn table10_models() -> [ModelId; 5] {
     [

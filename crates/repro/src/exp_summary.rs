@@ -3,9 +3,8 @@
 //! own results before being printed).
 
 use crate::exp_accuracy::{run_table3, AccuracyConfig};
-use crate::exp_concurrency;
-use crate::exp_fps;
 use crate::exp_latency;
+use crate::scenario::ScenarioReport;
 use crate::support::{EngineFarm, TextTable};
 use trtsim_gpu::device::Platform;
 use trtsim_models::ModelId;
@@ -24,8 +23,17 @@ pub struct FindingRow {
 }
 
 /// Computes the findings matrix from (scaled-down) reruns of the underlying
-/// experiments.
-pub fn run(farm: &EngineFarm) -> Vec<FindingRow> {
+/// experiments, plus the reports of `scenarios/table7_fps.scn` (`fps`) and
+/// `scenarios/fig3_fig4_concurrency.scn` (`concurrency`).
+///
+/// # Panics
+///
+/// Panics if either report lacks the NX gains or Tiny-YOLOv3's AGX sweep.
+pub fn run(
+    farm: &EngineFarm,
+    fps: &ScenarioReport,
+    concurrency: &ScenarioReport,
+) -> Vec<FindingRow> {
     let mut rows = Vec::new();
 
     // Finding 1: accuracy maintained (average over models; single images
@@ -51,16 +59,23 @@ pub fn run(farm: &EngineFarm) -> Vec<FindingRow> {
     });
 
     // Finding 3: throughput gain + concurrency.
-    let fps = exp_fps::run(farm);
-    let mean_gain: f64 = fps.rows.iter().map(|r| r.gain()[0]).sum::<f64>() / fps.rows.len() as f64;
-    let yolo = exp_concurrency::run(farm, ModelId::TinyYolov3, Platform::Agx);
+    let gains: Vec<f64> = fps
+        .units
+        .iter()
+        .filter(|u| u.plan.device.platform == Platform::Nx)
+        .map(|u| u.metric("gain").expect("Table VII units carry their gain"))
+        .collect();
+    let mean_gain = gains.iter().sum::<f64>() / gains.len() as f64;
+    let yolo = concurrency
+        .unit(ModelId::TinyYolov3, Platform::Agx)
+        .expect("Tiny-YOLOv3 on AGX");
+    let max_threads = yolo.metric("max_threads").expect("concurrency metric");
     rows.push(FindingRow {
         finding: "Throughput gain, higher concurrency".into(),
-        supported: mean_gain > 5.0 && yolo.max_threads() >= 16,
+        supported: mean_gain > 5.0 && max_threads >= 16.0,
         evidence: format!(
-            "mean NX speedup {mean_gain:.1}x; Tiny-YOLOv3 packs {} threads on AGX at {:.0}% util",
-            yolo.max_threads(),
-            yolo.saturation_utilization_percent()
+            "mean NX speedup {mean_gain:.1}x; Tiny-YOLOv3 packs {max_threads} threads on AGX at {:.0}% util",
+            yolo.metric("gr3d_percent").expect("concurrency metric")
         ),
         impact: "Positive",
     });
@@ -116,9 +131,15 @@ pub fn render(rows: &[FindingRow]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use crate::campaign::{run_checked_in, CONCURRENCY_SCN, TABLE7_SCN};
+    use crate::support::EngineFarm;
+
     #[test]
     fn all_findings_supported() {
-        let rows = super::run(&super::EngineFarm::new());
+        let (farm, registry) = (EngineFarm::new(), Default::default());
+        let fps = run_checked_in(TABLE7_SCN, &farm, &registry);
+        let concurrency = run_checked_in(CONCURRENCY_SCN, &farm, &registry);
+        let rows = super::run(&farm, &fps, &concurrency);
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert!(

@@ -12,7 +12,7 @@
 //! and edges are expressed with the `uses = [other, ...]` attribute, whose
 //! values are bare identifiers referring to other nodes by name. The AST is
 //! deliberately untyped — attribute names and value types are checked by
-//! [`mod@crate::validate`], which accumulates every problem instead of stopping
+//! [`mod@super::validate`], which accumulates every problem instead of stopping
 //! at the first — so a file with a bad attribute still parses and every
 //! error in it can be reported in one pass.
 //!
@@ -20,7 +20,7 @@
 //! one attribute per line, shortest-round-trip float formatting. The
 //! property tests pin `parse ∘ print` as the identity on printed form.
 
-use crate::span::{Span, Spanned};
+use super::span::{Span, Spanned};
 
 /// The four node kinds a scenario graph is built from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

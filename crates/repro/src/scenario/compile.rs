@@ -3,7 +3,7 @@
 //! The compiler expands the graph's cross products — every traffic node ×
 //! every model node it uses × every network × every device × every batch
 //! size — into a flat list of [`PlanUnit`]s the driver executes one by one.
-//! All name resolution already happened in [`mod@crate::validate`]; lowering is
+//! All name resolution already happened in [`mod@super::validate`]; lowering is
 //! pure bookkeeping plus two resolutions that need model metadata: the
 //! host-glue microseconds (`HostGlue::Model` → the network's calibrated
 //! value) and the execution device (power mode → [`DeviceSpec`]).
@@ -13,7 +13,7 @@
 //! seconds, and the caps are visible in the plan rather than silently
 //! applied mid-run.
 
-use crate::validate::{DeviceDecl, EngineSource, HostGlue, PowerMode, ScenarioGraph, TrafficKind};
+use super::validate::{DeviceDecl, EngineSource, HostGlue, PowerMode, ScenarioGraph, TrafficKind};
 use trtsim_gpu::device::DeviceSpec;
 use trtsim_models::ModelId;
 
@@ -127,15 +127,9 @@ fn cap_kind(kind: &TrafficKind, smoke: bool) -> TrafficKind {
     }
     match &mut kind {
         TrafficKind::Latency { runs, .. } => *runs = (*runs).min(5),
-        TrafficKind::Closed { frames, queue, .. } => {
-            *frames = (*frames).min(32);
-            *queue = (*queue).min(32);
-        }
-        TrafficKind::Poisson { frames, queue, .. } => {
-            *frames = (*frames).min(32);
-            *queue = (*queue).min(32);
-        }
-        TrafficKind::Fleet { frames, queue, .. } => {
+        TrafficKind::Closed { frames, queue, .. }
+        | TrafficKind::Poisson { frames, queue, .. }
+        | TrafficKind::Fleet { frames, queue, .. } => {
             *frames = (*frames).min(32);
             *queue = (*queue).min(32);
         }

@@ -9,9 +9,12 @@
 //! traffic node plus an assertions section, suitable for pasting into an
 //! experiment log.
 
-use trtsim_bench::report::{BenchReport, PhaseReport};
+use std::path::Path;
 
-use crate::driver::ScenarioReport;
+use trtsim_core::reqtrace::{chrome_trace_all, traces_json};
+use trtsim_metrics::report::{BenchReport, PhaseReport};
+
+use super::driver::ScenarioReport;
 
 /// Lowers a scenario report into the shared bench-report schema.
 pub fn to_bench_report(report: &ScenarioReport, mode: &str, git_rev: &str) -> BenchReport {
@@ -68,17 +71,17 @@ pub fn to_markdown(report: &ScenarioReport) -> String {
     // Group units by traffic node, preserving plan order.
     let mut traffic_names: Vec<&str> = Vec::new();
     for u in &report.units {
-        if !traffic_names.contains(&u.traffic.as_str()) {
-            traffic_names.push(&u.traffic);
+        if !traffic_names.contains(&u.plan.traffic.as_str()) {
+            traffic_names.push(&u.plan.traffic);
         }
     }
     for traffic in traffic_names {
         let units: Vec<_> = report
             .units
             .iter()
-            .filter(|u| u.traffic == traffic)
+            .filter(|u| u.plan.traffic == traffic)
             .collect();
-        let kind = units.first().map(|u| u.kind).unwrap_or("?");
+        let kind = units.first().map_or("?", |u| u.plan.kind.name());
         out.push_str(&format!("\n## traffic `{traffic}` ({kind})\n\n"));
         // Columns: the union of metric keys, in first-seen order.
         let mut keys: Vec<&str> = Vec::new();
@@ -120,4 +123,30 @@ pub fn to_markdown(report: &ScenarioReport) -> String {
         if report.passed() { "PASS" } else { "FAIL" }
     ));
     out
+}
+
+/// Dumps each unit's retained flight-recorder traces under `dir`: a JSON
+/// array (`<unit>_traces.json`) plus a chrome://tracing document
+/// (`<unit>_trace.chrome.json`) per serving/fleet unit that retained any.
+/// Creates `dir` only when there is something to write.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_traces(dir: &Path, report: &ScenarioReport) -> std::io::Result<()> {
+    for unit in report.units.iter().filter(|u| !u.traces.is_empty()) {
+        // Unit labels may contain path-hostile characters; keep [a-z0-9_-].
+        let keep = |c: char| c.is_ascii_alphanumeric() || c == '-' || c == '_';
+        let stem = unit.label.replace(|c| !keep(c), "_").to_ascii_lowercase();
+        std::fs::create_dir_all(dir)?;
+        std::fs::write(
+            dir.join(format!("{stem}_traces.json")),
+            traces_json(&unit.traces),
+        )?;
+        std::fs::write(
+            dir.join(format!("{stem}_trace.chrome.json")),
+            chrome_trace_all(&unit.traces),
+        )?;
+    }
+    Ok(())
 }

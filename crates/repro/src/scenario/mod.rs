@@ -1,9 +1,7 @@
 //! Declarative experiment scenarios for the trtsim stack.
 //!
-//! Every reproduction harness used to be a hand-coded binary wiring
-//! devices, models, traffic, and assertions by hand. This crate replaces
-//! that pattern with data: a scenario is a `.scn` text file describing an
-//! experiment *graph* —
+//! A scenario is a `.scn` text file describing an experiment *graph* of
+//! devices, models, traffic, and assertions —
 //!
 //! ```text
 //! scenario "serving sweep" {
@@ -25,16 +23,17 @@
 //!    [`ScenarioGraph`];
 //! 3. [`compile`](compile::compile): lowering to a flat [`ExecutionPlan`]
 //!    of fully resolved units;
-//! 4. [`driver::run`]: the one generic driver, built on a per-run
-//!    [`EngineFarm`](trtsim_repro::support::EngineFarm),
+//! 4. [`driver::run`]: the one generic driver, built on the caller's
+//!    [`EngineFarm`](crate::support::EngineFarm),
 //!    [`InferenceServer`](trtsim_core::serving::InferenceServer), and
 //!    telemetry [`Registry`](trtsim_metrics::Registry);
 //! 5. [`emit`]: markdown + JSON reports in the shared
-//!    [`BenchReport`](trtsim_bench::report::BenchReport) schema.
+//!    [`BenchReport`](trtsim_metrics::report::BenchReport) schema.
 //!
-//! The `scenario` binary exposes the pipeline as `run` / `check` / `list`
-//! subcommands; checked-in scenarios live under `scenarios/` at the repo
-//! root.
+//! Checked-in scenarios live under `scenarios/` at the repository root.
+//! The `campaign` binary runs them (`campaign --scn FILE|DIR`) or only
+//! validates them (`--check`), and its `table7`, `fig3`, `fig4`, `serving`
+//! and `table14_16` sections render their tables from them.
 
 pub mod ast;
 pub mod compile;
@@ -46,7 +45,7 @@ pub mod validate;
 
 pub use ast::{Attr, Node, NodeKind, ScenarioAst, Value};
 pub use compile::{compile, CompileOptions, ExecutionPlan, PlanAssert, PlanUnit};
-pub use driver::{AssertOutcome, DriverError, ScenarioReport, UnitResult};
+pub use driver::{AssertOutcome, ScenarioReport, UnitResult};
 pub use emit::{to_bench_report, to_markdown};
 pub use parse::{parse, ParseError};
 pub use span::{Diagnostic, Span, Spanned};

@@ -2,7 +2,7 @@
 //! recursive-descent parser with error recovery.
 //!
 //! Following the workspace's std-only idiom (the RFC 8259 writer in
-//! `trtsim-bench` is the precedent), there is no parser generator and no
+//! `trtsim-metrics` is the precedent), there is no parser generator and no
 //! regex: the lexer walks bytes and hands out [`Spanned`] tokens, and the
 //! parser keeps going after an error by synchronizing at statement
 //! boundaries (the next node keyword or closing brace), so one pass reports
@@ -10,8 +10,8 @@
 //! [`ParseError`] variant carries the byte span of the offending text; the
 //! golden tests assert those spans exactly.
 
-use crate::ast::{Attr, Node, NodeKind, ScenarioAst, Value};
-use crate::span::{Diagnostic, Span, Spanned};
+use super::ast::{Attr, Node, NodeKind, ScenarioAst, Value};
+use super::span::{Diagnostic, Span, Spanned};
 
 /// A syntax error with the byte span it occurred at.
 #[derive(Debug, Clone, PartialEq)]
@@ -256,16 +256,23 @@ impl Parser {
         t
     }
 
+    /// Reports that `what` was required where the current token sits, and
+    /// returns that token's span.
+    fn expected(&mut self, what: &'static str) -> Span {
+        let found = self.peek().clone();
+        self.errors.push(ParseError::Expected {
+            what,
+            found: found.value.describe(),
+            span: found.span,
+        });
+        found.span
+    }
+
     fn eat(&mut self, want: &Token, what: &'static str) -> Option<Span> {
         if &self.peek().value == want {
             Some(self.bump().span)
         } else {
-            let found = self.peek().clone();
-            self.errors.push(ParseError::Expected {
-                what,
-                found: found.value.describe(),
-                span: found.span,
-            });
+            self.expected(what);
             None
         }
     }
@@ -302,15 +309,7 @@ impl Parser {
                 let t = self.bump();
                 Spanned::new(s, t.span)
             }
-            _ => {
-                let found = self.peek().clone();
-                self.errors.push(ParseError::Expected {
-                    what: "a quoted scenario name",
-                    found: found.value.describe(),
-                    span: found.span,
-                });
-                Spanned::new(String::new(), found.span)
-            }
+            _ => Spanned::new(String::new(), self.expected("a quoted scenario name")),
         };
         self.eat(&Token::LBrace, "`{`");
         let mut nodes = Vec::new();
@@ -332,12 +331,8 @@ impl Parser {
                     }
                 }
                 _ => {
-                    let found = self.bump();
-                    self.errors.push(ParseError::Expected {
-                        what: "a node statement",
-                        found: found.value.describe(),
-                        span: found.span,
-                    });
+                    self.expected("a node statement");
+                    self.bump();
                     self.sync_to_statement();
                 }
             }
@@ -360,12 +355,7 @@ impl Parser {
                 Spanned::new(w, t.span)
             }
             _ => {
-                let found = self.peek().clone();
-                self.errors.push(ParseError::Expected {
-                    what: "a node name",
-                    found: found.value.describe(),
-                    span: found.span,
-                });
+                self.expected("a node name");
                 self.sync_to_statement();
                 return None;
             }
@@ -386,12 +376,8 @@ impl Parser {
                     }
                 }
                 _ => {
-                    let found = self.bump();
-                    self.errors.push(ParseError::Expected {
-                        what: "an attribute or `}`",
-                        found: found.value.describe(),
-                        span: found.span,
-                    });
+                    self.expected("an attribute or `}`");
+                    self.bump();
                     self.sync_in_body();
                 }
             }
@@ -474,11 +460,7 @@ impl Parser {
                 Some(Spanned::new(Value::List(items), open.to(close)))
             }
             _ => {
-                self.errors.push(ParseError::Expected {
-                    what: "an attribute value",
-                    found: t.value.describe(),
-                    span: t.span,
-                });
+                self.expected("an attribute value");
                 None
             }
         }
@@ -501,17 +483,9 @@ pub fn parse(src: &str) -> Result<ScenarioAst, Vec<ParseError>> {
     let ast = parser.parse_scenario();
     let mut errors = lex_errors;
     errors.extend(parser.errors);
-    match (ast, errors.is_empty()) {
-        (Some(ast), true) => Ok(ast),
-        (_, _) => {
-            if errors.is_empty() {
-                // parse_scenario only returns None after pushing an error,
-                // but keep the invariant explicit.
-                errors.push(ParseError::MissingScenarioHeader {
-                    span: Span::point(0),
-                });
-            }
-            Err(errors)
-        }
+    match ast {
+        Some(ast) if errors.is_empty() => Ok(ast),
+        // parse_scenario returns None only after pushing an error.
+        _ => Err(errors),
     }
 }

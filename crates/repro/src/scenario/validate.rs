@@ -9,11 +9,13 @@
 //! does the caller get the typed graph.
 //!
 //! The typed graph is deliberately index-linked (`Vec` positions, not
-//! names) so the compiler in [`mod@crate::compile`] never resolves a name
+//! names) so the compiler in [`mod@super::compile`] never resolves a name
 //! again.
 
-use crate::ast::{Node, NodeKind, ScenarioAst, Value};
-use crate::span::{Diagnostic, Span, Spanned};
+use std::collections::HashMap;
+
+use super::ast::{Node, NodeKind, ScenarioAst, Value};
+use super::span::{Diagnostic, Span, Spanned};
 use trtsim_gpu::device::Platform;
 use trtsim_models::ModelId;
 
@@ -238,7 +240,7 @@ pub enum PowerMode {
 /// Where a model node's engines come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineSource {
-    /// The [`trtsim_repro::support::EngineFarm`] zoo (pinned-clock builds,
+    /// The [`crate::support::EngineFarm`] zoo (pinned-clock builds,
     /// campaign seeds) — what the paper campaign uses.
     Zoo,
     /// Fresh builds with an explicit base seed, one per build index.
@@ -358,6 +360,19 @@ pub enum TrafficKind {
     /// Closed-form multi-stream saturation sweep — the paper's Figures 3/4
     /// ceiling experiment ([`trtsim_gpu::contention::sweep`]).
     Concurrency,
+}
+
+impl TrafficKind {
+    /// The `kind = ...` keyword that declares this traffic.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TrafficKind::Latency { .. } => "latency",
+            TrafficKind::Closed { .. } => "closed",
+            TrafficKind::Poisson { .. } => "poisson",
+            TrafficKind::Fleet { .. } => "fleet",
+            TrafficKind::Concurrency => "concurrency",
+        }
+    }
 }
 
 /// The arrival-trace shape a fleet traffic node replays.
@@ -523,66 +538,66 @@ fn known_attrs(kind: NodeKind) -> &'static [&'static str] {
     }
 }
 
+/// What a word-valued attribute expects.
+const WORD: &str = "word (identifier or string)";
+
+fn as_num(value: &Value) -> Option<f64> {
+    match value {
+        Value::Num(n) => Some(*n),
+        _ => None,
+    }
+}
+
+fn as_word(value: &Value) -> Option<String> {
+    match value {
+        Value::Ident(w) | Value::Str(w) => Some(w.clone()),
+        _ => None,
+    }
+}
+
 struct Checker<'a> {
     ast: &'a ScenarioAst,
     errors: Vec<SemanticError>,
     /// name → node index, first declaration wins.
-    by_name: std::collections::HashMap<&'a str, usize>,
+    by_name: HashMap<&'a str, usize>,
 }
 
 impl<'a> Checker<'a> {
-    fn node(&self, index: usize) -> &'a Node {
-        &self.ast.nodes[index]
+    /// `value` as `expected` by `get`, or an accumulated
+    /// [`SemanticError::TypeMismatch`] on `attr`.
+    fn typed<T>(
+        &mut self,
+        attr: &str,
+        value: &Spanned<Value>,
+        expected: &'static str,
+        get: impl Fn(&Value) -> Option<T>,
+    ) -> Option<Spanned<T>> {
+        let typed = get(&value.value).map(|v| Spanned::new(v, value.span));
+        if typed.is_none() {
+            self.errors.push(SemanticError::TypeMismatch {
+                attr: attr.to_string(),
+                expected,
+                found: value.value.type_name(),
+                span: value.span,
+            });
+        }
+        typed
     }
 
     /// A word-valued attribute (bare identifier or string).
     fn word(&mut self, node: &Node, attr: &str) -> Option<Spanned<String>> {
-        let a = node.attr(attr)?;
-        match &a.value.value {
-            Value::Ident(w) => Some(Spanned::new(w.clone(), a.value.span)),
-            Value::Str(s) => Some(Spanned::new(s.clone(), a.value.span)),
-            other => {
-                self.errors.push(SemanticError::TypeMismatch {
-                    attr: attr.to_string(),
-                    expected: "word (identifier or string)",
-                    found: other.type_name(),
-                    span: a.value.span,
-                });
-                None
-            }
-        }
+        self.typed(attr, &node.attr(attr)?.value, WORD, as_word)
     }
 
     fn num(&mut self, node: &Node, attr: &str) -> Option<Spanned<f64>> {
-        let a = node.attr(attr)?;
-        match &a.value.value {
-            Value::Num(n) => Some(Spanned::new(*n, a.value.span)),
-            other => {
-                self.errors.push(SemanticError::TypeMismatch {
-                    attr: attr.to_string(),
-                    expected: "number",
-                    found: other.type_name(),
-                    span: a.value.span,
-                });
-                None
-            }
-        }
+        self.typed(attr, &node.attr(attr)?.value, "number", as_num)
     }
 
     fn boolean(&mut self, node: &Node, attr: &str) -> Option<Spanned<bool>> {
-        let a = node.attr(attr)?;
-        match &a.value.value {
-            Value::Bool(b) => Some(Spanned::new(*b, a.value.span)),
-            other => {
-                self.errors.push(SemanticError::TypeMismatch {
-                    attr: attr.to_string(),
-                    expected: "bool",
-                    found: other.type_name(),
-                    span: a.value.span,
-                });
-                None
-            }
-        }
+        self.typed(attr, &node.attr(attr)?.value, "bool", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
     }
 
     /// A list-valued attribute; a lone scalar is accepted as a 1-list.
@@ -596,31 +611,92 @@ impl<'a> Checker<'a> {
 
     /// A list of words (for `uses`, `requires`, `provides`, `networks`).
     fn word_list(&mut self, node: &Node, attr: &str) -> Vec<Spanned<String>> {
-        let Some(items) = self.list(node, attr) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for item in items {
-            match &item.value {
-                Value::Ident(w) => out.push(Spanned::new(w.clone(), item.span)),
-                Value::Str(s) => out.push(Spanned::new(s.clone(), item.span)),
-                other => self.errors.push(SemanticError::TypeMismatch {
-                    attr: attr.to_string(),
-                    expected: "word (identifier or string)",
-                    found: other.type_name(),
-                    span: item.span,
-                }),
-            }
+        let items = self.list(node, attr).unwrap_or_default();
+        items
+            .iter()
+            .filter_map(|item| self.typed(attr, item, WORD, as_word))
+            .collect()
+    }
+
+    /// Reports `attr` as missing from `node` unless it is present.
+    fn require(&mut self, node: &Node, attr: &'static str) {
+        if node.attr(attr).is_none() {
+            self.errors.push(SemanticError::MissingAttr {
+                kind: node.kind.value,
+                name: attr,
+                span: node.name.span,
+            });
         }
-        out
+    }
+
+    /// A word attribute that must be one of `choices` once normalized:
+    /// `None` when it is absent, not a word, or (reported) none of them.
+    fn keyword(
+        &mut self,
+        node: &Node,
+        attr: &str,
+        choices: &[&'static str],
+    ) -> Option<&'static str> {
+        let w = self.word(node, attr)?;
+        let found = choices.iter().copied().find(|&c| normalize(&w.value) == c);
+        if found.is_none() {
+            let quoted: Vec<String> = choices.iter().map(|c| format!("`{c}`")).collect();
+            let expected = match quoted.split_last() {
+                Some((last, [only])) => format!("{only} or {last}"),
+                Some((last, rest)) => format!("{}, or {last}", rest.join(", ")),
+                None => String::new(),
+            };
+            self.errors.push(SemanticError::BadValue {
+                attr: attr.to_string(),
+                message: format!("expected {expected}, got `{}`", w.value),
+                span: w.span,
+            });
+        }
+        found
+    }
+
+    /// The required, positive `period_us` of an open-loop traffic node.
+    fn period_us(&mut self, node: &Node) -> Option<f64> {
+        let period = self.checked_num(
+            node,
+            "period_us",
+            |v| v > 0.0,
+            |v| format!("mean inter-arrival gap must be positive, got {v}"),
+        );
+        self.require(node, "period_us");
+        period
+    }
+
+    /// A numeric attribute `ok` accepts; `None` when it is absent, not a
+    /// number, or (reported with `message`) rejected.
+    fn checked_num(
+        &mut self,
+        node: &Node,
+        attr: &str,
+        ok: impl Fn(f64) -> bool,
+        message: impl Fn(f64) -> String,
+    ) -> Option<f64> {
+        let n = self.num(node, attr)?;
+        if !ok(n.value) {
+            self.errors.push(SemanticError::BadValue {
+                attr: attr.to_string(),
+                message: message(n.value),
+                span: n.span,
+            });
+        }
+        ok(n.value).then_some(n.value)
     }
 
     /// A positive-integer attribute with a default.
     fn count(&mut self, node: &Node, attr: &str, default: u32) -> u32 {
-        match self.num(node, attr) {
-            Some(n) => self.as_count(attr, n).unwrap_or(default),
-            None => default,
-        }
+        let n = self.num(node, attr);
+        n.and_then(|n| self.as_count(attr, n)).unwrap_or(default)
+    }
+
+    /// The `seed` attribute, `default` when absent.
+    fn seed(&mut self, node: &Node, default: u64) -> u64 {
+        let n = self.num(node, "seed");
+        n.and_then(|n| self.as_seed("seed", n)).unwrap_or(default)
     }
 
     fn as_count(&mut self, attr: &str, n: Spanned<f64>) -> Option<u32> {
@@ -652,21 +728,12 @@ impl<'a> Checker<'a> {
     /// An optional `deadline_us` attribute: positive and finite, or an
     /// accumulated [`SemanticError::BadValue`].
     fn deadline_us(&mut self, node: &Node) -> Option<f64> {
-        match self.num(node, "deadline_us") {
-            Some(n) if n.value > 0.0 && n.value.is_finite() => Some(n.value),
-            Some(n) => {
-                self.errors.push(SemanticError::BadValue {
-                    attr: "deadline_us".into(),
-                    message: format!(
-                        "deadline must be a positive finite µs count, got {}",
-                        n.value
-                    ),
-                    span: n.span,
-                });
-                None
-            }
-            None => None,
-        }
+        self.checked_num(
+            node,
+            "deadline_us",
+            |v| v > 0.0 && v.is_finite(),
+            |v| format!("deadline must be a positive finite µs count, got {v}"),
+        )
     }
 
     /// Parses a fleet traffic node's arrival-trace shape: `trace =` word
@@ -674,18 +741,10 @@ impl<'a> Checker<'a> {
     /// `period_us` (already validated by the caller) as the base gap.
     fn fleet_trace(&mut self, node: &Node, period_us: f64) -> Option<FleetTrace> {
         let positive = |checker: &mut Self, attr: &'static str, default: f64| -> f64 {
-            match checker.num(node, attr) {
-                Some(n) if n.value > 0.0 => n.value,
-                Some(n) => {
-                    checker.errors.push(SemanticError::BadValue {
-                        attr: attr.into(),
-                        message: format!("expected a positive number, got {}", n.value),
-                        span: n.span,
-                    });
-                    default
-                }
-                None => default,
-            }
+            let message = |v| format!("expected a positive number, got {v}");
+            checker
+                .checked_num(node, attr, |v| v > 0.0, message)
+                .unwrap_or(default)
         };
         let word = self.word(node, "trace");
         let shape = word
@@ -699,18 +758,10 @@ impl<'a> Checker<'a> {
                 cycle_us: positive(self, "cycle_us", 200_000.0),
             }),
             "burst" => {
-                let burst_fraction = match self.num(node, "burst_fraction") {
-                    Some(n) if n.value > 0.0 && n.value <= 1.0 => n.value,
-                    Some(n) => {
-                        self.errors.push(SemanticError::BadValue {
-                            attr: "burst_fraction".into(),
-                            message: format!("expected a fraction in (0, 1], got {}", n.value),
-                            span: n.span,
-                        });
-                        0.25
-                    }
-                    None => 0.25,
-                };
+                let in_unit = |v: f64| v > 0.0 && v <= 1.0;
+                let message = |v| format!("expected a fraction in (0, 1], got {v}");
+                let burst_fraction = self.checked_num(node, "burst_fraction", in_unit, message);
+                let burst_fraction = burst_fraction.unwrap_or(0.25);
                 Some(FleetTrace::Burst {
                     period_us,
                     peak_period_us: positive(self, "peak_period_us", period_us / 10.0),
@@ -733,9 +784,9 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Resolves a node's `uses` edges to indices, checking existence and
-    /// target kind. Dangling or wrong-kind references are dropped (after
-    /// reporting) so later passes see only valid indices.
+    /// Resolves a node's required `uses` edges to indices, checking
+    /// existence and target kind. Dangling or wrong-kind references are
+    /// dropped (after reporting) so later passes see only valid indices.
     fn resolve_uses(&mut self, node: &Node) -> Vec<(usize, Span)> {
         let expected = node.kind.value.uses_target();
         let refs = self.word_list(node, "uses");
@@ -748,7 +799,7 @@ impl<'a> Checker<'a> {
                 });
                 continue;
             };
-            let target_kind = self.node(target).kind.value;
+            let target_kind = self.ast.nodes[target].kind.value;
             match expected {
                 Some(expected) if target_kind != expected => {
                     self.errors.push(SemanticError::BadEdgeKind {
@@ -761,16 +812,14 @@ impl<'a> Checker<'a> {
                 _ => out.push((target, r.span)),
             }
         }
+        self.require(node, "uses");
         out
     }
 }
 
 /// Detects cycles in the raw `uses` edges (over all node kinds, before any
 /// kind restriction) with a three-color DFS, reporting each cycle once.
-fn check_cycles(
-    ast: &ScenarioAst,
-    by_name: &std::collections::HashMap<&str, usize>,
-) -> Vec<SemanticError> {
+fn check_cycles(ast: &ScenarioAst, by_name: &HashMap<&str, usize>) -> Vec<SemanticError> {
     // edges[i] = (target index, span of the reference)
     let mut edges: Vec<Vec<(usize, Span)>> = vec![Vec::new(); ast.nodes.len()];
     for (i, node) in ast.nodes.iter().enumerate() {
@@ -782,12 +831,7 @@ fn check_cycles(
             _ => vec![attr.value.clone()],
         };
         for item in items {
-            let word = match &item.value {
-                Value::Ident(w) => w.as_str(),
-                Value::Str(s) => s.as_str(),
-                _ => continue,
-            };
-            if let Some(&j) = by_name.get(word) {
+            if let Some(&j) = as_word(&item.value).and_then(|w| by_name.get(w.as_str())) {
                 edges[i].push((j, item.span));
             }
         }
@@ -854,7 +898,7 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
     let mut checker = Checker {
         ast,
         errors: Vec::new(),
-        by_name: std::collections::HashMap::new(),
+        by_name: HashMap::new(),
     };
 
     // Pass 1: names must be unique; first declaration wins for resolution.
@@ -891,11 +935,11 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
     // into kind-local vectors; `uses` indices are remapped from global node
     // index to kind-local index at the end.
     let mut devices: Vec<DeviceDecl> = Vec::new();
-    let mut device_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut device_of: HashMap<usize, usize> = HashMap::new();
     let mut models: Vec<Pending<ModelDecl>> = Vec::new();
-    let mut model_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut model_of: HashMap<usize, usize> = HashMap::new();
     let mut traffic: Vec<Pending<TrafficDecl>> = Vec::new();
-    let mut traffic_of: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    let mut traffic_of: HashMap<usize, usize> = HashMap::new();
     let mut asserts: Vec<(AssertDecl, Vec<(usize, Span)>)> = Vec::new();
 
     for (i, node) in ast.nodes.iter().enumerate() {
@@ -905,42 +949,21 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
         }
         match node.kind.value {
             NodeKind::Device => {
-                let platform = match checker.word(node, "platform") {
-                    Some(w) => match resolve_platform(&w.value) {
-                        Some(p) => Some(p),
-                        None => {
-                            checker.errors.push(SemanticError::UnknownPlatform {
-                                name: w.value,
-                                span: w.span,
-                            });
-                            None
-                        }
-                    },
-                    None => {
-                        if node.attr("platform").is_none() {
-                            checker.errors.push(SemanticError::MissingAttr {
-                                kind: NodeKind::Device,
-                                name: "platform",
-                                span: node.name.span,
-                            });
-                        }
-                        None
+                let platform = checker.word(node, "platform");
+                checker.require(node, "platform");
+                let platform = platform.and_then(|w| {
+                    let platform = resolve_platform(&w.value);
+                    if platform.is_none() {
+                        checker.errors.push(SemanticError::UnknownPlatform {
+                            name: w.value,
+                            span: w.span,
+                        });
                     }
-                };
-                let power = match checker.word(node, "power") {
-                    Some(w) => match normalize(&w.value).as_str() {
-                        "max" => PowerMode::Max,
-                        "pinned" => PowerMode::Pinned,
-                        _ => {
-                            checker.errors.push(SemanticError::BadValue {
-                                attr: "power".into(),
-                                message: format!("expected `max` or `pinned`, got `{}`", w.value),
-                                span: w.span,
-                            });
-                            PowerMode::Max
-                        }
-                    },
-                    None => PowerMode::Max,
+                    platform
+                });
+                let power = match checker.keyword(node, "power", &["max", "pinned"]) {
+                    Some("pinned") => PowerMode::Pinned,
+                    _ => PowerMode::Max,
                 };
                 let provides = checker
                     .word_list(node, "provides")
@@ -960,13 +983,6 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
             }
             NodeKind::Model => {
                 let uses = checker.resolve_uses(node);
-                if node.attr("uses").is_none() {
-                    checker.errors.push(SemanticError::MissingAttr {
-                        kind: NodeKind::Model,
-                        name: "uses",
-                        span: node.name.span,
-                    });
-                }
                 let network_attr = if node.attr("networks").is_some() {
                     "networks"
                 } else {
@@ -974,11 +990,7 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
                 };
                 let mut networks = Vec::new();
                 if node.attr(network_attr).is_none() {
-                    checker.errors.push(SemanticError::MissingAttr {
-                        kind: NodeKind::Model,
-                        name: "network",
-                        span: node.name.span,
-                    });
+                    checker.require(node, "network");
                 } else {
                     for w in checker.word_list(node, network_attr) {
                         match resolve_model(&w.value) {
@@ -996,49 +1008,18 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
                     "batch"
                 };
                 let mut batches = Vec::new();
-                if node.attr(batch_attr).is_some() {
-                    let items = checker.list(node, batch_attr).unwrap_or_default();
-                    for item in items {
-                        match item.value {
-                            Value::Num(n) => {
-                                if let Some(b) =
-                                    checker.as_count(batch_attr, Spanned::new(n, item.span))
-                                {
-                                    batches.push(b);
-                                }
-                            }
-                            ref other => checker.errors.push(SemanticError::TypeMismatch {
-                                attr: batch_attr.to_string(),
-                                expected: "number",
-                                found: other.type_name(),
-                                span: item.span,
-                            }),
-                        }
-                    }
+                for item in checker.list(node, batch_attr).unwrap_or_default() {
+                    let n = checker.typed(batch_attr, &item, "number", as_num);
+                    batches.extend(n.and_then(|n| checker.as_count(batch_attr, n)));
                 }
                 if batches.is_empty() {
                     batches.push(1);
                 }
-                let source = match checker.word(node, "source") {
-                    Some(w) => match normalize(&w.value).as_str() {
-                        "zoo" => EngineSource::Zoo,
-                        "fresh" => {
-                            let seed = checker
-                                .num(node, "seed")
-                                .and_then(|n| checker.as_seed("seed", n))
-                                .unwrap_or(0);
-                            EngineSource::Fresh { seed }
-                        }
-                        _ => {
-                            checker.errors.push(SemanticError::BadValue {
-                                attr: "source".into(),
-                                message: format!("expected `zoo` or `fresh`, got `{}`", w.value),
-                                span: w.span,
-                            });
-                            EngineSource::Zoo
-                        }
+                let source = match checker.keyword(node, "source", &["zoo", "fresh"]) {
+                    Some("fresh") => EngineSource::Fresh {
+                        seed: checker.seed(node, 0),
                     },
-                    None => EngineSource::Zoo,
+                    _ => EngineSource::Zoo,
                 };
                 let builds = checker.count(node, "builds", 1);
                 let host_glue = match node.attr("host_glue") {
@@ -1085,150 +1066,72 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
             }
             NodeKind::Traffic => {
                 let uses = checker.resolve_uses(node);
-                if node.attr("uses").is_none() {
-                    checker.errors.push(SemanticError::MissingAttr {
-                        kind: NodeKind::Traffic,
-                        name: "uses",
-                        span: node.name.span,
-                    });
-                }
-                let kind_word = checker.word(node, "kind");
-                if node.attr("kind").is_none() {
-                    checker.errors.push(SemanticError::MissingAttr {
-                        kind: NodeKind::Traffic,
-                        name: "kind",
-                        span: node.name.span,
-                    });
-                }
+                let kinds = ["latency", "closed", "poisson", "fleet", "concurrency"];
+                let kind_word = checker.keyword(node, "kind", &kinds);
+                checker.require(node, "kind");
                 let kind = match kind_word {
-                    Some(w) => match normalize(&w.value).as_str() {
-                        "latency" => Some(TrafficKind::Latency {
-                            runs: checker.count(node, "runs", 30),
-                            jitter_sd: checker
-                                .num(node, "jitter_sd")
-                                .map(|n| n.value)
-                                .unwrap_or(0.0),
-                            compare_unoptimized: checker
-                                .boolean(node, "compare_unoptimized")
-                                .map(|b| b.value)
-                                .unwrap_or(false),
-                        }),
-                        "closed" => Some(TrafficKind::Closed {
+                    Some("latency") => Some(TrafficKind::Latency {
+                        runs: checker.count(node, "runs", 30),
+                        jitter_sd: checker
+                            .num(node, "jitter_sd")
+                            .map(|n| n.value)
+                            .unwrap_or(0.0),
+                        compare_unoptimized: checker
+                            .boolean(node, "compare_unoptimized")
+                            .map(|b| b.value)
+                            .unwrap_or(false),
+                    }),
+                    Some("closed") => Some(TrafficKind::Closed {
+                        frames: checker.count(node, "frames", 256),
+                        workers: checker.count(node, "workers", 4),
+                        queue: checker.count(node, "queue", 256),
+                        timeout_us: match node.attr("timeout_us") {
+                            None => f64::INFINITY,
+                            Some(a) => match &a.value.value {
+                                Value::Num(n) if *n >= 0.0 => *n,
+                                Value::Ident(w) | Value::Str(w) if normalize(w) == "inf" => {
+                                    f64::INFINITY
+                                }
+                                other => {
+                                    checker.errors.push(SemanticError::TypeMismatch {
+                                        attr: "timeout_us".into(),
+                                        expected: "non-negative number or `inf`",
+                                        found: other.type_name(),
+                                        span: a.value.span,
+                                    });
+                                    f64::INFINITY
+                                }
+                            },
+                        },
+                    }),
+                    Some("poisson") => {
+                        let period = checker.period_us(node);
+                        let deadline_us = checker.deadline_us(node);
+                        period.map(|period_us| TrafficKind::Poisson {
                             frames: checker.count(node, "frames", 256),
                             workers: checker.count(node, "workers", 4),
                             queue: checker.count(node, "queue", 256),
-                            timeout_us: match node.attr("timeout_us") {
-                                None => f64::INFINITY,
-                                Some(a) => match &a.value.value {
-                                    Value::Num(n) if *n >= 0.0 => *n,
-                                    Value::Ident(w) | Value::Str(w) if normalize(w) == "inf" => {
-                                        f64::INFINITY
-                                    }
-                                    other => {
-                                        checker.errors.push(SemanticError::TypeMismatch {
-                                            attr: "timeout_us".into(),
-                                            expected: "non-negative number or `inf`",
-                                            found: other.type_name(),
-                                            span: a.value.span,
-                                        });
-                                        f64::INFINITY
-                                    }
-                                },
-                            },
-                        }),
-                        "poisson" => {
-                            let period = match checker.num(node, "period_us") {
-                                Some(n) if n.value > 0.0 => Some(n.value),
-                                Some(n) => {
-                                    checker.errors.push(SemanticError::BadValue {
-                                        attr: "period_us".into(),
-                                        message: format!(
-                                            "mean inter-arrival gap must be positive, got {}",
-                                            n.value
-                                        ),
-                                        span: n.span,
-                                    });
-                                    None
-                                }
-                                None => {
-                                    if node.attr("period_us").is_none() {
-                                        checker.errors.push(SemanticError::MissingAttr {
-                                            kind: NodeKind::Traffic,
-                                            name: "period_us",
-                                            span: node.name.span,
-                                        });
-                                    }
-                                    None
-                                }
-                            };
-                            let deadline_us = checker.deadline_us(node);
-                            period.map(|period_us| TrafficKind::Poisson {
-                                frames: checker.count(node, "frames", 256),
-                                workers: checker.count(node, "workers", 4),
-                                queue: checker.count(node, "queue", 256),
-                                period_us,
-                                seed: checker
-                                    .num(node, "seed")
-                                    .and_then(|n| checker.as_seed("seed", n))
-                                    .unwrap_or(1),
-                                deadline_us,
-                            })
-                        }
-                        "fleet" => {
-                            let period = match checker.num(node, "period_us") {
-                                Some(n) if n.value > 0.0 => Some(n.value),
-                                Some(n) => {
-                                    checker.errors.push(SemanticError::BadValue {
-                                        attr: "period_us".into(),
-                                        message: format!(
-                                            "mean inter-arrival gap must be positive, got {}",
-                                            n.value
-                                        ),
-                                        span: n.span,
-                                    });
-                                    None
-                                }
-                                None => {
-                                    if node.attr("period_us").is_none() {
-                                        checker.errors.push(SemanticError::MissingAttr {
-                                            kind: NodeKind::Traffic,
-                                            name: "period_us",
-                                            span: node.name.span,
-                                        });
-                                    }
-                                    None
-                                }
-                            };
-                            let trace = period.and_then(|p| checker.fleet_trace(node, p));
-                            let deadline_us = checker.deadline_us(node);
-                            trace.map(|trace| TrafficKind::Fleet {
-                                trace,
-                                frames: checker.count(node, "frames", 256),
-                                workers: checker.count(node, "workers", 2),
-                                queue: checker.count(node, "queue", 64),
-                                seed: checker
-                                    .num(node, "seed")
-                                    .and_then(|n| checker.as_seed("seed", n))
-                                    .unwrap_or(1),
-                                tenant: checker.word(node, "tenant").map(|w| w.value),
-                                deadline_us,
-                            })
-                        }
-                        "concurrency" => Some(TrafficKind::Concurrency),
-                        _ => {
-                            checker.errors.push(SemanticError::BadValue {
-                                attr: "kind".into(),
-                                message: format!(
-                                    "expected `latency`, `closed`, `poisson`, `fleet`, or \
-                                     `concurrency`, got `{}`",
-                                    w.value
-                                ),
-                                span: w.span,
-                            });
-                            None
-                        }
-                    },
-                    None => None,
+                            period_us,
+                            seed: checker.seed(node, 1),
+                            deadline_us,
+                        })
+                    }
+                    Some("fleet") => {
+                        let period = checker.period_us(node);
+                        let trace = period.and_then(|p| checker.fleet_trace(node, p));
+                        let deadline_us = checker.deadline_us(node);
+                        trace.map(|trace| TrafficKind::Fleet {
+                            trace,
+                            frames: checker.count(node, "frames", 256),
+                            workers: checker.count(node, "workers", 2),
+                            queue: checker.count(node, "queue", 64),
+                            seed: checker.seed(node, 1),
+                            tenant: checker.word(node, "tenant").map(|w| w.value),
+                            deadline_us,
+                        })
+                    }
+                    Some("concurrency") => Some(TrafficKind::Concurrency),
+                    _ => None,
                 };
                 let requires = checker.word_list(node, "requires");
                 if let Some(kind) = kind {
@@ -1246,41 +1149,22 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
             }
             NodeKind::Assert => {
                 let uses = checker.resolve_uses(node);
-                if node.attr("uses").is_none() {
-                    checker.errors.push(SemanticError::MissingAttr {
-                        kind: NodeKind::Assert,
-                        name: "uses",
-                        span: node.name.span,
-                    });
-                }
-                let metric = match checker.word(node, "metric") {
-                    Some(w) => {
-                        if METRICS.contains(&w.value.as_str()) {
-                            w.value
-                        } else {
-                            checker.errors.push(SemanticError::BadValue {
-                                attr: "metric".into(),
-                                message: format!(
-                                    "unknown metric `{}` (known: {})",
-                                    w.value,
-                                    METRICS.join(", ")
-                                ),
-                                span: w.span,
-                            });
-                            w.value
-                        }
+                let metric = checker.word(node, "metric");
+                checker.require(node, "metric");
+                let metric = metric.map_or_else(String::new, |w| {
+                    if !METRICS.contains(&w.value.as_str()) {
+                        checker.errors.push(SemanticError::BadValue {
+                            attr: "metric".into(),
+                            message: format!(
+                                "unknown metric `{}` (known: {})",
+                                w.value,
+                                METRICS.join(", ")
+                            ),
+                            span: w.span,
+                        });
                     }
-                    None => {
-                        if node.attr("metric").is_none() {
-                            checker.errors.push(SemanticError::MissingAttr {
-                                kind: NodeKind::Assert,
-                                name: "metric",
-                                span: node.name.span,
-                            });
-                        }
-                        String::new()
-                    }
-                };
+                    w.value
+                });
                 let min = checker.num(node, "min").map(|n| n.value);
                 let max = checker.num(node, "max").map(|n| n.value);
                 if node.attr("min").is_none() && node.attr("max").is_none() {
@@ -1317,54 +1201,44 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
     // against the `provides` of every device the node (transitively) runs
     // on. Edges whose target failed its own validation are dropped —
     // the target's error already explains why.
+    let local = |of: &HashMap<usize, usize>, uses: Vec<(usize, Span)>| -> Vec<usize> {
+        uses.iter()
+            .filter_map(|(target, _)| of.get(target).copied())
+            .collect()
+    };
     let mut requires_errors: Vec<SemanticError> = Vec::new();
+    let mut unsatisfied = |requires: Vec<Spanned<String>>, on: &[usize]| {
+        for req in requires {
+            for device in on.iter().map(|&d| &devices[d]) {
+                if !device.provides.iter().any(|p| p == &req.value) {
+                    requires_errors.push(SemanticError::UnsatisfiedRequires {
+                        capability: req.value.clone(),
+                        device: device.name.clone(),
+                        span: req.span,
+                        device_span: device.span,
+                    });
+                }
+            }
+        }
+    };
     let mut models: Vec<ModelDecl> = models
         .into_iter()
         .map(|(mut decl, uses, requires)| {
-            for (target, _span) in uses {
-                if let Some(&d) = device_of.get(&target) {
-                    decl.devices.push(d);
-                }
-            }
-            for req in requires {
-                for &d in &decl.devices {
-                    let device = &devices[d];
-                    if !device.provides.iter().any(|p| p == &req.value) {
-                        requires_errors.push(SemanticError::UnsatisfiedRequires {
-                            capability: req.value.clone(),
-                            device: device.name.clone(),
-                            span: req.span,
-                            device_span: device.span,
-                        });
-                    }
-                }
-            }
+            decl.devices = local(&device_of, uses);
+            unsatisfied(requires, &decl.devices);
             decl
         })
         .collect();
     let traffic: Vec<TrafficDecl> = traffic
         .into_iter()
         .map(|(mut decl, uses, requires)| {
-            for (target, _span) in uses {
-                if let Some(&m) = model_of.get(&target) {
-                    decl.models.push(m);
-                }
-            }
-            for req in requires {
-                for &m in &decl.models {
-                    for &d in &models[m].devices {
-                        let device = &devices[d];
-                        if !device.provides.iter().any(|p| p == &req.value) {
-                            requires_errors.push(SemanticError::UnsatisfiedRequires {
-                                capability: req.value.clone(),
-                                device: device.name.clone(),
-                                span: req.span,
-                                device_span: device.span,
-                            });
-                        }
-                    }
-                }
-            }
+            decl.models = local(&model_of, uses);
+            let on: Vec<usize> = decl
+                .models
+                .iter()
+                .flat_map(|&m| models[m].devices.clone())
+                .collect();
+            unsatisfied(requires, &on);
             decl
         })
         .collect();
@@ -1372,11 +1246,7 @@ pub fn validate(ast: &ScenarioAst) -> Result<ScenarioGraph, Vec<SemanticError>> 
     let asserts: Vec<AssertDecl> = asserts
         .into_iter()
         .map(|(mut decl, uses)| {
-            for (target, _span) in uses {
-                if let Some(&t) = traffic_of.get(&target) {
-                    decl.traffic.push(t);
-                }
-            }
+            decl.traffic = local(&traffic_of, uses);
             decl
         })
         .collect();

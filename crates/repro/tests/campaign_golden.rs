@@ -14,7 +14,7 @@ use trtsim_repro::exp_accuracy::AccuracyConfig;
 const GOLDEN: &str = include_str!("golden/campaign_quick.txt");
 
 fn run(names: &[&str]) -> String {
-    let sections = select(names).expect("known sections");
+    let sections = select(names, &[]).expect("known sections").sections;
     let mut out = Vec::new();
     Campaign::new(AccuracyConfig::quick())
         .run(&sections, None, &mut out)

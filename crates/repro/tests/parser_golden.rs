@@ -1,8 +1,8 @@
 //! Parser golden tests: every [`ParseError`] variant, with exact byte-span
 //! assertions — errors must land on the offending bytes, not merely occur.
 
-use trtsim_scenario::parse::{parse, ParseError};
-use trtsim_scenario::span::Span;
+use trtsim_repro::scenario::parse::{parse, ParseError};
+use trtsim_repro::scenario::span::Span;
 
 fn errors(src: &str) -> Vec<ParseError> {
     parse(src).expect_err("source is intentionally broken")

@@ -6,9 +6,9 @@
 //! structure (names, kinds, attribute values) of the original.
 
 use proptest::prelude::*;
-use trtsim_scenario::ast::{Attr, Node, NodeKind, ScenarioAst, Value};
-use trtsim_scenario::parse::parse;
-use trtsim_scenario::span::{Span, Spanned};
+use trtsim_repro::scenario::ast::{Attr, Node, NodeKind, ScenarioAst, Value};
+use trtsim_repro::scenario::parse::parse;
+use trtsim_repro::scenario::span::{Span, Spanned};
 
 /// Deterministic generator state (SplitMix64), seeded per case.
 struct Gen {

@@ -2,9 +2,11 @@
 //! errors accumulate across a broken file instead of aborting at the first.
 
 use trtsim_gpu::device::Platform;
-use trtsim_scenario::ast::NodeKind;
-use trtsim_scenario::parse::parse;
-use trtsim_scenario::validate::{validate, EngineSource, PowerMode, SemanticError, TrafficKind};
+use trtsim_repro::scenario::ast::NodeKind;
+use trtsim_repro::scenario::parse::parse;
+use trtsim_repro::scenario::validate::{
+    validate, EngineSource, PowerMode, SemanticError, TrafficKind,
+};
 
 fn errors(src: &str) -> Vec<SemanticError> {
     validate(&parse(src).expect("syntactically valid"))

@@ -9,7 +9,7 @@
 //! in the field versus pinned to one audited plan.
 //!
 //! The experiment itself lives in `scenarios/adas_wcet.scn` — this example
-//! is now a thin front-end: it compiles the scenario file, hands the plan to
+//! is a thin front-end: it compiles the scenario file, hands the plan to
 //! the generic driver, and narrates the numbers. Editing the `.scn` file
 //! (more builds, a different network, pinned clocks) changes the experiment
 //! without touching Rust.
@@ -20,6 +20,7 @@
 
 use std::path::Path;
 
+use trtsim::repro::support::EngineFarm;
 use trtsim::scenario::{compile_src, driver};
 use trtsim::util::stats::Summary;
 use trtsim::{CompileOptions, Registry};
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let src = std::fs::read_to_string(&path)?;
     let plan = compile_src(&src, CompileOptions::default())
         .map_err(|e| e.render(&path.display().to_string(), &src))?;
-    let report = driver::run(&plan, &Registry::new())?;
+    let report = driver::run(&plan, &EngineFarm::new(), &Registry::new())?;
 
     // One unit: pednet on the AGX, 12 fresh builds, 30 timed runs each — as
     // a fleet of vehicles each building its own engine would.

@@ -5,9 +5,9 @@
 //! stretched kernel invocation — out of the *visual* trace, not the summary
 //! tables. This example closes that loop for the simulator:
 //!
-//! 1. run a 4-worker [`trtsim::InferenceServer`] with
-//!    [`trtsim::ProfileOptions`] fully enabled, so the run's timeline is
-//!    captured and every request carries a span-id range;
+//! 1. run a 4-worker [`trtsim::InferenceServer`] with profiling on
+//!    ([`trtsim::ServerConfig::profile`]), so the run's timeline is captured
+//!    and every request carries a span-id range;
 //! 2. write the timeline as chrome://tracing JSON (`trace_export.json` —
 //!    load it via chrome://tracing or <https://ui.perfetto.dev>), one lane
 //!    per worker stream;
@@ -22,10 +22,7 @@
 
 use trtsim::models::ModelId;
 use trtsim::profiler::{detect, format_report, write_chrome_trace, DetectorConfig};
-use trtsim::{
-    Builder, BuilderConfig, DeviceSpec, InferenceServer, ProfileOptions, ServerConfig,
-    TimingOptions,
-};
+use trtsim::{Builder, BuilderConfig, DeviceSpec, InferenceServer, ServerConfig, TimingOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = DeviceSpec::xavier_nx();
@@ -46,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_max_batch_size(4)
             .with_batch_timeout_us(f64::INFINITY)
             .with_timing(timing)
-            .with_profile(ProfileOptions::full()),
+            .with_profile(true),
     )?;
     for frame in 0..128 {
         server.submit(frame)?;

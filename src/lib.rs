@@ -110,7 +110,8 @@
 //! `device`, `model`, `traffic`, and `assert` nodes — checked with
 //! accumulated, span-carrying diagnostics and executed by a single generic
 //! driver ([`scenario::driver::run`]). The checked-in files under
-//! `scenarios/` reproduce the legacy harnesses bit-for-bit:
+//! `scenarios/` are the sources of the campaign's Table VII, Figures 3/4 and
+//! serving sections:
 //!
 //! ```
 //! let src = r#"
@@ -126,8 +127,9 @@
 //! assert_eq!(plan.units.len(), 1);
 //! ```
 //!
-//! The `scenario` bin (`cargo run --bin scenario -- check scenarios/`)
-//! lints, lists, and runs scenario files from the command line.
+//! The `campaign` bin lints scenario files
+//! (`cargo run -p trtsim-repro --bin campaign -- --scn scenarios/ --check`)
+//! and runs them (`--scn FILE|DIR`) from the command line.
 
 #![warn(missing_docs)]
 
@@ -138,9 +140,8 @@ pub use trtsim_core::serving::ArrivalProcess;
 pub use trtsim_core::{
     Builder, BuilderConfig, Engine, EngineError, ExecutionContext, Fleet, FleetBuilder,
     FleetConfig, FleetStats, FlightRecorder, InferencePlan, InferenceServer, KernelTime, PhaseKind,
-    PhaseSpan, PlanScratch, PlanStats, ProfileOptions, ReplicaStats, RequestRecord, RequestTrace,
-    ServerConfig, ServerStats, ServingError, TimingCache, TimingOptions, TraceId, TraceOptions,
-    TraceOutcome,
+    PhaseSpan, PlanScratch, PlanStats, ReplicaStats, RequestRecord, RequestTrace, ServerConfig,
+    ServerStats, ServingError, TimingCache, TimingOptions, TraceId, TraceOptions, TraceOutcome,
 };
 pub use trtsim_gpu::device::{DeviceSpec, Platform};
 pub use trtsim_gpu::timeline::ProfilingOverhead;
@@ -148,7 +149,7 @@ pub use trtsim_metrics::{
     render_json, render_prometheus, Counter, Gauge, Histogram, Registry, TelemetryServer,
 };
 pub use trtsim_profiler::anomaly::DetectorConfig;
-pub use trtsim_scenario::{
+pub use trtsim_repro::scenario::{
     check_src, compile_src, CompileOptions, ExecutionPlan, ScenarioError, ScenarioGraph,
     ScenarioReport,
 };
@@ -162,5 +163,5 @@ pub use trtsim_models as models;
 pub use trtsim_perfmodel as perfmodel;
 pub use trtsim_profiler as profiler;
 pub use trtsim_repro as repro;
-pub use trtsim_scenario as scenario;
+pub use trtsim_repro::scenario;
 pub use trtsim_util as util;

@@ -7,16 +7,22 @@ use trtsim::gpu::contention;
 use trtsim::gpu::device::{DeviceSpec, Platform};
 use trtsim::models::ModelId;
 use trtsim::repro::support::EngineFarm;
+use trtsim::Registry;
 
 /// Finding 3: TensorRT throughput gain is an order of magnitude or more.
 #[test]
 fn finding3_throughput_gain() {
-    use trtsim::repro::exp_fps;
-    let model = ModelId::Resnet18;
-    let device = DeviceSpec::max_clock(Platform::Nx);
-    let unopt = exp_fps::unoptimized_latency_us(model, &device);
-    let opt = exp_fps::optimized_latency_us(&EngineFarm::new(), model, Platform::Nx);
-    let gain = unopt / opt;
+    let src = r#"
+scenario "gain" {
+  device nx { platform = nx  power = max }
+  model m { uses = [nx] network = resnet-18 }
+  traffic t { uses = [m] kind = latency runs = 1 jitter_sd = 0 compare_unoptimized = true }
+}
+"#;
+    let plan = trtsim::compile_src(src, trtsim::CompileOptions::default()).unwrap();
+    let report =
+        trtsim::scenario::driver::run(&plan, &EngineFarm::new(), &Registry::new()).unwrap();
+    let gain = report.units[0].metric("gain").unwrap();
     assert!(
         (8.0..80.0).contains(&gain),
         "speedup {gain:.1}x outside the paper's 23-27x order of magnitude"

@@ -14,8 +14,8 @@ use trtsim::repro::exp_memcpy::memcpy_trace_timeline;
 use trtsim::repro::exp_variability::variability_trace_timelines;
 use trtsim::repro::support::EngineFarm;
 use trtsim::{
-    Builder, BuilderConfig, DeviceSpec, InferenceServer, ProfileOptions, ServerConfig, ServerStats,
-    TimingOptions, TraceOptions,
+    Builder, BuilderConfig, DeviceSpec, InferenceServer, ServerConfig, ServerStats, TimingOptions,
+    TraceOptions,
 };
 
 /// Minimal recursive-descent JSON validity checker (RFC 8259 grammar, no
@@ -167,7 +167,7 @@ fn profiled_serving_stats(workers: usize, frames: u64) -> ServerStats {
             .with_max_batch_size(4)
             .with_batch_timeout_us(f64::INFINITY)
             .with_timing(timing)
-            .with_profile(ProfileOptions::full()),
+            .with_profile(true),
     )
     .expect("start");
     for frame in 0..frames {
@@ -239,8 +239,8 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
 /// The flight recorder's HTTP surface end to end: `/traces` serves a valid
 /// JSON index naming every retained trace, `/traces/<id>` serves the span
 /// tree, `/traces/<id>/chrome` serves a chrome://tracing document that the
-/// mini-parser accepts, and the bulk exports the scenario runner's
-/// `--trace-out` writes are equally loadable.
+/// mini-parser accepts, and the bulk exports `campaign --scn FILE
+/// --out-dir DIR` writes are equally loadable.
 #[test]
 fn flight_recorder_routes_serve_loadable_trace_documents() {
     let device = DeviceSpec::xavier_nx();
@@ -307,7 +307,7 @@ fn flight_recorder_routes_serve_loadable_trace_documents() {
         );
     }
 
-    // The bulk exports behind `scenario run --trace-out` parse too.
+    // The bulk exports behind `campaign --scn FILE --out-dir DIR` parse too.
     assert_valid_json(&traces_json(&traces));
     let all = chrome_trace_all(&traces);
     assert_valid_json(&all);
