@@ -26,7 +26,7 @@ fn bench_serve_run(c: &mut Criterion) {
     for batch in [1usize, 8] {
         group.bench_function(format!("batch_{batch}"), |b| {
             b.iter(|| {
-                let server = InferenceServer::start(
+                let mut server = InferenceServer::start(
                     &engine,
                     &device,
                     ServerConfig::default()
@@ -55,7 +55,7 @@ fn bench_submission_path(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(5));
     group.bench_function("try_submit_under_overload", |b| {
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &engine,
             &device,
             ServerConfig::default()

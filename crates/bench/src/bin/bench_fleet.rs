@@ -72,7 +72,7 @@ fn run_trace(
     let mut solo = Vec::new();
     for (device, spec, workers) in devices() {
         let started = std::time::Instant::now();
-        let server = InferenceServer::start(&engine, &spec, config(model, workers, queue))
+        let mut server = InferenceServer::start(&engine, &spec, config(model, workers, queue))
             .expect("server starts");
         for (i, &t) in trace.arrivals_us.iter().enumerate() {
             let _ = server.try_submit_at(i as u64, t);

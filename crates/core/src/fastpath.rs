@@ -160,6 +160,8 @@ impl std::ops::AddAssign for PlanStats {
 pub struct PlanScratch {
     slots: Vec<Option<Tensor>>,
     arena: TensorArena,
+    /// A step's reformatted inputs, by input index; empty between steps.
+    tmps: Vec<(usize, Tensor)>,
     stats: PlanStats,
 }
 
@@ -559,6 +561,7 @@ impl<'e> InferencePlan<'e> {
         let PlanScratch {
             slots,
             arena,
+            tmps,
             stats,
         } = scratch;
         let mut lanes = PathCounts::default();
@@ -570,7 +573,6 @@ impl<'e> InferencePlan<'e> {
         for step in &self.steps {
             // Materialize this step's reformat inputs into arena temps; the
             // op reads those in place of the producers' physical tensors.
-            let mut tmps: Vec<(usize, Tensor)> = Vec::with_capacity(step.converts.len());
             for &(idx, shape, from, to) in &step.converts {
                 let src = slots[self.slot_of[step.inputs[idx]]]
                     .as_ref()
@@ -596,11 +598,11 @@ impl<'e> InferencePlan<'e> {
                     activation,
                 } => prepared.run(read(0), *activation, arena),
                 StepOp::Flatten => (
-                    self.forward(step, slots, arena, &mut tmps).into_flat(),
+                    self.forward(step, slots, arena, tmps).into_flat(),
                     PathCounts::default(),
                 ),
                 StepOp::Forward => (
-                    self.forward(step, slots, arena, &mut tmps),
+                    self.forward(step, slots, arena, tmps),
                     PathCounts::default(),
                 ),
                 op => {
@@ -665,7 +667,7 @@ impl<'e> InferencePlan<'e> {
                 }
             };
             lanes += counts;
-            for (_, t) in tmps {
+            for (_, t) in tmps.drain(..) {
                 arena.release(t);
             }
             if step.fp16_round {

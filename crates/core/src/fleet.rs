@@ -52,8 +52,7 @@
 //! [`EngineProfile`]: trtsim_gpu::contention::EngineProfile
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use trtsim_gpu::contention::max_threads;
 use trtsim_gpu::device::DeviceSpec;
@@ -138,12 +137,12 @@ impl FleetConfig {
     }
 }
 
-/// One device of the fleet: a named board with its own simulated timeline.
+/// One device of the fleet: a named board and its simulated timeline, the
+/// one timeline every replica placed here runs its streams on.
 #[derive(Debug)]
 struct FleetDevice {
     name: String,
-    spec: DeviceSpec,
-    timeline: Arc<Mutex<GpuTimeline>>,
+    timeline: GpuTimeline,
 }
 
 /// One placed engine replica: a full [`InferenceServer`] on its device's
@@ -160,7 +159,7 @@ struct Replica {
     /// saturated device look faster than it is.
     service_us: f64,
     /// Frames the router sent here (accepted submissions).
-    routed: AtomicU64,
+    routed: u64,
     routed_metric: Counter,
 }
 
@@ -172,7 +171,7 @@ struct ModelRoute {
     replicas: Vec<usize>,
     /// Tenant → admission counters and affinity memory, created on the
     /// tenant's first request.
-    tenants: Mutex<HashMap<String, TenantRoute>>,
+    tenants: HashMap<String, TenantRoute>,
 }
 
 /// One (model, tenant)'s admission counters, cached so the registry lock is
@@ -196,6 +195,14 @@ struct Priced {
     pred: Option<PredictedLatency>,
     score: f64,
 }
+
+// Servers and fleets are plain values that may move between threads whole;
+// this fails to compile if an `Rc` or another `!Send` field gets in.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<InferenceServer>();
+    assert_send::<Fleet>();
+};
 
 /// Declarative fleet assembly: name devices, place replicas, start.
 ///
@@ -310,9 +317,8 @@ impl FleetBuilder {
                 )));
             }
             devices.push(FleetDevice {
-                timeline: Arc::new(Mutex::new(GpuTimeline::new(spec.clone()))),
+                timeline: GpuTimeline::new(spec),
                 name,
-                spec,
             });
         }
         // One registry for the whole fleet: the router's counters and every
@@ -330,11 +336,11 @@ impl FleetBuilder {
         // owns exactly one trace id no matter which replica serves it, and
         // every device's retained traces share one `GET /traces` index.
         let recorder = Arc::new(FlightRecorder::new(config.trace, &reg));
-        let idgen = Arc::new(TraceIdGen::new(trtsim_util::derive_seed(
+        let idgen = TraceIdGen::new(trtsim_util::derive_seed(
             config.predictor_seed,
             "reqtrace",
             0,
-        )));
+        ));
         let mut replicas = Vec::with_capacity(self.replicas.len());
         let mut by_model: HashMap<String, ModelRoute> = HashMap::new();
         for (device_name, engine, server_config, tenant) in self.replicas {
@@ -342,26 +348,26 @@ impl FleetBuilder {
                 .iter()
                 .position(|dev| dev.name == device_name)
                 .expect("checked in replica()");
-            let device = &devices[d];
+            let device = &mut devices[d];
+            let spec = device.timeline.device().clone();
             let server = InferenceServer::start_on_timeline(
                 &engine,
-                &device.spec,
+                &spec,
                 server_config,
                 FleetShared {
                     device: Some(device.name.clone()),
                     tenant: tenant.clone(),
-                    timeline: Arc::clone(&device.timeline),
                     model: shared_model.clone(),
                     recorder: Arc::clone(&recorder),
-                    idgen: Arc::clone(&idgen),
                     registry: Arc::clone(&reg),
                 },
+                &mut device.timeline,
             )?;
             // Service-cost estimate for the router: one profiled inference
             // on a scratch context (does not touch the serving timeline).
-            let ctx = ExecutionContext::new(&engine, device.spec.clone());
+            let ctx = ExecutionContext::new(&engine, spec.clone());
             let profile = ctx.profile(server_config.timing.host_glue_us);
-            let (ceiling, _) = max_threads(&profile, &device.spec);
+            let (ceiling, _) = max_threads(&profile, &spec);
             let parallel = (server_config.workers as f64).min(ceiling.max(1) as f64);
             let service_us = profile.latency_us() / parallel.max(1.0);
             let model = engine.name().to_string();
@@ -381,7 +387,7 @@ impl FleetBuilder {
                 tenant,
                 server,
                 service_us,
-                routed: AtomicU64::new(0),
+                routed: 0,
                 routed_metric,
             });
         }
@@ -408,31 +414,48 @@ impl FleetBuilder {
             None => None,
         };
         Ok(Fleet {
-            devices,
-            replicas,
-            by_model,
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            predicted_metric,
-            heuristic_metric,
-            affinity_metric,
-            model: shared_model,
+            state: FleetState {
+                devices,
+                replicas,
+                by_model,
+                submitted: 0,
+                rejected: 0,
+                idgen,
+                predicted_metric,
+                heuristic_metric,
+                affinity_metric,
+                model: shared_model,
+                recorder,
+                registry: reg,
+            }
+            .into(),
             exporter,
-            recorder,
-            idgen,
-            registry: reg,
         })
     }
 }
 
 /// A running fleet. See the [module docs](self) for the architecture.
+///
+/// A fleet is one state machine on the simulated clock. Its state sits in
+/// one cell so that [`Fleet::submit`] takes `&self`, as callers that submit
+/// from inside a closure need; nothing is shared across threads.
 #[derive(Debug)]
 pub struct Fleet {
+    state: std::cell::RefCell<FleetState>,
+    exporter: Option<TelemetryServer>,
+}
+
+/// Everything [`Fleet`] owns and steps: the devices and their timelines,
+/// the replicas, the routing tables, and the router's counters.
+#[derive(Debug)]
+struct FleetState {
     devices: Vec<FleetDevice>,
     replicas: Vec<Replica>,
     by_model: HashMap<String, ModelRoute>,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
+    submitted: u64,
+    rejected: u64,
+    /// Fleet-wide trace-id mint, so ids are unique across replicas.
+    idgen: TraceIdGen,
     /// Dispatch counters in the fleet's registry — the only count of these
     /// fleet-level events; [`FleetStats`] reads them back at drain.
     predicted_metric: Counter,
@@ -441,11 +464,8 @@ pub struct Fleet {
     /// Fleet-shared online latency model, present when
     /// [`FleetConfig::predictive`] is set.
     model: Option<Arc<LatencyModel>>,
-    exporter: Option<TelemetryServer>,
     /// Fleet-shared flight recorder every replica records into.
     recorder: Arc<FlightRecorder>,
-    /// Fleet-wide trace-id mint, so ids are unique across replicas.
-    idgen: Arc<TraceIdGen>,
     /// The fleet's own registry: router counters plus every replica's
     /// device-labelled serving and trace series.
     registry: Arc<Registry>,
@@ -479,37 +499,136 @@ impl Fleet {
         frame: u64,
         arrival_us: f64,
     ) -> Result<(), ServingError> {
-        let Some(route) = self.by_model.get(model) else {
+        let mut st = self.state.borrow_mut();
+        if !st.by_model.contains_key(model) {
             return Err(ServingError::InvalidConfig(format!(
                 "no replica serves model `{model}`"
             )));
-        };
-        check_arrival(arrival_us)?;
-        self.run_until(arrival_us);
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        // The tenant's entry is looked up once, at admission, and held until
-        // the frame is placed or refused.
-        let mut tenants = route.tenants.lock().expect("tenant routes");
-        if let Some(entry) = tenants.get_mut(tenant) {
-            return self.place(route, entry, model, tenant, frame, arrival_us);
         }
-        let entry = tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantRoute::register(&self.registry, model, tenant));
-        self.place(route, entry, model, tenant, frame, arrival_us)
+        check_arrival(arrival_us)?;
+        st.run_until(arrival_us);
+        st.submitted += 1;
+        st.place(tenant, model, frame, arrival_us)
     }
 
+    /// The fleet-shared flight recorder holding retained request traces
+    /// from every replica (see [`crate::reqtrace`]).
+    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.state.borrow().recorder)
+    }
+
+    /// The fleet's registry: router counters (`trtsim_fleet_*`) plus every
+    /// replica's `trtsim_server_*{device}` and the shared recorder's
+    /// `trtsim_trace_*` series. Take it before [`Fleet::drain`] to publish
+    /// or [`absorb`](Registry::absorb) the final counts.
+    pub fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.state.borrow().registry)
+    }
+
+    /// The fleet-shared online latency model, when
+    /// [`FleetConfig::predictive`] is set.
+    pub fn latency_model(&self) -> Option<Arc<LatencyModel>> {
+        self.state.borrow().model.clone()
+    }
+
+    /// Replays a sorted arrival-timestamp list (e.g. a
+    /// `trtsim_data::traffic::ArrivalTrace`) for one model: frame ids are
+    /// `first_frame..`, one per timestamp. Returns `(accepted, rejected)`.
+    pub fn replay(&self, model: &str, arrivals_us: &[f64], first_frame: u64) -> (u64, u64) {
+        let mut accepted = 0;
+        let mut rejected = 0;
+        for (i, &t) in arrivals_us.iter().enumerate() {
+            match self.submit(model, first_frame + i as u64, t) {
+                Ok(()) => accepted += 1,
+                Err(_) => rejected += 1,
+            }
+        }
+        (accepted, rejected)
+    }
+
+    /// Runs every replica's event loop up to simulated time `t_us` without
+    /// shutting down (see [`InferenceServer::run_until`]), in one fleet-wide
+    /// time order: the replica with the earliest next event goes first,
+    /// the lowest placement index on ties.
+    pub fn run_until(&self, t_us: f64) {
+        self.state.borrow_mut().run_until(t_us);
+    }
+
+    /// The bound address of the fleet-wide telemetry endpoint, when
+    /// [`FleetConfig::telemetry_addr`] was set.
+    pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
+        self.exporter.as_ref().map(TelemetryServer::local_addr)
+    }
+
+    /// Stops admission on every replica and runs the fleet until each
+    /// accepted frame is served, then aggregates the final statistics.
+    pub fn drain(self) -> FleetStats {
+        let mut st = self.state.into_inner();
+        for replica in &mut st.replicas {
+            replica
+                .server
+                .close(&mut st.devices[replica.device].timeline);
+        }
+        st.run_until(f64::INFINITY);
+        let FleetState {
+            mut devices,
+            replicas,
+            ..
+        } = st;
+        let replicas: Vec<ReplicaStats> = replicas
+            .into_iter()
+            .map(|mut replica| {
+                let device = &mut devices[replica.device];
+                ReplicaStats {
+                    device: device.name.clone(),
+                    stats: replica.server.shutdown(&mut device.timeline, false),
+                    model: replica.model,
+                    tenant: replica.tenant,
+                    routed: replica.routed,
+                }
+            })
+            .collect();
+        drop(self.exporter);
+        aggregate(
+            replicas,
+            st.submitted,
+            st.rejected,
+            st.predicted_metric.get(),
+            st.heuristic_metric.get(),
+            st.affinity_metric.get(),
+        )
+    }
+}
+
+impl FleetState {
     /// Prices the model's replicas for one request, offers it to them best
-    /// first, and counts the outcome against the (model, tenant) `entry`.
+    /// first, and counts the outcome against the (model, tenant) entry.
     fn place(
-        &self,
-        route: &ModelRoute,
-        entry: &mut TenantRoute,
-        model: &str,
+        &mut self,
         tenant: &str,
+        model: &str,
         frame: u64,
         arrival_us: f64,
     ) -> Result<(), ServingError> {
+        let Self {
+            devices,
+            replicas,
+            by_model,
+            rejected,
+            idgen,
+            registry,
+            ..
+        } = self;
+        let route = by_model.get_mut(model).expect("checked by submit_as");
+        // The tenant's entry is looked up once, at admission, and held until
+        // the frame is placed or refused.
+        let entry = match route.tenants.get_mut(tenant) {
+            Some(entry) => entry,
+            None => route
+                .tenants
+                .entry(tenant.to_string())
+                .or_insert_with(|| TenantRoute::register(registry, model, tenant)),
+        };
         entry.submitted.inc();
         // Predicted finish time when the shared model is warm: batch-1 p50
         // under each replica's live queue signals, which folds in batch
@@ -518,13 +637,14 @@ impl Fleet {
         // least-estimated-finish heuristic: backlog depth × per-frame
         // service cost. Either way a saturated device's score stays high,
         // steering new load toward devices with headroom.
-        let warm_model = self.model.as_ref().filter(|m| m.is_warm()).map(Arc::as_ref);
+        let warm_model = self.model.as_deref().filter(|m| m.is_warm());
         let mut order: Vec<Priced> = route
             .replicas
             .iter()
             .map(|&r| {
-                let replica = &self.replicas[r];
-                let signals = replica.server.queue_signals(arrival_us);
+                let replica = &replicas[r];
+                let timeline = &devices[replica.device].timeline;
+                let signals = replica.server.queue_signals(timeline, arrival_us);
                 let pred =
                     warm_model.and_then(|m| m.predict(replica.server.features()?, 1, &signals));
                 let score = pred.as_ref().map_or_else(
@@ -559,22 +679,25 @@ impl Fleet {
         // placement attempt re-stamps the attempted replica's score and
         // predicted latency, so the trace that survives carries the numbers
         // of the replica that actually served (or finally refused) it.
-        let mut ctx = TraceCtx::new(self.idgen.mint());
+        let mut ctx = TraceCtx::new(idgen.mint());
         let mut deadline_blocked = false;
         for priced in &order {
             let r = priced.replica;
-            let replica = &self.replicas[r];
+            let replica = &mut replicas[r];
             ctx.router_score = priced.score;
             if let Some(p) = &priced.pred {
                 ctx.predicted_p50_us = p.p50_us;
                 ctx.predicted_p99_us = p.p99_us;
             }
-            match replica
-                .server
-                .try_submit_traced(frame, arrival_us, priced.signals, ctx)
-            {
+            match replica.server.try_submit_traced(
+                &mut devices[replica.device].timeline,
+                frame,
+                arrival_us,
+                priced.signals,
+                ctx,
+            ) {
                 Ok(()) => {
-                    replica.routed.fetch_add(1, Ordering::Relaxed);
+                    replica.routed += 1;
                     replica.routed_metric.inc();
                     if warm_model.is_some() {
                         self.predicted_metric.inc();
@@ -595,7 +718,7 @@ impl Fleet {
                 Err(e) => return Err(e),
             }
         }
-        self.rejected.fetch_add(1, Ordering::Relaxed);
+        *rejected += 1;
         entry.rejected.inc();
         // Deadline-blocked everywhere reads differently from merely full:
         // the caller learns shedding was a latency decision, not capacity.
@@ -623,46 +746,9 @@ impl Fleet {
         })
     }
 
-    /// The fleet-shared flight recorder holding retained request traces
-    /// from every replica (see [`crate::reqtrace`]).
-    pub fn flight_recorder(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.recorder)
-    }
-
-    /// The fleet's registry: router counters (`trtsim_fleet_*`) plus every
-    /// replica's `trtsim_server_*{device}` and the shared recorder's
-    /// `trtsim_trace_*` series. Take it before [`Fleet::drain`] to publish
-    /// or [`absorb`](Registry::absorb) the final counts.
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The fleet-shared online latency model, when
-    /// [`FleetConfig::predictive`] is set.
-    pub fn latency_model(&self) -> Option<Arc<LatencyModel>> {
-        self.model.clone()
-    }
-
-    /// Replays a sorted arrival-timestamp list (e.g. a
-    /// `trtsim_data::traffic::ArrivalTrace`) for one model: frame ids are
-    /// `first_frame..`, one per timestamp. Returns `(accepted, rejected)`.
-    pub fn replay(&self, model: &str, arrivals_us: &[f64], first_frame: u64) -> (u64, u64) {
-        let mut accepted = 0;
-        let mut rejected = 0;
-        for (i, &t) in arrivals_us.iter().enumerate() {
-            match self.submit(model, first_frame + i as u64, t) {
-                Ok(()) => accepted += 1,
-                Err(_) => rejected += 1,
-            }
-        }
-        (accepted, rejected)
-    }
-
-    /// Runs every replica's event loop up to simulated time `t_us` without
-    /// shutting down (see [`InferenceServer::run_until`]), in one fleet-wide
-    /// time order: the replica with the earliest next event goes first,
-    /// the lowest placement index on ties.
-    pub fn run_until(&self, t_us: f64) {
+    /// [`Fleet::run_until`]: steps the replica with the earliest next event
+    /// on its device's timeline until none is due by `t_us`.
+    fn run_until(&mut self, t_us: f64) {
         loop {
             let next = self
                 .replicas
@@ -671,48 +757,20 @@ impl Fleet {
                 .filter_map(|(i, r)| Some((r.server.next_event_us()?, i)))
                 .min_by(|a, b| a.0.total_cmp(&b.0));
             match next {
-                Some((at, i)) if at <= t_us => self.replicas[i].server.run_until(at),
+                Some((at, i)) if at <= t_us => self.step(i, at),
                 _ => break,
             }
         }
-        for replica in &self.replicas {
-            replica.server.run_until(t_us);
+        for i in 0..self.replicas.len() {
+            self.step(i, t_us);
         }
     }
 
-    /// The bound address of the fleet-wide telemetry endpoint, when
-    /// [`FleetConfig::telemetry_addr`] was set.
-    pub fn telemetry_addr(&self) -> Option<std::net::SocketAddr> {
-        self.exporter.as_ref().map(TelemetryServer::local_addr)
-    }
-
-    /// Stops admission on every replica and runs the fleet until each
-    /// accepted frame is served, then aggregates the final statistics.
-    pub fn drain(mut self) -> FleetStats {
-        for replica in &self.replicas {
-            replica.server.close();
-        }
-        self.run_until(f64::INFINITY);
-        let replicas: Vec<ReplicaStats> = self
-            .replicas
-            .drain(..)
-            .map(|replica| ReplicaStats {
-                device: self.devices[replica.device].name.clone(),
-                model: replica.model,
-                tenant: replica.tenant,
-                routed: replica.routed.into_inner(),
-                stats: replica.server.drain(),
-            })
-            .collect();
-        self.exporter.take();
-        aggregate(
-            replicas,
-            self.submitted.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
-            self.predicted_metric.get(),
-            self.heuristic_metric.get(),
-            self.affinity_metric.get(),
-        )
+    /// Advances replica `i` to `t_us` on its device's timeline.
+    fn step(&mut self, i: usize, t_us: f64) {
+        let replica = &mut self.replicas[i];
+        let timeline = &mut self.devices[replica.device].timeline;
+        replica.server.advance(timeline, t_us);
     }
 }
 
@@ -928,7 +986,7 @@ mod tests {
     }
 
     fn solo_fps(e: &Engine, spec: &DeviceSpec, arrivals: &[f64]) -> f64 {
-        let server = InferenceServer::start(e, spec, config()).unwrap();
+        let mut server = InferenceServer::start(e, spec, config()).unwrap();
         for (i, &t) in arrivals.iter().enumerate() {
             server.try_submit_at(i as u64, t).unwrap();
         }

@@ -77,5 +77,5 @@ pub use runtime::{ExecutionContext, TimingOptions};
 pub use serving::{
     InferenceServer, KernelTime, RequestRecord, ServerConfig, ServerStats, ServingError,
 };
-pub use telemetry::{publish_build, publish_plan, publish_timing_cache, GpuSampler};
+pub use telemetry::{publish_build, publish_plan, publish_timing_cache};
 pub use timing_cache::TimingCache;

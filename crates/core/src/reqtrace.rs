@@ -39,11 +39,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use trtsim_gpu::timeline::SpanSeq;
-use trtsim_metrics::{json_string, Counter, Registry};
+use trtsim_metrics::{
+    json_f64, json_opt, json_string, ChromeTrace, CompleteEvent, Counter, Registry,
+};
 use trtsim_util::derive_seed;
 
 /// A request-scoped trace identifier: 64 bits, rendered as 16 lowercase hex
@@ -66,14 +67,14 @@ impl FromStr for TraceId {
     }
 }
 
-/// Deterministic trace-id mint: a relaxed counter whitened through a
-/// seed-derived base, so ids look unrelated across requests yet replay
-/// bit-identically for a given seed. No wall clock, no shared RNG — the
-/// simulated clock and the engines' seeded numerics are untouched.
+/// Deterministic trace-id mint: a counter whitened through a seed-derived
+/// base, so ids look unrelated across requests yet replay bit-identically
+/// for a given seed. No wall clock, no shared RNG — the simulated clock and
+/// the engines' seeded numerics are untouched.
 #[derive(Debug)]
 pub struct TraceIdGen {
     base: u64,
-    next: AtomicU64,
+    next: u64,
 }
 
 impl TraceIdGen {
@@ -81,14 +82,15 @@ impl TraceIdGen {
     pub fn new(seed: u64) -> Self {
         Self {
             base: derive_seed(seed, "reqtrace", 0),
-            next: AtomicU64::new(0),
+            next: 0,
         }
     }
 
     /// Mints the next id. `xor` with an odd-multiplier sequence is a
     /// bijection on `u64`, so ids never collide within one generator.
-    pub fn mint(&self) -> TraceId {
-        let n = self.next.fetch_add(1, Ordering::Relaxed);
+    pub fn mint(&mut self) -> TraceId {
+        let n = self.next;
+        self.next += 1;
         TraceId(self.base ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 }
@@ -375,27 +377,18 @@ impl RequestTrace {
         out.push_str(&format!("\"model\":{},", json_string(&self.model)));
         out.push_str(&format!(
             "\"device\":{},",
-            json_opt_string(self.device.as_deref())
+            json_opt(self.device.as_deref().map(json_string))
         ));
         out.push_str(&format!(
             "\"tenant\":{},",
-            json_opt_string(self.tenant.as_deref())
+            json_opt(self.tenant.as_deref().map(json_string))
         ));
-        out.push_str(&format!(
-            "\"worker\":{},",
-            json_opt_u64(self.worker.map(|v| v as u64))
-        ));
-        out.push_str(&format!(
-            "\"stream\":{},",
-            json_opt_u64(self.stream.map(|v| v as u64))
-        ));
-        out.push_str(&format!("\"batch_seq\":{},", json_opt_u64(self.batch_seq)));
-        out.push_str(&format!(
-            "\"batch_size\":{},",
-            json_opt_u64(self.batch_size.map(|v| v as u64))
-        ));
-        out.push_str(&format!("\"span_lo\":{},", json_opt_u64(self.span_lo)));
-        out.push_str(&format!("\"span_hi\":{},", json_opt_u64(self.span_hi)));
+        out.push_str(&format!("\"worker\":{},", json_opt(self.worker)));
+        out.push_str(&format!("\"stream\":{},", json_opt(self.stream)));
+        out.push_str(&format!("\"batch_seq\":{},", json_opt(self.batch_seq)));
+        out.push_str(&format!("\"batch_size\":{},", json_opt(self.batch_size)));
+        out.push_str(&format!("\"span_lo\":{},", json_opt(self.span_lo)));
+        out.push_str(&format!("\"span_hi\":{},", json_opt(self.span_hi)));
         out.push_str(&format!("\"arrival_us\":{},", json_f64(self.arrival_us)));
         out.push_str(&format!("\"done_us\":{},", json_f64(self.done_us)));
         out.push_str(&format!("\"latency_us\":{},", json_f64(self.latency_us())));
@@ -466,13 +459,9 @@ pub fn chrome_trace_all(traces: &[RequestTrace]) -> String {
         .collect();
     devices.sort_unstable();
     devices.dedup();
-    let mut events: Vec<String> = Vec::new();
+    let mut doc = ChromeTrace::new();
     for (pid, name) in devices.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"args\":{{\"name\":{}}}}}",
-            pid,
-            json_string(name)
-        ));
+        doc.metadata("process_name", pid, None, name);
     }
     // Deterministic order: by device, then arrival, then id, then phase
     // position — independent of which worker recorded first.
@@ -492,33 +481,25 @@ pub fn chrome_trace_all(traces: &[RequestTrace]) -> String {
             "{{\"trace_id\":\"{}\",\"frame\":{},\"span_lo\":{},\"span_hi\":{},\"batch_seq\":{},\"batch_size\":{},\"outcome\":\"{}\"}}",
             t.id,
             t.frame,
-            json_opt_u64(t.span_lo),
-            json_opt_u64(t.span_hi),
-            json_opt_u64(t.batch_seq),
-            json_opt_u64(t.batch_size.map(|v| v as u64)),
+            json_opt(t.span_lo),
+            json_opt(t.span_hi),
+            json_opt(t.batch_seq),
+            json_opt(t.batch_size),
             t.outcome.as_str(),
         );
         for p in &t.phases {
-            events.push(format!(
-                "{{\"name\":{},\"cat\":\"request\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                json_string(p.kind.as_str()),
-                json_ts(p.start_us),
-                json_ts(p.duration_us()),
+            doc.complete(&CompleteEvent {
+                name: p.kind.as_str(),
+                cat: "request",
+                ts_us: p.start_us,
+                dur_us: p.duration_us(),
                 pid,
                 tid,
-                args
-            ));
+                args: args.clone(),
+            });
         }
     }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(e);
-    }
-    out.push_str("]}");
-    out
+    doc.finish()
 }
 
 /// Latency histogram for the running slowest-decile estimate: power-of-two
@@ -959,38 +940,6 @@ impl RequestTrace {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Chrome timestamps: µs with three decimals (ns resolution), non-finite
-/// clamped to 0 so the viewer still loads.
-fn json_ts(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".to_string()
-    }
-}
-
-fn json_opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => format!("{v}"),
-        None => "null".to_string(),
-    }
-}
-
-fn json_opt_string(v: Option<&str>) -> String {
-    match v {
-        Some(v) => json_string(v),
-        None => "null".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1001,7 +950,7 @@ mod tests {
 
     fn completed(
         s: &TraceSink,
-        gen: &TraceIdGen,
+        gen: &mut TraceIdGen,
         frame: u64,
         arrival: f64,
         latency: f64,
@@ -1020,8 +969,8 @@ mod tests {
 
     #[test]
     fn ids_are_deterministic_unique_and_hex_round_trip() {
-        let a = TraceIdGen::new(42);
-        let b = TraceIdGen::new(42);
+        let mut a = TraceIdGen::new(42);
+        let mut b = TraceIdGen::new(42);
         let ids: Vec<TraceId> = (0..64).map(|_| a.mint()).collect();
         let again: Vec<TraceId> = (0..64).map(|_| b.mint()).collect();
         assert_eq!(ids, again, "same seed must mint the same sequence");
@@ -1042,8 +991,8 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(1);
-        let id = completed(&s, &gen, 0, 1000.0, 800.0, false);
+        let mut gen = TraceIdGen::new(1);
+        let id = completed(&s, &mut gen, 0, 1000.0, 800.0, false);
         let t = rec.get(id).expect("retained");
         assert_eq!(t.phases.len(), 6);
         // Monotone and non-overlapping: each phase starts where the
@@ -1066,14 +1015,14 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(9);
+        let mut gen = TraceIdGen::new(9);
         let mut missed_ids = Vec::new();
         // 400 ordinary completions with occasional deadline misses: far
         // more retention candidates than the ring holds.
         for frame in 0..400u64 {
             let missed = frame % 97 == 0;
             let latency = if missed { 9000.0 } else { 100.0 };
-            let id = completed(&s, &gen, frame, frame as f64 * 10.0, latency, missed);
+            let id = completed(&s, &mut gen, frame, frame as f64 * 10.0, latency, missed);
             if missed {
                 missed_ids.push(id);
             }
@@ -1099,14 +1048,14 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(5);
+        let mut gen = TraceIdGen::new(5);
         // 200 fast completions establish the distribution, then one 100×
         // outlier: it must be pinned even though nothing missed a deadline
         // and the sampling period never triggers.
         for frame in 0..200u64 {
-            completed(&s, &gen, frame, frame as f64, 100.0, false);
+            completed(&s, &mut gen, frame, frame as f64, 100.0, false);
         }
-        let slow = completed(&s, &gen, 200, 5000.0, 10_000.0, false);
+        let slow = completed(&s, &mut gen, 200, 5000.0, 10_000.0, false);
         assert!(rec.get(slow).is_some(), "slow outlier must be pinned");
     }
 
@@ -1117,8 +1066,8 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(2);
-        completed(&s, &gen, 0, 0.0, 50_000.0, true);
+        let mut gen = TraceIdGen::new(2);
+        completed(&s, &mut gen, 0, 0.0, 50_000.0, true);
         assert_eq!(rec.recorded(), 0);
         assert!(rec.traces().is_empty());
     }
@@ -1130,7 +1079,7 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(3);
+        let mut gen = TraceIdGen::new(3);
         s.record_unserved(
             TraceCtx::new(gen.mint()),
             0,
@@ -1162,8 +1111,8 @@ mod tests {
             &Registry::new(),
         ));
         let s = sink(&rec);
-        let gen = TraceIdGen::new(4);
-        let id = completed(&s, &gen, 7, 100.0, 900.0, true);
+        let mut gen = TraceIdGen::new(4);
+        let id = completed(&s, &mut gen, 7, 100.0, 900.0, true);
 
         let (ct, index) = rec.route("/traces").expect("index");
         assert_eq!(ct, "application/json");
@@ -1192,7 +1141,7 @@ mod tests {
             TraceOptions::default().with_sample_every(1),
             &Registry::new(),
         ));
-        let gen = TraceIdGen::new(6);
+        let mut gen = TraceIdGen::new(6);
         let nx = TraceSink::new(Arc::clone(&rec), "m", Some("nx0"), None);
         let agx = TraceSink::new(Arc::clone(&rec), "m", Some("agx0"), Some("cam"));
         let a = TraceCtx::new(gen.mint());

@@ -3,8 +3,8 @@
 //! The paper's deployment pattern (§IV-B, §VI-A) is N camera feeds fanned
 //! onto one Jetson: one engine, one CUDA context, one stream per worker.
 //! This module runs that architecture as a discrete-event simulation: one
-//! event loop per server, stepped on the simulated clock behind one mutex,
-//! so every serving number is a pure function of the inputs and seeds.
+//! event loop per server, a plain value stepped on the simulated clock, so
+//! every serving number is a pure function of the inputs and seeds.
 //!
 //! ```text
 //!   submit(_at) at t: advance        bounded queue          worker streams
@@ -54,14 +54,17 @@
 //! * **Telemetry** — each server owns a [`Registry`] (a fleet replica uses
 //!   its fleet's) holding its `trtsim_server_*` and `trtsim_trace_*`
 //!   series; [`InferenceServer::registry`] hands it out and the optional
-//!   `/metrics` endpoint (with its wall-clock [`GpuSampler`]) scrapes it.
+//!   `/metrics` endpoint scrapes it. A server with a bound endpoint also
+//!   publishes tegrastats' `trtsim_gpu_*` readings
+//!   ([`trtsim_gpu::tegrastats::Sampler`]) over the simulated window since
+//!   its previous reading, at the end of every
+//!   [`InferenceServer::run_until`] and at drain.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::Arc;
 
 use trtsim_gpu::device::DeviceSpec;
-use trtsim_gpu::tegrastats;
+use trtsim_gpu::tegrastats::{self, Sampler};
 use trtsim_gpu::timeline::{GpuTimeline, SpanSeq, StreamId, TimedKernel};
 use trtsim_metrics::{LatencyPercentiles, Registry, TelemetryServer};
 use trtsim_util::Pcg32;
@@ -72,7 +75,7 @@ use crate::reqtrace::{
     FlightRecorder, TraceCtx, TraceIdGen, TraceOptions, TraceOutcome, TraceSink,
 };
 use crate::runtime::{batch_timing, enqueue_timed_batch, TimingOptions};
-use crate::telemetry::{GpuSampler, ServingMetrics};
+use crate::telemetry::{publish_gpu, ServingMetrics};
 
 /// Errors from configuring or feeding an [`InferenceServer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -199,13 +202,11 @@ pub struct ServerConfig {
     pub profile: bool,
     /// When set, the server binds a [`trtsim_metrics::TelemetryServer`] on
     /// this address (`GET /metrics` Prometheus text, `GET /metrics.json`
-    /// snapshot) and runs the tegrastats-style [`GpuSampler`] for the life
-    /// of the server. Port 0 picks a free port; see
-    /// [`InferenceServer::telemetry_addr`] for the bound address.
+    /// snapshot) and publishes tegrastats-style `trtsim_gpu_*` readings at
+    /// the end of every [`InferenceServer::run_until`] and at drain. Port 0
+    /// picks a free port; see [`InferenceServer::telemetry_addr`] for the
+    /// bound address.
     pub telemetry_addr: Option<std::net::SocketAddr>,
-    /// Wall-clock cadence of the GPU sampler, milliseconds. Only meaningful
-    /// with [`ServerConfig::telemetry_addr`] set.
-    pub telemetry_sample_ms: u64,
     /// Request-trace flight-recorder knobs ([`crate::reqtrace`]): ring
     /// capacity, tail-retention sampling rate, and the master switch. The
     /// recorder is always wired (admission mints a trace id per frame either
@@ -228,7 +229,6 @@ impl Default for ServerConfig {
             timing: TimingOptions::default(),
             profile: false,
             telemetry_addr: None,
-            telemetry_sample_ms: 50,
             trace: TraceOptions::default(),
         }
     }
@@ -310,16 +310,10 @@ impl ServerConfig {
         self
     }
 
-    /// Enables the live telemetry endpoint + GPU sampler on `addr`
+    /// Enables the live telemetry endpoint and its GPU readings on `addr`
     /// (e.g. `"127.0.0.1:9090".parse().unwrap()`; port 0 picks a free port).
     pub fn with_telemetry(mut self, addr: std::net::SocketAddr) -> Self {
         self.telemetry_addr = Some(addr);
-        self
-    }
-
-    /// Sets the GPU sampler cadence, wall-clock milliseconds.
-    pub fn with_telemetry_sample_ms(mut self, ms: u64) -> Self {
-        self.telemetry_sample_ms = ms;
         self
     }
 
@@ -375,11 +369,6 @@ impl ServerConfig {
         if self.predictor_min_obs == 0 {
             return Err(ServingError::InvalidConfig(
                 "predictor needs at least one observation before it is warm".into(),
-            ));
-        }
-        if self.telemetry_sample_ms == 0 {
-            return Err(ServingError::InvalidConfig(
-                "telemetry sample period must be at least 1 ms".into(),
             ));
         }
         if self.trace.capacity == 0 {
@@ -551,10 +540,48 @@ struct Batch {
     span_hi: SpanSeq,
 }
 
-/// The event loop's state: the clock, the queue, the batch in service on
-/// each stream, and every counter the stats report.
+/// What a fleet hands each replica it starts: the fleet-wide latency model
+/// (when predictive), the flight recorder, the fleet's registry, and the
+/// replica's `device=` and `tenant=` labels, so two devices serving the
+/// same model publish distinct series. The device's timeline is not among
+/// them: the fleet owns it and lends it to each call that steps the
+/// replica. A standalone server makes its own of each and has no labels
+/// beyond `model=`.
 #[derive(Debug)]
-struct State {
+pub(crate) struct FleetShared {
+    pub(crate) device: Option<String>,
+    pub(crate) tenant: Option<String>,
+    pub(crate) model: Option<Arc<LatencyModel>>,
+    pub(crate) recorder: Arc<FlightRecorder>,
+    pub(crate) registry: Arc<Registry>,
+}
+
+/// A running inference server: one event loop over worker streams on a
+/// simulated timeline, fed through a bounded queue and a dynamic batcher.
+/// A plain value: every call that moves the clock takes `&mut self`. See
+/// the [module docs](self) for the event model.
+///
+/// # Examples
+///
+/// ```no_run
+/// use trtsim_core::serving::{InferenceServer, ServerConfig};
+/// # fn demo(engine: &trtsim_core::Engine, device: &trtsim_gpu::device::DeviceSpec)
+/// #     -> Result<(), trtsim_core::serving::ServingError> {
+/// let config = ServerConfig::default()
+///     .with_workers(4)
+///     .with_max_batch_size(8)
+///     .with_batch_timeout_us(500.0);
+/// let mut server = InferenceServer::start(engine, device, config)?;
+/// for frame in 0..256 {
+///     server.submit(frame)?;
+/// }
+/// let stats = server.drain();
+/// println!("{:.0} FPS, {}", stats.aggregate_fps, stats.latency);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct InferenceServer {
     /// The simulated clock, µs: every event at or before it is processed.
     now_us: f64,
     /// Accepted frames not yet dispatched, oldest first.
@@ -581,53 +608,11 @@ struct State {
     frames_per_worker: Vec<u64>,
     latencies_us: Vec<f64>,
     completions: Vec<RequestRecord>,
-}
-
-/// What a fleet hands each replica it starts: the device's timeline, the
-/// fleet-wide latency model (when predictive), one flight recorder and
-/// trace-id mint, the fleet's registry, and the replica's `device=` and
-/// `tenant=` labels, so two devices serving the same model publish distinct
-/// series. A standalone server makes its own of each and has no labels
-/// beyond `model=`.
-#[derive(Debug)]
-pub(crate) struct FleetShared {
-    pub(crate) device: Option<String>,
-    pub(crate) tenant: Option<String>,
-    pub(crate) timeline: Arc<Mutex<GpuTimeline>>,
-    pub(crate) model: Option<Arc<LatencyModel>>,
-    pub(crate) recorder: Arc<FlightRecorder>,
-    pub(crate) idgen: Arc<TraceIdGen>,
-    pub(crate) registry: Arc<Registry>,
-}
-
-/// A running inference server: one event loop over worker streams on a
-/// shared simulated timeline, fed through a bounded queue and a dynamic
-/// batcher. See the [module docs](self) for the event model.
-///
-/// # Examples
-///
-/// ```no_run
-/// use trtsim_core::serving::{InferenceServer, ServerConfig};
-/// # fn demo(engine: &trtsim_core::Engine, device: &trtsim_gpu::device::DeviceSpec)
-/// #     -> Result<(), trtsim_core::serving::ServingError> {
-/// let config = ServerConfig::default()
-///     .with_workers(4)
-///     .with_max_batch_size(8)
-///     .with_batch_timeout_us(500.0);
-/// let server = InferenceServer::start(engine, device, config)?;
-/// for frame in 0..256 {
-///     server.submit(frame)?;
-/// }
-/// let stats = server.drain();
-/// println!("{:.0} FPS, {}", stats.aggregate_fps, stats.latency);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct InferenceServer {
-    state: Mutex<State>,
+    /// The device timeline the worker streams run on: the server's own
+    /// when standalone; `None` on a fleet replica, whose fleet owns its
+    /// device's timeline and lends it to every call that steps the replica.
+    timeline: Option<GpuTimeline>,
     engine: Engine,
-    timeline: Arc<Mutex<GpuTimeline>>,
     /// Worker stream ids, in worker order.
     streams: Vec<StreamId>,
     predictor: Option<Predictor>,
@@ -636,19 +621,22 @@ pub struct InferenceServer {
     /// Where `metrics` and the recorder's counters live.
     registry: Arc<Registry>,
     exporter: Option<TelemetryServer>,
-    sampler: Option<GpuSampler>,
+    /// The tegrastats reading cursor behind the `trtsim_gpu_*` gauges a
+    /// server with a bound endpoint publishes.
+    gpu: Sampler,
     /// Always-on flight recorder holding the retained request traces —
     /// fleet-shared when this server is a replica, private otherwise.
     recorder: Arc<FlightRecorder>,
-    /// Mints one deterministic trace id per admitted frame.
-    idgen: Arc<TraceIdGen>,
+    /// Mints one deterministic trace id per admitted frame (a fleet
+    /// replica's frames arrive with router-minted ids instead).
+    idgen: TraceIdGen,
     /// This server's identity (model/device/tenant) stamped on every trace.
     sink: TraceSink,
 }
 
 impl InferenceServer {
-    /// Validates `config`, opens one stream per worker, and starts
-    /// accepting frames.
+    /// Validates `config`, opens one stream per worker on a timeline of its
+    /// own, and starts accepting frames.
     ///
     /// # Errors
     ///
@@ -658,19 +646,25 @@ impl InferenceServer {
         device: &DeviceSpec,
         config: ServerConfig,
     ) -> Result<Self, ServingError> {
-        Self::start_inner(engine, device, config, None)
+        let mut timeline = GpuTimeline::new(device.clone());
+        let mut server = Self::start_inner(engine, device, config, None, &mut timeline)?;
+        server.timeline = Some(timeline);
+        Ok(server)
     }
 
-    /// Starts a replica on what its fleet shares: the device's timeline
-    /// (two replicas on one device genuinely contend for its GPU), the
-    /// latency model, the flight recorder and id mint, and the registry.
+    /// Starts a replica on what its fleet shares — the latency model, the
+    /// flight recorder and the registry — with its worker streams on the
+    /// device's `timeline` (two replicas on one device genuinely contend
+    /// for its GPU). The fleet keeps the timeline and lends it back to
+    /// every call that steps the replica.
     pub(crate) fn start_on_timeline(
         engine: &Engine,
         device: &DeviceSpec,
         config: ServerConfig,
         shared: FleetShared,
+        timeline: &mut GpuTimeline,
     ) -> Result<Self, ServingError> {
-        Self::start_inner(engine, device, config, Some(shared))
+        Self::start_inner(engine, device, config, Some(shared), timeline)
     }
 
     fn start_inner(
@@ -678,6 +672,7 @@ impl InferenceServer {
         device: &DeviceSpec,
         config: ServerConfig,
         shared: Option<FleetShared>,
+        timeline: &mut GpuTimeline,
     ) -> Result<Self, ServingError> {
         config.validate()?;
         // A standalone server owns everything a fleet would share, each
@@ -686,24 +681,16 @@ impl InferenceServer {
         let FleetShared {
             device: device_label,
             tenant,
-            timeline,
             model: shared_model,
             recorder,
-            idgen,
             registry,
         } = shared.unwrap_or_else(|| {
             let registry = Arc::new(Registry::new());
             FleetShared {
                 device: None,
                 tenant: None,
-                timeline: Arc::new(Mutex::new(GpuTimeline::new(device.clone()))),
                 model: None,
                 recorder: Arc::new(FlightRecorder::new(config.trace, &registry)),
-                idgen: Arc::new(TraceIdGen::new(trtsim_util::derive_seed(
-                    device.timing_fingerprint(),
-                    "reqtrace",
-                    0,
-                ))),
                 registry,
             }
         });
@@ -731,11 +718,18 @@ impl InferenceServer {
         let (device_label, tenant) = (device_label.as_deref(), tenant.as_deref());
         let metrics = ServingMetrics::register(&registry, engine.name(), device_label, tenant);
         let sink = TraceSink::new(Arc::clone(&recorder), engine.name(), device_label, tenant);
-        let streams: Vec<StreamId> = {
-            let mut tl = timeline.lock().expect("timeline lock");
-            (0..config.workers).map(|_| tl.create_stream()).collect()
+        let exporter = match config.telemetry_addr {
+            Some(addr) => Some(
+                TelemetryServer::bind_with_routes(
+                    addr,
+                    Arc::clone(&registry),
+                    recorder.route_handler(),
+                )
+                .map_err(|e| ServingError::Telemetry(format!("bind {addr}: {e}")))?,
+            ),
+            None => None,
         };
-        let state = State {
+        Ok(Self {
             now_us: 0.0,
             queue: VecDeque::new(),
             in_service: (0..config.workers).map(|_| None).collect(),
@@ -755,41 +749,41 @@ impl InferenceServer {
             frames_per_worker: vec![0; config.workers],
             latencies_us: Vec::new(),
             completions: Vec::new(),
-        };
-
-        let (exporter, sampler) = match config.telemetry_addr {
-            Some(addr) => {
-                let exporter = TelemetryServer::bind_with_routes(
-                    addr,
-                    Arc::clone(&registry),
-                    recorder.route_handler(),
-                )
-                .map_err(|e| ServingError::Telemetry(format!("bind {addr}: {e}")))?;
-                let sampler = GpuSampler::spawn(
-                    Arc::clone(&timeline),
-                    Arc::clone(&registry),
-                    Duration::from_millis(config.telemetry_sample_ms),
-                );
-                (Some(exporter), Some(sampler))
-            }
-            None => (None, None),
-        };
-
-        Ok(Self {
-            state: Mutex::new(state),
+            timeline: None,
             engine: engine.clone(),
-            timeline,
-            streams,
+            streams: (0..config.workers)
+                .map(|_| timeline.create_stream())
+                .collect(),
             predictor,
             config,
             metrics,
             registry,
             exporter,
-            sampler,
+            gpu: Sampler::default(),
             recorder,
-            idgen,
+            idgen: TraceIdGen::new(trtsim_util::derive_seed(
+                device.timing_fingerprint(),
+                "reqtrace",
+                0,
+            )),
             sink,
         })
+    }
+
+    /// Runs `f` with the server's own timeline lent out beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fleet replica, which its fleet steps with the device's
+    /// timeline instead.
+    fn with_timeline<R>(&mut self, f: impl FnOnce(&mut Self, &mut GpuTimeline) -> R) -> R {
+        let mut timeline = self
+            .timeline
+            .take()
+            .expect("a fleet replica is stepped by its fleet");
+        let out = f(self, &mut timeline);
+        self.timeline = Some(timeline);
+        out
     }
 
     /// The registry this server's metrics live in — its own, or its
@@ -806,10 +800,6 @@ impl InferenceServer {
         Arc::clone(&self.recorder)
     }
 
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("server state")
-    }
-
     /// Submits a frame without blocking, stamped by the server's own
     /// arrival clock ([`ServerConfig::arrival_process`]).
     ///
@@ -819,10 +809,9 @@ impl InferenceServer {
     /// capacity (the rejection is counted in [`ServerStats::rejected`]), or
     /// [`ServingError::DeadlineUnmeetable`] when deadline-based admission
     /// refuses it.
-    pub fn try_submit(&self, frame: u64) -> Result<(), ServingError> {
-        let mut st = self.lock();
-        let arrival_us = st.arrivals.next();
-        self.offer(&mut st, frame, arrival_us, None)
+    pub fn try_submit(&mut self, frame: u64) -> Result<(), ServingError> {
+        let arrival_us = self.arrivals.next();
+        self.with_timeline(|s, tl| s.offer(tl, frame, arrival_us, None))
     }
 
     /// Submits a frame without blocking, carrying an explicit simulated
@@ -835,9 +824,9 @@ impl InferenceServer {
     /// Returns [`ServingError::InvalidArrival`] for a NaN, infinite or
     /// negative timestamp (the frame is not counted), and otherwise the
     /// errors of [`InferenceServer::try_submit`].
-    pub fn try_submit_at(&self, frame: u64, arrival_us: f64) -> Result<(), ServingError> {
+    pub fn try_submit_at(&mut self, frame: u64, arrival_us: f64) -> Result<(), ServingError> {
         check_arrival(arrival_us)?;
-        self.offer(&mut self.lock(), frame, arrival_us, None)
+        self.with_timeline(|s, tl| s.offer(tl, frame, arrival_us, None))
     }
 
     /// Fleet entry point: submit with a router-minted trace context (score
@@ -847,13 +836,14 @@ impl InferenceServer {
     /// the frame on another replica, and it records the single rejection
     /// trace itself only when every replica refuses.
     pub(crate) fn try_submit_traced(
-        &self,
+        &mut self,
+        tl: &mut GpuTimeline,
         frame: u64,
         arrival_us: f64,
         signals: QueueSignals,
         trace: TraceCtx,
     ) -> Result<(), ServingError> {
-        self.offer(&mut self.lock(), frame, arrival_us, Some((signals, trace)))
+        self.offer(tl, frame, arrival_us, Some((signals, trace)))
     }
 
     /// Submits a frame stamped by the server's arrival clock, blocking on a
@@ -865,54 +855,49 @@ impl InferenceServer {
     ///
     /// Never fails; the `Result` keeps the signature of the
     /// non-blocking paths.
-    pub fn submit(&self, frame: u64) -> Result<(), ServingError> {
-        let mut st = self.lock();
-        let arrival_us = st.arrivals.next();
-        self.advance(&mut st, arrival_us);
-        while st.queue.len() >= self.config.queue_capacity {
-            // A full queue with a free stream dispatches at once, so every
-            // stream is busy and a completion is pending.
-            let at = self
-                .next_event(&st)
-                .expect("a full queue has a pending event");
-            self.advance(&mut st, at);
-        }
-        let signals = self.signals(&st, arrival_us);
-        self.accept(
-            &mut st,
-            frame,
-            arrival_us,
-            signals,
-            TraceCtx::new(self.idgen.mint()),
-        );
+    pub fn submit(&mut self, frame: u64) -> Result<(), ServingError> {
+        let arrival_us = self.arrivals.next();
+        self.with_timeline(|s, tl| {
+            s.advance(tl, arrival_us);
+            while s.queue.len() >= s.config.queue_capacity {
+                // A full queue with a free stream dispatches at once, so
+                // every stream is busy and a completion is pending.
+                let at = s.next_event_us().expect("a full queue has a pending event");
+                s.advance(tl, at);
+            }
+            let signals = s.queue_signals(tl, arrival_us);
+            let trace = TraceCtx::new(s.idgen.mint());
+            s.accept(tl, frame, arrival_us, signals, trace);
+        });
         Ok(())
     }
 
     /// The shared admission path: advance to the arrival, price it, apply
     /// deadline admission and the queue bound, then accept.
     fn offer(
-        &self,
-        st: &mut State,
+        &mut self,
+        tl: &mut GpuTimeline,
         frame: u64,
         arrival_us: f64,
         routed: Option<(QueueSignals, TraceCtx)>,
     ) -> Result<(), ServingError> {
-        self.advance(st, arrival_us);
+        self.advance(tl, arrival_us);
         let record_rejects = routed.is_none();
-        let (signals, mut trace) = routed.unwrap_or_else(|| {
-            (
-                self.signals(st, arrival_us),
+        let (signals, mut trace) = match routed {
+            Some(routed) => routed,
+            None => (
+                self.queue_signals(tl, arrival_us),
                 TraceCtx::new(self.idgen.mint()),
-            )
-        });
-        let refusal = if let Err(e) = self.admit(st, &signals, &mut trace) {
+            ),
+        };
+        let refusal = if let Err(e) = self.admit(&signals, &mut trace) {
             (e, TraceOutcome::DeadlineRejected)
-        } else if st.queue.len() >= self.config.queue_capacity {
-            st.rejected += 1;
+        } else if self.queue.len() >= self.config.queue_capacity {
+            self.rejected += 1;
             self.metrics.rejected.inc();
             (ServingError::QueueFull, TraceOutcome::QueueRejected)
         } else {
-            self.accept(st, frame, arrival_us, signals, trace);
+            self.accept(tl, frame, arrival_us, signals, trace);
             return Ok(());
         };
         if record_rejects {
@@ -929,38 +914,27 @@ impl InferenceServer {
     /// waiting time; the horizon is the waiting time itself, read off the
     /// dispatch ledger the same way a real runtime knows when each enqueued
     /// batch retires.
-    pub(crate) fn queue_signals(&self, arrival_us: f64) -> QueueSignals {
-        self.signals(&self.lock(), arrival_us)
-    }
-
-    fn signals(&self, st: &State, arrival_us: f64) -> QueueSignals {
-        let earliest_free = {
-            let tl = self.timeline.lock().expect("timeline lock");
-            self.streams
-                .iter()
-                .map(|&stream| tl.sync(stream))
-                .fold(f64::INFINITY, f64::min)
-        };
-        self.load(st)
+    pub(crate) fn queue_signals(&self, tl: &GpuTimeline, arrival_us: f64) -> QueueSignals {
+        let earliest_free = self
+            .streams
+            .iter()
+            .map(|&stream| tl.sync(stream))
+            .fold(f64::INFINITY, f64::min);
+        self.load()
             .with_committed_us((earliest_free - arrival_us).max(0.0))
     }
 
     /// Queue depth and busy streams, both per worker.
-    fn load(&self, st: &State) -> QueueSignals {
+    fn load(&self) -> QueueSignals {
         let workers = self.config.workers as f64;
-        let busy = st.in_service.iter().flatten().count();
-        QueueSignals::new(st.queue.len() as f64 / workers, busy as f64 / workers)
+        let busy = self.in_service.iter().flatten().count();
+        QueueSignals::new(self.queue.len() as f64 / workers, busy as f64 / workers)
     }
 
     /// Deadline-based admission: refuse a frame when the warm model predicts
     /// that even best-case batch-1 service lands past the deadline. Cold
     /// models admit everything (fallback to plain queue-bound admission).
-    fn admit(
-        &self,
-        st: &mut State,
-        signals: &QueueSignals,
-        trace: &mut TraceCtx,
-    ) -> Result<(), ServingError> {
+    fn admit(&mut self, signals: &QueueSignals, trace: &mut TraceCtx) -> Result<(), ServingError> {
         if !self.config.predictive || self.config.deadline_us <= 0.0 {
             return Ok(());
         }
@@ -995,7 +969,7 @@ impl InferenceServer {
                     trace.predicted_p99_us = pred.p99_us;
                 }
                 if pred.p50_us > self.config.deadline_us * ADMIT_HEADROOM {
-                    st.deadline_rejected += 1;
+                    self.deadline_rejected += 1;
                     self.metrics.deadline_rejected.inc();
                     return Err(ServingError::DeadlineUnmeetable);
                 }
@@ -1006,28 +980,28 @@ impl InferenceServer {
 
     /// Queues an admitted frame at the clock and dispatches what is ready.
     fn accept(
-        &self,
-        st: &mut State,
+        &mut self,
+        tl: &mut GpuTimeline,
         frame: u64,
         arrival_us: f64,
         signals: QueueSignals,
         trace: TraceCtx,
     ) {
-        st.queue.push_back(Request {
+        self.queue.push_back(Request {
             frame,
             arrival_us,
-            queued_us: st.now_us,
+            queued_us: self.now_us,
             signals,
             trace,
         });
-        st.accepted += 1;
-        st.queue_high_water = st.queue_high_water.max(st.queue.len());
+        self.accepted += 1;
+        self.queue_high_water = self.queue_high_water.max(self.queue.len());
         self.metrics.accepted.inc();
-        self.metrics.queue_depth.set(st.queue.len() as f64);
+        self.metrics.queue_depth.set(self.queue.len() as f64);
         self.metrics
             .queue_high_water
-            .set(st.queue_high_water as f64);
-        self.dispatch(st);
+            .set(self.queue_high_water as f64);
+        self.dispatch(tl);
     }
 
     /// Runs the event loop up to simulated time `t_us` without shutting
@@ -1036,23 +1010,40 @@ impl InferenceServer {
     /// event when `t_us` is infinite). Frames still waiting for their batch
     /// to fill stay queued. Submits advance the clock themselves; call this
     /// to observe a live server (its `/metrics`, its flight recorder) at a
-    /// given simulated time.
-    pub fn run_until(&self, t_us: f64) {
-        self.advance(&mut self.lock(), t_us);
+    /// given simulated time. A server with a bound telemetry endpoint then
+    /// publishes its `trtsim_gpu_*` gauges over the simulated window since
+    /// its previous reading.
+    pub fn run_until(&mut self, t_us: f64) {
+        self.with_timeline(|s, tl| {
+            s.advance(tl, t_us);
+            s.publish_gpu(tl);
+        });
     }
 
-    fn advance(&self, st: &mut State, t_us: f64) {
-        while let Some(at) = self.next_event(st).filter(|&at| at <= t_us) {
-            st.now_us = at;
-            for s in 0..st.in_service.len() {
-                if st.in_service[s].as_ref().is_some_and(|b| b.done_us <= at) {
-                    self.complete(st, s);
+    /// [`InferenceServer::run_until`] on a fleet replica, stepped on its
+    /// device's lent timeline.
+    pub(crate) fn advance(&mut self, tl: &mut GpuTimeline, t_us: f64) {
+        while let Some(at) = self.next_event_us().filter(|&at| at <= t_us) {
+            self.now_us = at;
+            for s in 0..self.in_service.len() {
+                if self.in_service[s].as_ref().is_some_and(|b| b.done_us <= at) {
+                    self.complete(s);
                 }
             }
-            self.dispatch(st);
+            self.dispatch(tl);
         }
         if t_us.is_finite() {
-            st.now_us = st.now_us.max(t_us);
+            self.now_us = self.now_us.max(t_us);
+        }
+    }
+
+    /// Publishes a tegrastats reading of `tl` over the simulated window
+    /// since the previous one, when a telemetry endpoint is bound.
+    fn publish_gpu(&mut self, tl: &GpuTimeline) {
+        if self.exporter.is_some() {
+            if let Some(reading) = self.gpu.sample(tl, self.now_us) {
+                publish_gpu(&self.registry, &reading);
+            }
         }
     }
 
@@ -1060,15 +1051,11 @@ impl InferenceServer {
     /// completion, or the batch timeout of the queue's oldest frame while a
     /// stream is free.
     pub(crate) fn next_event_us(&self) -> Option<f64> {
-        self.next_event(&self.lock())
-    }
-
-    fn next_event(&self, st: &State) -> Option<f64> {
-        let completion = st.in_service.iter().flatten().map(|b| b.done_us);
-        let timeout = st
+        let completion = self.in_service.iter().flatten().map(|b| b.done_us);
+        let timeout = self
             .queue
             .front()
-            .filter(|_| st.in_service.iter().any(Option::is_none))
+            .filter(|_| self.in_service.iter().any(Option::is_none))
             .map(|oldest| oldest.queued_us + self.config.batch_timeout_us)
             .filter(|t| t.is_finite());
         completion.chain(timeout).min_by(f64::total_cmp)
@@ -1077,27 +1064,27 @@ impl InferenceServer {
     /// Work-conserving dispatch at the clock: while a stream is free and a
     /// batch is ready, the lowest-index free stream takes it. Equal-length
     /// batches therefore rotate over the streams in index order.
-    fn dispatch(&self, st: &mut State) {
-        while let Some(s) = st.in_service.iter().position(Option::is_none) {
-            let Some(size) = self.ready_batch(st) else {
+    fn dispatch(&mut self, tl: &mut GpuTimeline) {
+        while let Some(s) = self.in_service.iter().position(Option::is_none) {
+            let Some(size) = self.ready_batch() else {
                 return;
             };
-            self.start_batch(st, s, size);
+            self.start_batch(tl, s, size);
         }
     }
 
     /// How many queued frames close into a batch now, if any. A batch short
     /// of its fill target waits for stragglers until the timeout, unless no
     /// straggler can join it (drain, or a full queue).
-    fn ready_batch(&self, st: &State) -> Option<usize> {
-        let depth = st.queue.len();
-        let oldest = st.queue.front()?.queued_us;
+    fn ready_batch(&self) -> Option<usize> {
+        let depth = self.queue.len();
+        let oldest = self.queue.front()?.queued_us;
         let take = depth.min(self.config.max_batch_size);
         let ready = take == self.config.max_batch_size
-            || st.draining
+            || self.draining
             || depth >= self.config.queue_capacity
-            || oldest + self.config.batch_timeout_us <= st.now_us
-            || take >= self.fill_target(st);
+            || oldest + self.config.batch_timeout_us <= self.now_us
+            || take >= self.fill_target();
         ready.then_some(take)
     }
 
@@ -1109,11 +1096,11 @@ impl InferenceServer {
     /// serialize frames that a single launch could have carried, burning
     /// drain rate exactly when the queue is growing. A cold model (or no
     /// deadline) leaves the static cap alone.
-    fn fill_target(&self, st: &State) -> usize {
+    fn fill_target(&self) -> usize {
         let max_batch = self.config.max_batch_size;
         match &self.predictor {
             Some(p) if self.config.predictive && self.config.deadline_us > 0.0 => {
-                p.slo_batch_cap(max_batch, self.config.deadline_us, &self.load(st))
+                p.slo_batch_cap(max_batch, self.config.deadline_us, &self.load())
             }
             _ => max_batch,
         }
@@ -1123,33 +1110,26 @@ impl InferenceServer {
     /// the clock. Idle time before the batch is charged to the stream as
     /// `arrival_wait` (no frame queued) and `batch_wait` (waiting for
     /// stragglers), so stream time stays accounted for.
-    fn start_batch(&self, st: &mut State, s: usize, size: usize) {
-        let requests: Vec<Request> = st.queue.drain(..size).collect();
-        self.metrics.queue_depth.set(st.queue.len() as f64);
-        let seq = st.next_batch;
-        st.next_batch += 1;
-        let now = st.now_us;
+    fn start_batch(&mut self, tl: &mut GpuTimeline, s: usize, size: usize) {
+        let requests: Vec<Request> = self.queue.drain(..size).collect();
+        self.metrics.queue_depth.set(self.queue.len() as f64);
+        let seq = self.next_batch;
+        self.next_batch += 1;
+        let now = self.now_us;
         let stream = self.streams[s];
-        let mut tl = self.timeline.lock().expect("timeline lock");
         let span_lo = tl.next_seq(stream);
         let front = tl.sync(stream);
         let wait_start_us = front.max(requests[0].queued_us).min(now);
         tl.host_span(stream, "arrival_wait", wait_start_us - front);
         tl.host_span(stream, "batch_wait", now - wait_start_us);
         let batch = size as u64;
-        let rows = st
+        let rows = self
             .timings
             .entry(batch)
             .or_insert_with(|| batch_timing(&self.engine, batch, tl.device()));
-        let done_us = enqueue_timed_batch(
-            &mut tl,
-            stream,
-            &self.engine,
-            rows,
-            batch,
-            &self.config.timing,
-        );
-        st.in_service[s] = Some(Batch {
+        let done_us =
+            enqueue_timed_batch(tl, stream, &self.engine, rows, batch, &self.config.timing);
+        self.in_service[s] = Some(Batch {
             seq,
             requests,
             wait_start_us,
@@ -1163,16 +1143,16 @@ impl InferenceServer {
     /// The completion event of stream `s`'s batch: stats, metrics, one
     /// trace per request, and one training example per request for the
     /// latency model — all at `done_us`, so training is causal.
-    fn complete(&self, st: &mut State, s: usize) {
-        let batch = st.in_service[s].take().expect("stream is busy");
+    fn complete(&mut self, s: usize) {
+        let batch = self.in_service[s].take().expect("stream is busy");
         let size = batch.requests.len();
         self.metrics.completed.add(size as u64);
         self.metrics.batches.inc();
         self.metrics.batch_size.observe(size as f64);
-        st.completed += size as u64;
-        st.batches += 1;
-        st.batch_size_counts[size - 1] += 1;
-        st.frames_per_worker[s] += size as u64;
+        self.completed += size as u64;
+        self.batches += 1;
+        self.batch_size_counts[size - 1] += 1;
+        self.frames_per_worker[s] += size as u64;
         let deadline_us = self.config.deadline_us;
         for request in &batch.requests {
             let latency_us = batch.done_us - request.arrival_us;
@@ -1202,9 +1182,9 @@ impl InferenceServer {
             } else {
                 self.metrics.latency_us.observe(latency_us);
             }
-            st.latencies_us.push(latency_us);
+            self.latencies_us.push(latency_us);
             if missed {
-                st.deadline_missed += 1;
+                self.deadline_missed += 1;
                 self.metrics.deadline_missed.inc();
             }
             // Prequential training: each completion becomes an example under
@@ -1213,7 +1193,7 @@ impl InferenceServer {
                 p.model
                     .observe(&p.features, size, &request.signals, latency_us);
             }
-            st.completions.push(RequestRecord {
+            self.completions.push(RequestRecord {
                 frame: request.frame,
                 worker: s,
                 batch: batch.seq,
@@ -1233,7 +1213,7 @@ impl InferenceServer {
     /// Frames waiting in the queue at the clock — the live backlog signal a
     /// fleet router's least-loaded dispatch reads.
     pub fn queue_depth(&self) -> usize {
-        self.lock().queue.len()
+        self.queue.len()
     }
 
     /// The static features this server's predictor evaluates its model
@@ -1257,81 +1237,68 @@ impl InferenceServer {
 
     /// A snapshot of the counters and simulated-time metrics at the clock.
     /// The final numbers come from [`InferenceServer::drain`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fleet replica (its stats come from the fleet's drain).
     pub fn stats(&self) -> ServerStats {
-        self.snapshot()
+        self.snapshot(
+            self.timeline
+                .as_ref()
+                .expect("a fleet replica is read through its fleet"),
+        )
     }
 
     /// Stops admission and runs the loop until no event remains, so every
     /// accepted frame is served, then reports the final statistics.
     pub fn drain(mut self) -> ServerStats {
-        self.shutdown(false)
+        self.with_timeline(|s, tl| s.shutdown(tl, false))
     }
 
     /// Stops admission, drops the frames still queued at the clock, and
     /// lets the batches in service finish. Dropped frames are counted in
     /// [`ServerStats::dropped`].
     pub fn abort(mut self) -> ServerStats {
-        self.shutdown(true)
+        self.with_timeline(|s, tl| s.shutdown(tl, true))
     }
 
     /// Marks the loop as draining: no frame can arrive any more, so partial
     /// batches dispatch as streams free up. A fleet closes every replica
     /// before running them to the end in one time order.
-    pub(crate) fn close(&self) {
-        let mut st = self.lock();
-        st.draining = true;
-        self.dispatch(&mut st);
+    pub(crate) fn close(&mut self, tl: &mut GpuTimeline) {
+        self.draining = true;
+        self.dispatch(tl);
     }
 
-    fn shutdown(&mut self, abort: bool) -> ServerStats {
-        {
-            let mut st = self.lock();
-            if abort {
-                let dropped: Vec<Request> = st.queue.drain(..).collect();
-                st.dropped += dropped.len() as u64;
-                self.metrics.dropped.add(dropped.len() as u64);
-                self.metrics.queue_depth.set(0.0);
-                for request in dropped {
-                    self.sink.record_unserved(
-                        request.trace,
-                        request.frame,
-                        request.arrival_us,
-                        TraceOutcome::Dropped,
-                    );
-                }
+    /// [`InferenceServer::drain`] (or, with `abort`,
+    /// [`InferenceServer::abort`]) on `tl`: a fleet drains each replica on
+    /// its device's timeline.
+    pub(crate) fn shutdown(&mut self, tl: &mut GpuTimeline, abort: bool) -> ServerStats {
+        if abort {
+            let dropped: Vec<Request> = self.queue.drain(..).collect();
+            self.dropped += dropped.len() as u64;
+            self.metrics.dropped.add(dropped.len() as u64);
+            self.metrics.queue_depth.set(0.0);
+            for request in dropped {
+                self.sink.record_unserved(
+                    request.trace,
+                    request.frame,
+                    request.arrival_us,
+                    TraceOutcome::Dropped,
+                );
             }
         }
-        self.close();
-        self.run_until(f64::INFINITY);
-        // One final GPU sample over the completed timeline, then stop the
+        self.close(tl);
+        self.advance(tl, f64::INFINITY);
+        // One final GPU reading over the completed run, then stop the
         // scrape endpoint (dropping it joins its accept thread).
-        if let Some(mut sampler) = self.sampler.take() {
-            sampler.stop();
-        }
+        self.publish_gpu(tl);
         self.exporter.take();
-        self.snapshot()
+        self.snapshot(tl)
     }
 
-    fn snapshot(&self) -> ServerStats {
-        // Lock order: server state strictly before the timeline, as on the
-        // dispatch path.
-        let st = self.lock();
-        let (elapsed_us, gr3d_percent, kernel_breakdown, timeline) = {
-            let tl = self.timeline.lock().expect("timeline lock");
-            let breakdown = if self.config.profile {
-                kernel_breakdown(&tl)
-            } else {
-                Vec::new()
-            };
-            let captured = self.config.profile.then(|| tl.clone());
-            (
-                tl.elapsed_us(),
-                tegrastats::mean_gr3d_percent(&tl),
-                breakdown,
-                captured,
-            )
-        };
-        let simulated_seconds = elapsed_us / 1e6;
+    fn snapshot(&self, tl: &GpuTimeline) -> ServerStats {
+        let simulated_seconds = tl.elapsed_us() / 1e6;
         if let Some(p) = &self.predictor {
             self.metrics
                 .predictor_observations
@@ -1346,23 +1313,27 @@ impl InferenceServer {
         }
         ServerStats {
             workers: self.config.workers,
-            accepted: st.accepted,
-            completed: st.completed,
-            dropped: st.dropped,
-            rejected: st.rejected,
-            deadline_missed: st.deadline_missed,
-            deadline_rejected: st.deadline_rejected,
-            batches: st.batches,
-            batch_size_counts: st.batch_size_counts.clone(),
-            queue_high_water: st.queue_high_water,
-            latency: LatencyPercentiles::from_runs_us(&st.latencies_us),
+            accepted: self.accepted,
+            completed: self.completed,
+            dropped: self.dropped,
+            rejected: self.rejected,
+            deadline_missed: self.deadline_missed,
+            deadline_rejected: self.deadline_rejected,
+            batches: self.batches,
+            batch_size_counts: self.batch_size_counts.clone(),
+            queue_high_water: self.queue_high_water,
+            latency: LatencyPercentiles::from_runs_us(&self.latencies_us),
             simulated_seconds,
-            aggregate_fps: st.completed as f64 / simulated_seconds.max(1e-12),
-            gr3d_percent,
-            frames_per_worker: st.frames_per_worker.clone(),
-            completions: st.completions.clone(),
-            kernel_breakdown,
-            timeline,
+            aggregate_fps: self.completed as f64 / simulated_seconds.max(1e-12),
+            gr3d_percent: tegrastats::mean_gr3d_percent(tl),
+            frames_per_worker: self.frames_per_worker.clone(),
+            completions: self.completions.clone(),
+            kernel_breakdown: if self.config.profile {
+                kernel_breakdown(tl)
+            } else {
+                Vec::new()
+            },
+            timeline: self.config.profile.then(|| tl.clone()),
         }
     }
 }
@@ -1485,7 +1456,7 @@ mod tests {
             .with_queue_capacity(workers * 2)
             .with_max_batch_size(1)
             .with_timing(opts());
-        let server = InferenceServer::start(e, &DeviceSpec::xavier_nx(), config).unwrap();
+        let mut server = InferenceServer::start(e, &DeviceSpec::xavier_nx(), config).unwrap();
         for frame in 0..frames {
             server.submit(frame).unwrap();
         }
@@ -1557,7 +1528,6 @@ mod tests {
             (base.with_deadline_us(-1.0), "deadline"),
             (base.with_deadline_us(f64::NAN), "deadline"),
             (base.with_predictor_min_obs(0), "predictor"),
-            (base.with_telemetry_sample_ms(0), "telemetry sample"),
             (
                 base.with_trace(TraceOptions::default().with_capacity(0)),
                 "trace",
@@ -1605,7 +1575,7 @@ mod tests {
     #[test]
     fn infinite_timeout_forms_full_batches() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1631,7 +1601,7 @@ mod tests {
         let e = engine();
         let dev = DeviceSpec::xavier_nx();
         let run = |batch: usize| {
-            let server = InferenceServer::start(
+            let mut server = InferenceServer::start(
                 &e,
                 &dev,
                 ServerConfig::default()
@@ -1660,7 +1630,7 @@ mod tests {
     #[test]
     fn overload_rejects_and_drain_completes_accepted() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1696,7 +1666,7 @@ mod tests {
     #[test]
     fn abort_drops_unstarted_frames() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1715,7 +1685,7 @@ mod tests {
     #[test]
     fn latency_percentiles_are_ordered_and_populated() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1744,7 +1714,7 @@ mod tests {
         // when the batch formed, so the high-water mark covers the largest
         // batch; blocking submits at t = 0 fill the queue to capacity.
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1773,7 +1743,7 @@ mod tests {
 
     #[test]
     fn invalid_arrival_stamps_are_refused_uncounted() {
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &engine(),
             &DeviceSpec::xavier_nx(),
             ServerConfig::default().with_timing(opts()),
@@ -1793,7 +1763,7 @@ mod tests {
 
     #[test]
     fn timeout_dispatches_a_partial_batch_on_the_simulated_clock() {
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &engine(),
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1817,7 +1787,7 @@ mod tests {
     #[test]
     fn profile_options_capture_timeline_and_breakdown() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()
@@ -1867,7 +1837,7 @@ mod tests {
     #[test]
     fn profile_is_off_by_default() {
         let e = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &e,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default().with_workers(2).with_timing(opts()),
@@ -1879,6 +1849,65 @@ mod tests {
         let stats = server.drain();
         assert!(stats.timeline.is_none());
         assert!(stats.kernel_breakdown.is_empty());
+    }
+
+    #[test]
+    fn gpu_gauges_read_the_simulated_window_since_start() {
+        let t_us = 1_000.0;
+        let run = || {
+            let mut server = InferenceServer::start(
+                &engine(),
+                &DeviceSpec::xavier_nx(),
+                ServerConfig::default()
+                    .with_workers(2)
+                    .with_max_batch_size(2)
+                    .with_timing(opts())
+                    .with_profile(true)
+                    .with_telemetry("127.0.0.1:0".parse().unwrap()),
+            )
+            .unwrap();
+            for frame in 0..32 {
+                server.submit(frame).unwrap();
+            }
+            server.run_until(t_us);
+            let timeline = server.stats().timeline.expect("profiled");
+            assert!(timeline.elapsed_us() > t_us, "the run is still going");
+            let want = tegrastats::TegraSample::window(&timeline, 0.0, t_us);
+            let reg = server.registry();
+            let gauge = |name: &str, labels: &[(&str, &str)]| reg.gauge(name, "", labels).get();
+            let streams: Vec<f64> = ["0", "1"]
+                .iter()
+                .map(|s| gauge("trtsim_gpu_stream_busy_percent", &[("stream", s)]))
+                .collect();
+            let got = [
+                gauge("trtsim_gpu_elapsed_simulated_us", &[]),
+                gauge("trtsim_gpu_gr3d_percent", &[]),
+                gauge("trtsim_gpu_power_mw", &[]),
+                gauge(
+                    "trtsim_gpu_memcpy_bytes_per_second",
+                    &[("direction", "h2d")],
+                ),
+                gauge(
+                    "trtsim_gpu_memcpy_bytes_per_second",
+                    &[("direction", "d2h")],
+                ),
+            ];
+            assert_eq!(
+                got,
+                [
+                    t_us,
+                    want.gr3d_percent,
+                    want.gpu_power_mw,
+                    want.h2d_bytes_per_second,
+                    want.d2h_bytes_per_second,
+                ]
+            );
+            assert_eq!(streams, want.stream_busy_percent);
+            assert!(want.gr3d_percent > 0.0);
+            drop(server.drain());
+            (got, streams)
+        };
+        assert_eq!(run(), run(), "same run, same readings");
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Core-side telemetry: the serving metric handles, the `publish_*`
-//! helpers for build, timing-cache and plan statistics, and the periodic
-//! tegrastats-style GPU sampler.
+//! Core-side telemetry: the serving metric handles and the `publish_*`
+//! helpers for build, timing-cache, plan and GPU statistics.
 //!
 //! Telemetry is scoped to its owner. An [`crate::InferenceServer`] or a
 //! [`crate::Fleet`] creates its own [`Registry`]: its serving counters,
-//! flight-recorder counters and GPU sampler publish there, and its
+//! flight-recorder counters and GPU readings publish there, and its
 //! `/metrics` endpoint scrapes only that registry. The build, plan and
 //! kernel layers publish nothing themselves; they hand counts back as plain
 //! data ([`crate::engine::BuildReport`], [`crate::TimingCache::stats`],
@@ -16,13 +15,7 @@
 //! `plan`, `gpu`), unit suffixes spelled out (`_us`, `_bytes`, `_mw`),
 //! counters end `_total`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use trtsim_gpu::tegrastats;
-use trtsim_gpu::timeline::GpuTimeline;
+use trtsim_gpu::tegrastats::TegraSample;
 use trtsim_metrics::{log_buckets, CacheStats, Counter, Gauge, Histogram, Registry};
 
 use crate::engine::BuildReport;
@@ -281,172 +274,63 @@ pub fn publish_build(registry: &Registry, model: &str, report: &BuildReport, sec
         .add(report.autotune_measurements);
 }
 
-/// A periodic tegrastats-style sampler over a live serving timeline.
-///
-/// Every `period` of *wall* time it locks the shared [`GpuTimeline`], takes
-/// the simulated window since its previous sample, and publishes into the
-/// given registry:
+/// Publishes one tegrastats reading of a serving timeline
+/// ([`trtsim_gpu::tegrastats::Sampler`]) into `reg`:
 ///
 /// * `trtsim_gpu_gr3d_percent` — occupancy-weighted device utilization
 /// * `trtsim_gpu_stream_busy_percent{stream=...}` — per-stream busy fraction
-/// * `trtsim_gpu_memcpy_bytes_per_second{direction=...}` — PCIe traffic per
+/// * `trtsim_gpu_memcpy_bytes_per_second{direction=...}` — copy traffic per
 ///   simulated second
 /// * `trtsim_gpu_power_mw` — the CV²f power estimate from
-///   [`tegrastats::gpu_power_mw`]
-/// * `trtsim_gpu_elapsed_simulated_us` — the simulated clock itself
+///   [`trtsim_gpu::tegrastats::gpu_power_mw`]
+/// * `trtsim_gpu_elapsed_simulated_us` — the reading's simulated timestamp
 ///
-/// Rates are per **simulated** second: the timeline advances in bursts
-/// relative to wall time, so wall-clock rates would be an artifact of the
-/// simulator's own speed. Windows in which no simulated time passed leave
-/// the gauges at their previous values.
-///
-/// One sample is taken immediately at spawn and a final one at [`stop`],
-/// so short runs and tests always see fresh gauges.
-///
-/// [`stop`]: GpuSampler::stop
-#[derive(Debug)]
-pub struct GpuSampler {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl GpuSampler {
-    /// Spawns the sampler thread over `timeline` at the given wall-clock
-    /// cadence, publishing into `registry`.
-    pub fn spawn(
-        timeline: Arc<Mutex<GpuTimeline>>,
-        registry: Arc<Registry>,
-        period: Duration,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("gpu-sampler".into())
-            .spawn(move || {
-                let mut last_us = 0.0f64;
-                loop {
-                    last_us = sample_once(&timeline, &registry, last_us);
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::park_timeout(period);
-                }
-            })
-            .expect("spawn gpu sampler");
-        Self {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stops the sampler after one final sample. Idempotent.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(thread) = self.thread.take() {
-            thread.thread().unpark();
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for GpuSampler {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Takes one sample over `[last_us, now)`; returns the new cursor.
-fn sample_once(timeline: &Mutex<GpuTimeline>, reg: &Registry, last_us: f64) -> f64 {
-    let tl = timeline.lock().expect("timeline lock");
-    let now_us = tl.elapsed_us();
+/// Rates are per **simulated** second over the reading's window, so the
+/// gauges are a pure function of the run, not of the simulator's speed.
+pub(crate) fn publish_gpu(reg: &Registry, reading: &TegraSample) {
     reg.gauge(
         "trtsim_gpu_elapsed_simulated_us",
         "Simulated timeline clock, microseconds",
         &[],
     )
-    .set(now_us);
-    if now_us <= last_us {
-        return last_us;
-    }
-    let window_s = (now_us - last_us) / 1e6;
-    let utilization = tl.utilization_between(last_us, now_us);
+    .set(reading.end_us);
     reg.gauge(
         "trtsim_gpu_gr3d_percent",
         "GR3D utilization over the last sampling window, percent",
         &[],
     )
-    .set(utilization * 100.0);
+    .set(reading.gr3d_percent);
     reg.gauge(
         "trtsim_gpu_power_mw",
         "Estimated GPU-rail power draw, milliwatts",
         &[],
     )
-    .set(tegrastats::gpu_power_mw(tl.device(), utilization));
-    for stream in 0..tl.stream_count() {
-        let busy = tegrastats::stream_busy_between(&tl, stream, last_us, now_us);
+    .set(reading.gpu_power_mw);
+    for (stream, busy) in reading.stream_busy_percent.iter().enumerate() {
         reg.gauge(
             "trtsim_gpu_stream_busy_percent",
             "Per-stream device-busy fraction over the last window, percent",
             &[("stream", &stream.to_string())],
         )
-        .set(busy * 100.0);
+        .set(*busy);
     }
-    let (h2d, d2h) = tegrastats::memcpy_bytes_between(&tl, last_us, now_us);
     let help = "Memcpy traffic over the last window, bytes per simulated second";
-    reg.gauge(
-        "trtsim_gpu_memcpy_bytes_per_second",
-        help,
-        &[("direction", "h2d")],
-    )
-    .set(h2d / window_s);
-    reg.gauge(
-        "trtsim_gpu_memcpy_bytes_per_second",
-        help,
-        &[("direction", "d2h")],
-    )
-    .set(d2h / window_s);
-    now_us
+    for (direction, rate) in [
+        ("h2d", reading.h2d_bytes_per_second),
+        ("d2h", reading.d2h_bytes_per_second),
+    ] {
+        reg.gauge(
+            "trtsim_gpu_memcpy_bytes_per_second",
+            help,
+            &[("direction", direction)],
+        )
+        .set(rate);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trtsim_gpu::device::DeviceSpec;
-    use trtsim_gpu::kernel::{KernelDesc, Precision};
-
-    #[test]
-    fn sampler_publishes_stream_and_memcpy_gauges() {
-        let mut tl = GpuTimeline::new(DeviceSpec::xavier_nx());
-        let s = tl.create_stream();
-        tl.enqueue_h2d(s, 1 << 20);
-        tl.enqueue_kernel(
-            s,
-            &KernelDesc::new("k")
-                .grid(48, 128)
-                .flops(200_000_000)
-                .precision(Precision::Fp16, true),
-        );
-        let timeline = Arc::new(Mutex::new(tl));
-        let reg = Arc::new(Registry::new());
-        let mut sampler = GpuSampler::spawn(
-            Arc::clone(&timeline),
-            Arc::clone(&reg),
-            Duration::from_millis(5),
-        );
-        sampler.stop();
-        let busy = reg.gauge(
-            "trtsim_gpu_stream_busy_percent",
-            "Per-stream device-busy fraction over the last window, percent",
-            &[("stream", "0")],
-        );
-        assert!(busy.get() > 0.0, "stream 0 saw work: {}", busy.get());
-        let h2d = reg.gauge(
-            "trtsim_gpu_memcpy_bytes_per_second",
-            "Memcpy traffic over the last window, bytes per simulated second",
-            &[("direction", "h2d")],
-        );
-        assert!(h2d.get() > 0.0);
-    }
 
     #[test]
     fn publish_helpers_write_the_given_counts() {

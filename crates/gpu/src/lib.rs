@@ -19,7 +19,8 @@
 //!   producing the traces that the nvprof-like profiler consumes.
 //! * [`contention`] — steady-state multi-stream concurrency model (Figures
 //!   3/4): per-thread FPS, GPU utilization, and the Eq. 1 thread bound.
-//! * [`tegrastats`] — a tegrastats-like sampler over a timeline.
+//! * [`tegrastats`] — tegrastats-like readings of a timeline over windows
+//!   of the simulated clock.
 //!
 //! Simulated time is measured in microseconds (`f64`).
 //!

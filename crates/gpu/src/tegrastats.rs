@@ -1,27 +1,14 @@
 //! A `tegrastats`-like sampler over a simulated timeline.
 //!
 //! The real utility prints RAM usage, GR3D (GPU) utilization, CPU load and
-//! thermals once per interval. The paper uses it for GPU utilization and RAM
-//! statistics in the concurrency experiments; this module reproduces the GPU
-//! and RAM columns by sampling a [`GpuTimeline`].
+//! thermals once per interval of the device's clock. The paper uses it for
+//! GPU utilization in the concurrency experiments; this module reproduces
+//! the GPU columns by reading a [`GpuTimeline`] over windows of the
+//! *simulated* clock ([`Sampler`]), so a reading is a pure function of the
+//! timeline and the window, never of host scheduling.
 
 use crate::device::{DeviceSpec, Platform};
 use crate::timeline::{CopyKind, GpuTimeline, StreamId};
-
-/// One sampled line of tegrastats output.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TegraSample {
-    /// Sample timestamp, µs.
-    pub time_us: f64,
-    /// GR3D utilization over the preceding interval, percent.
-    pub gr3d_percent: f64,
-    /// Simulated RAM in use, MiB.
-    pub ram_used_mib: f64,
-    /// Total RAM, MiB.
-    pub ram_total_mib: f64,
-    /// Estimated GPU-rail power draw, milliwatts.
-    pub gpu_power_mw: f64,
-}
 
 /// GPU-rail power estimate: idle floor plus dynamic power scaling with
 /// utilization and quadratically with clock (CV²f at roughly constant
@@ -35,42 +22,70 @@ pub fn gpu_power_mw(device: &DeviceSpec, utilization: f64) -> f64 {
     idle_mw + utilization.clamp(0.0, 1.0) * dyn_mw * clock_ratio * clock_ratio
 }
 
-impl std::fmt::Display for TegraSample {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "RAM {:.0}/{:.0}MB GR3D_FREQ {:.0}% VDD_GPU {:.0}mW",
-            self.ram_used_mib, self.ram_total_mib, self.gr3d_percent, self.gpu_power_mw
-        )
+/// One tegrastats reading: the GPU columns over the simulated window
+/// `[start_us, end_us)` of a timeline. Rates are per *simulated* second.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TegraSample {
+    /// Window start on the simulated clock, µs.
+    pub start_us: f64,
+    /// Window end (the reading's timestamp), µs.
+    pub end_us: f64,
+    /// Occupancy-weighted GR3D utilization over the window, percent.
+    pub gr3d_percent: f64,
+    /// Estimated GPU-rail power draw at that utilization, milliwatts.
+    pub gpu_power_mw: f64,
+    /// Busy percentage of each stream, indexed by stream id.
+    pub stream_busy_percent: Vec<f64>,
+    /// Host-to-device copy traffic, bytes per simulated second.
+    pub h2d_bytes_per_second: f64,
+    /// Device-to-host copy traffic, bytes per simulated second.
+    pub d2h_bytes_per_second: f64,
+}
+
+impl TegraSample {
+    /// Reads `timeline` over the window `[start_us, end_us)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or inverted.
+    pub fn window(timeline: &GpuTimeline, start_us: f64, end_us: f64) -> Self {
+        assert!(end_us > start_us, "sampling window must be non-empty");
+        let seconds = (end_us - start_us) / 1e6;
+        let utilization = timeline.utilization_between(start_us, end_us);
+        let (h2d, d2h) = memcpy_bytes_between(timeline, start_us, end_us);
+        Self {
+            start_us,
+            end_us,
+            gr3d_percent: utilization * 100.0,
+            gpu_power_mw: gpu_power_mw(timeline.device(), utilization),
+            stream_busy_percent: (0..timeline.stream_count())
+                .map(|s| stream_busy_between(timeline, s, start_us, end_us) * 100.0)
+                .collect(),
+            h2d_bytes_per_second: h2d / seconds,
+            d2h_bytes_per_second: d2h / seconds,
+        }
     }
 }
 
-/// Samples a finished timeline at a fixed interval, attributing `ram_used`
-/// bytes of allocations (weights + activations) for the whole run.
-///
-/// # Panics
-///
-/// Panics if `interval_us` is not positive.
-pub fn sample(timeline: &GpuTimeline, interval_us: f64, ram_used_bytes: u64) -> Vec<TegraSample> {
-    assert!(interval_us > 0.0, "sampling interval must be positive");
-    let total = timeline.elapsed_us();
-    let ram_total_mib = f64::from(timeline.device().dram_gib) * 1024.0;
-    let ram_used_mib = ram_used_bytes as f64 / (1 << 20) as f64;
-    let mut out = Vec::new();
-    let mut t = interval_us;
-    while t <= total + interval_us {
-        let t0 = t - interval_us;
-        let utilization = timeline.utilization_between(t0, t.min(total));
-        out.push(TegraSample {
-            time_us: t,
-            gr3d_percent: utilization * 100.0,
-            ram_used_mib,
-            ram_total_mib,
-            gpu_power_mw: gpu_power_mw(timeline.device(), utilization),
-        });
-        t += interval_us;
+/// tegrastats' interval loop on the simulated clock: each reading covers
+/// the window since the previous one, so a run read at any cadence is
+/// partitioned into consecutive windows starting at 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Sampler {
+    last_us: f64,
+}
+
+impl Sampler {
+    /// Reads `timeline` over `[previous reading, now_us)`; `None` when no
+    /// simulated time has passed since the previous reading.
+    pub fn sample(&mut self, timeline: &GpuTimeline, now_us: f64) -> Option<TegraSample> {
+        if now_us <= self.last_us {
+            return None;
+        }
+        let reading = TegraSample::window(timeline, self.last_us, now_us);
+        self.last_us = now_us;
+        Some(reading)
     }
-    out
 }
 
 /// Fraction of the window `[t0, t1)` during which `stream` had a kernel or
@@ -156,33 +171,29 @@ mod tests {
     }
 
     #[test]
-    fn samples_cover_the_run() {
-        let tl = busy_timeline();
-        let samples = sample(&tl, 100.0, 64 << 20);
-        assert!(!samples.is_empty());
-        assert!(samples.last().unwrap().time_us >= tl.elapsed_us());
+    fn sampler_readings_partition_the_clock() {
+        let mut tl = busy_timeline();
+        let s = tl.create_stream();
+        tl.enqueue_h2d(s, 1 << 20);
+        let total = tl.elapsed_us();
+        let mut sampler = Sampler::default();
+        let first = sampler.sample(&tl, total / 3.0).expect("time passed");
+        assert_eq!(sampler.sample(&tl, total / 3.0), None, "no time passed");
+        let second = sampler.sample(&tl, total).expect("time passed");
+        assert_eq!((first.start_us, first.end_us), (0.0, total / 3.0));
+        assert_eq!((second.start_us, second.end_us), (total / 3.0, total));
+        assert_eq!(second, TegraSample::window(&tl, total / 3.0, total));
+        assert_eq!(first.stream_busy_percent.len(), 2);
+        // The two windows' copy traffic adds up to the whole run's.
+        let bytes = |r: &TegraSample| r.h2d_bytes_per_second * (r.end_us - r.start_us) / 1e6;
+        assert!((bytes(&first) + bytes(&second) - (1u64 << 20) as f64).abs() < 1.0);
+        assert!(first.gr3d_percent > 50.0, "the kernels run first");
     }
 
     #[test]
     fn busy_run_shows_high_utilization() {
         let tl = busy_timeline();
         assert!(mean_gr3d_percent(&tl) > 50.0);
-    }
-
-    #[test]
-    fn ram_fields_are_consistent() {
-        let tl = busy_timeline();
-        let samples = sample(&tl, 100.0, 512 << 20);
-        let s = &samples[0];
-        assert_eq!(s.ram_used_mib, 512.0);
-        assert_eq!(s.ram_total_mib, 8.0 * 1024.0);
-    }
-
-    #[test]
-    fn display_looks_like_tegrastats() {
-        let tl = busy_timeline();
-        let line = sample(&tl, 100.0, 1 << 30)[0].to_string();
-        assert!(line.contains("RAM") && line.contains("GR3D_FREQ") && line.contains("VDD_GPU"));
     }
 
     #[test]
@@ -204,9 +215,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_rejected() {
-        sample(&busy_timeline(), 0.0, 0);
+    #[should_panic(expected = "non-empty")]
+    fn empty_window_rejected() {
+        TegraSample::window(&busy_timeline(), 5.0, 5.0);
     }
 
     #[test]

@@ -675,13 +675,15 @@ impl PreparedConv {
                 input: qin,
                 out_scale,
             } => {
-                let qx: Vec<i32> = input
-                    .as_slice()
-                    .iter()
-                    .map(|&x| i32::from(qin.quantize(x)))
-                    .collect();
+                // INT8 codes held as exact integral floats in an arena
+                // buffer, so a warm run allocates nothing here.
+                let mut qx = arena.take_buffer(input.len());
+                for (q, &x) in qx.iter_mut().zip(input.as_slice()) {
+                    *q = f32::from(qin.quantize(x));
+                }
                 let mut out = arena.alloc_zeroed(self.out_shape());
                 self.run_i8(sparse, &qx, *out_scale, params.activation, &mut out);
+                arena.give_buffer(qx);
                 out
             }
         };
@@ -761,10 +763,13 @@ impl PreparedConv {
         ((oy * self.geom.s) * self.geom.iw + self.interior.ox_lo * self.geom.s) as isize
     }
 
+    /// The INT8 walk over quantized input codes `qx` (integral floats).
+    /// Interior rows accumulate entry-outer over stack chunks of
+    /// [`I8_ROW_CHUNK`] pixels; border pixels accumulate per pixel.
     fn run_i8(
         &self,
         sparse: &[Vec<SparseEntry>],
-        qx: &[i32],
+        qx: &[f32],
         out_scale: f32,
         activation: Option<Activation>,
         out: &mut Tensor,
@@ -772,7 +777,7 @@ impl PreparedConv {
         let g = self.geom;
         let it = self.interior;
         let width = it.ox_hi.saturating_sub(it.ox_lo);
-        let mut acc_row = vec![0i64; width];
+        let mut acc_chunk = [0i64; I8_ROW_CHUNK];
         for (oc, entries) in sparse.iter().enumerate() {
             let b = self.bias.get(oc).copied().unwrap_or(0.0);
             for oy in 0..g.oh {
@@ -780,31 +785,35 @@ impl PreparedConv {
                 if interior_row {
                     // Integer accumulation is exact and associative, so the
                     // entry-outer row order needs no rounding care at all.
-                    acc_row.fill(0);
-                    for e in entries {
-                        let src = (self.row_base(oy) + e.delta) as usize;
-                        let w = i64::from(e.w);
-                        if g.s == 1 {
-                            for (a, &xv) in acc_row.iter_mut().zip(&qx[src..src + width]) {
-                                *a += i64::from(xv) * w;
-                            }
-                        } else {
-                            for (i, a) in acc_row.iter_mut().enumerate() {
-                                *a += i64::from(qx[src + i * g.s]) * w;
+                    for lo in (0..width).step_by(I8_ROW_CHUNK) {
+                        let n = I8_ROW_CHUNK.min(width - lo);
+                        let acc = &mut acc_chunk[..n];
+                        acc.fill(0);
+                        for e in entries {
+                            let src = (self.row_base(oy) + e.delta) as usize + lo * g.s;
+                            let w = i64::from(e.w);
+                            if g.s == 1 {
+                                for (a, &xv) in acc.iter_mut().zip(&qx[src..src + n]) {
+                                    *a += xv as i64 * w;
+                                }
+                            } else {
+                                for (i, a) in acc.iter_mut().enumerate() {
+                                    *a += qx[src + i * g.s] as i64 * w;
+                                }
                             }
                         }
-                    }
-                    for (i, ox) in (it.ox_lo..it.ox_hi).enumerate() {
-                        let v = acc_row[i] as f32 * out_scale + b;
-                        *out.at_mut(oc, oy, ox) = apply_act(activation, v);
+                        for (i, &a) in acc.iter().enumerate() {
+                            let v = a as f32 * out_scale + b;
+                            *out.at_mut(oc, oy, it.ox_lo + lo + i) = apply_act(activation, v);
+                        }
                     }
                 }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
+                let (left, right) = if interior_row {
+                    (0..it.ox_lo, it.ox_hi..g.ow)
                 } else {
-                    Box::new(0..g.ow)
+                    (0..g.ow, 0..0)
                 };
-                for ox in border_cols {
+                for ox in left.chain(right) {
                     let mut acc: i64 = 0;
                     for e in entries {
                         let iy = (oy * g.s) as isize + e.dy;
@@ -813,8 +822,8 @@ impl PreparedConv {
                             continue;
                         }
                         let xv = qx[(e.c_in * g.ih + iy as usize) * g.iw + ix as usize];
-                        if xv != 0 {
-                            acc += i64::from(xv) * i64::from(e.w);
+                        if xv != 0.0 {
+                            acc += xv as i64 * i64::from(e.w);
                         }
                     }
                     let v = acc as f32 * out_scale + b;
@@ -824,6 +833,9 @@ impl PreparedConv {
         }
     }
 }
+
+/// Interior pixels of one INT8 output row accumulated per stack chunk.
+const I8_ROW_CHUNK: usize = 64;
 
 /// A fully-connected layer pre-lowered for repeated execution.
 ///

@@ -32,6 +32,6 @@ pub use detection::{precision_recall, DetectionEval};
 pub use latency::{fps_from_latency_us, LatencyCell, LatencyPercentiles};
 pub use memory::ArenaStats;
 pub use telemetry::{
-    json_string, log_buckets, render_json, render_prometheus, Counter, Gauge, Histogram, Registry,
-    RouteHandler, TelemetryServer,
+    chrome_number, json_f64, json_opt, json_string, log_buckets, render_json, render_prometheus,
+    ChromeTrace, CompleteEvent, Counter, Gauge, Histogram, Registry, RouteHandler, TelemetryServer,
 };

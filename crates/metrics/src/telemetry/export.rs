@@ -1,4 +1,5 @@
-//! Exposition formats: Prometheus text and a JSON snapshot.
+//! Exposition formats: Prometheus text and a JSON snapshot, plus the
+//! workspace's one JSON value and chrome://tracing event writer.
 
 use super::registry::{FamilySnapshot, Registry, SeriesValue};
 
@@ -224,7 +225,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// JSON-safe float: non-finite values become `null` (RFC 8259 has no Inf/NaN).
-fn json_f64(v: f64) -> String {
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -252,10 +253,117 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
+/// `Some(v)` written as `v` displays (a number, or a literal already
+/// rendered such as a [`json_string`]), `None` as JSON `null`.
+pub fn json_opt(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
+/// A Trace Event Format number: three decimals (ns resolution for µs
+/// timestamps), non-finite written as `0` so the viewer still loads a
+/// document holding a poisoned value.
+pub fn chrome_number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        "0".to_string()
+    }
+}
+
+/// One `"ph":"X"` complete event of a [`ChromeTrace`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompleteEvent<'a> {
+    /// Event name, escaped on output.
+    pub name: &'a str,
+    /// Category label, written verbatim.
+    pub cat: &'a str,
+    /// Start on the trace clock, µs.
+    pub ts_us: f64,
+    /// Duration, µs.
+    pub dur_us: f64,
+    /// Process (track group) id.
+    pub pid: usize,
+    /// Thread (track) id.
+    pub tid: usize,
+    /// Pre-rendered JSON object written verbatim as the event's `args`.
+    pub args: String,
+}
+
+/// A chrome://tracing (Trace Event Format) document under construction:
+/// `"M"` name-metadata and `"X"` complete events, in the order written,
+/// inside the `{"displayTimeUnit":"ms","traceEvents":[...]}` wrapper.
+#[derive(Debug)]
+pub struct ChromeTrace {
+    out: String,
+}
+
+impl Default for ChromeTrace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ChromeTrace {
+    /// An empty document.
+    pub fn new() -> Self {
+        Self {
+            out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["),
+        }
+    }
+
+    /// Separates an event from the one before it, if any.
+    fn begin_event(&mut self) {
+        if !self.out.ends_with('[') {
+            self.out.push(',');
+        }
+    }
+
+    /// A `"M"` metadata event: `kind` is `process_name` (with `tid`
+    /// `None`) or `thread_name`, and `name` labels that process or thread.
+    pub fn metadata(&mut self, kind: &str, pid: usize, tid: Option<usize>, name: &str) {
+        self.begin_event();
+        let tid = tid.map(|t| format!("\"tid\":{t},")).unwrap_or_default();
+        self.out.push_str(&format!(
+            "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},{tid}\"args\":{{\"name\":{}}}}}",
+            json_string(name)
+        ));
+    }
+
+    /// A `"ph":"X"` complete event.
+    pub fn complete(&mut self, e: &CompleteEvent<'_>) {
+        self.begin_event();
+        self.out.push_str(&format!(
+            "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
+            json_string(e.name),
+            e.cat,
+            chrome_number(e.ts_us),
+            chrome_number(e.dur_us),
+            e.pid,
+            e.tid,
+            e.args
+        ));
+    }
+
+    /// The finished document.
+    pub fn finish(mut self) -> String {
+        self.out.push_str("]}");
+        self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::log_buckets;
     use super::*;
+
+    #[test]
+    fn chrome_numbers_are_fixed_and_finite() {
+        assert_eq!(chrome_number(f64::NAN), "0");
+        assert_eq!(chrome_number(f64::INFINITY), "0");
+        assert_eq!(chrome_number(1.5), "1.500");
+        assert_eq!(json_opt(None::<u64>), "null");
+        assert_eq!(json_opt(Some(json_string("a\"b"))), "\"a\\\"b\"");
+    }
 
     #[test]
     fn prometheus_text_shape() {

@@ -31,6 +31,9 @@ mod export;
 mod http;
 mod registry;
 
-pub use export::{json_string, render_json, render_prometheus};
+pub use export::{
+    chrome_number, json_f64, json_opt, json_string, render_json, render_prometheus, ChromeTrace,
+    CompleteEvent,
+};
 pub use http::{RouteHandler, TelemetryServer};
 pub use registry::{log_buckets, Counter, Gauge, Histogram, Registry};

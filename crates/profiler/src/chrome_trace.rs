@@ -16,15 +16,14 @@
 //!   occupancy) in `args`, joining a visual span back to
 //!   [`trtsim_gpu::timeline`] records and to serving-layer span attribution.
 //!
-//! The writer depends only on `std` (the workspace vendors no JSON crate):
-//! it emits the format directly and escapes strings per RFC 8259.
+//! Events are written by [`trtsim_metrics::ChromeTrace`], the workspace's
+//! one Trace Event Format writer (the request-trace export uses it too).
 
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 use trtsim_gpu::timeline::{CopyKind, GpuTimeline};
-use trtsim_metrics::json_string;
+use trtsim_metrics::{chrome_number, ChromeTrace, CompleteEvent};
 
 /// Category label of kernel events.
 pub const CAT_KERNEL: &str = "kernel";
@@ -87,38 +86,52 @@ pub fn chrome_trace_json_multi(timelines: &[(&str, &GpuTimeline)]) -> String {
 pub fn chrome_trace_json_multi_with_spans(
     timelines: &[(&str, &GpuTimeline, &[OverlaySpan])],
 ) -> String {
-    let mut events: Vec<String> = Vec::new();
+    let mut doc = ChromeTrace::new();
     for (pid, (name, timeline, overlays)) in timelines.iter().enumerate() {
-        events.push(metadata_event(pid, None, "process_name", name));
+        doc.metadata("process_name", pid, None, name);
         let overlay_max = overlays.iter().map(|o| o.stream).max().unwrap_or(0);
         let streams = 1 + stream_count(timeline).max(overlay_max);
         for stream in 0..streams {
-            let label = format!("stream {stream}");
-            events.push(metadata_event(pid, Some(stream), "thread_name", &label));
+            doc.metadata(
+                "thread_name",
+                pid,
+                Some(stream),
+                &format!("stream {stream}"),
+            );
         }
-        let mut spans: Vec<(f64, usize, u64, String)> = Vec::new();
+        // (seq, event): the event's own start and track complete the key.
+        let mut spans: Vec<(u64, CompleteEvent<'_>)> = Vec::new();
+        let mut span = |name, cat, start_us, duration_us, stream, seq, args| {
+            spans.push((
+                seq,
+                CompleteEvent {
+                    name,
+                    cat,
+                    ts_us: start_us,
+                    dur_us: duration_us,
+                    pid,
+                    tid: stream,
+                    args,
+                },
+            ));
+        };
         for k in timeline.kernels() {
             let args = format!(
                 "{{\"stream\":{},\"seq\":{},\"grid_blocks\":{},\"sm_occupancy\":{}}}",
                 k.stream,
                 k.seq,
                 k.grid_blocks,
-                json_f64(k.sm_occupancy)
+                chrome_number(k.sm_occupancy)
             );
-            spans.push((
+            span(
+                &k.name,
+                CAT_KERNEL,
                 k.start_us,
+                k.duration_us,
                 k.stream,
                 k.seq,
-                complete_event(
-                    &k.name,
-                    CAT_KERNEL,
-                    k.start_us,
-                    k.duration_us,
-                    pid,
-                    k.stream,
-                    &args,
-                ),
-            ));
+                args,
+            );
         }
         for m in timeline.memcpys() {
             let name = match m.kind {
@@ -129,72 +142,53 @@ pub fn chrome_trace_json_multi_with_spans(
                 "{{\"stream\":{},\"seq\":{},\"bytes\":{}}}",
                 m.stream, m.seq, m.bytes
             );
-            spans.push((
+            span(
+                name,
+                CAT_MEMCPY,
                 m.start_us,
+                m.duration_us,
                 m.stream,
                 m.seq,
-                complete_event(
-                    name,
-                    CAT_MEMCPY,
-                    m.start_us,
-                    m.duration_us,
-                    pid,
-                    m.stream,
-                    &args,
-                ),
-            ));
+                args,
+            );
         }
         for h in timeline.host_spans() {
             let args = format!("{{\"stream\":{},\"seq\":{}}}", h.stream, h.seq);
-            spans.push((
+            span(
+                h.label,
+                CAT_HOST,
                 h.start_us,
+                h.duration_us,
                 h.stream,
                 h.seq,
-                complete_event(
-                    h.label,
-                    CAT_HOST,
-                    h.start_us,
-                    h.duration_us,
-                    pid,
-                    h.stream,
-                    &args,
-                ),
-            ));
+                args,
+            );
         }
         for o in overlays.iter() {
-            spans.push((
+            let args = o.args.clone();
+            span(
+                &o.name,
+                &o.cat,
                 o.start_us,
+                o.duration_us,
                 o.stream,
                 o.seq,
-                complete_event(
-                    &o.name,
-                    &o.cat,
-                    o.start_us,
-                    o.duration_us,
-                    pid,
-                    o.stream,
-                    &o.args,
-                ),
-            ));
+                args,
+            );
         }
         // Ties on start time are real (streams overlap); break them by span
         // id so the document is identical run to run even though records
         // land in the timeline in racy lock-acquisition order.
-        spans.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+        spans.sort_by(|(a_seq, a), (b_seq, b)| {
+            a.ts_us
+                .total_cmp(&b.ts_us)
+                .then_with(|| (a.tid, a_seq).cmp(&(b.tid, b_seq)))
         });
-        events.extend(spans.into_iter().map(|(_, _, _, e)| e));
-    }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+        for (_, event) in &spans {
+            doc.complete(event);
         }
-        out.push_str(e);
     }
-    out.push_str("]}");
-    out
+    doc.finish()
 }
 
 /// Writes [`chrome_trace_json`] output to `path`.
@@ -216,52 +210,6 @@ fn stream_count(timeline: &GpuTimeline) -> usize {
     let copies = timeline.memcpys().iter().map(|m| m.stream);
     let hosts = timeline.host_spans().iter().map(|h| h.stream);
     kernels.chain(copies).chain(hosts).max().unwrap_or(0)
-}
-
-fn complete_event(
-    name: &str,
-    cat: &str,
-    ts_us: f64,
-    dur_us: f64,
-    pid: usize,
-    tid: usize,
-    args: &str,
-) -> String {
-    format!(
-        "{{\"name\":{},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-        json_string(name),
-        cat,
-        json_f64(ts_us),
-        json_f64(dur_us),
-        pid,
-        tid,
-        args
-    )
-}
-
-fn metadata_event(pid: usize, tid: Option<usize>, kind: &str, name: &str) -> String {
-    let tid = tid.map(|t| format!("\"tid\":{t},")).unwrap_or_default();
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":{},{}\"args\":{{\"name\":{}}}}}",
-        kind,
-        pid,
-        tid,
-        json_string(name)
-    )
-}
-
-/// JSON has no NaN/Infinity literals; clamp non-finite values to 0 so the
-/// viewer still loads a trace containing a poisoned duration.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let mut s = String::new();
-        // Timestamps are µs; three decimals keep ns resolution without
-        // bloating the file with full f64 round-trips.
-        let _ = write!(s, "{v:.3}");
-        s
-    } else {
-        "0".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -348,13 +296,6 @@ mod tests {
             chrome_trace_json_multi(&[("dev", &tl)]),
             chrome_trace_json_multi_with_spans(&[("dev", &tl, &[])])
         );
-    }
-
-    #[test]
-    fn nonfinite_values_do_not_leak_into_json() {
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(f64::INFINITY), "0");
-        assert_eq!(json_f64(1.5), "1.500");
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod anomaly;
 pub mod chrome_trace;
 pub mod report;
 pub mod summary;
-pub mod telemetry_bridge;
 pub mod trace;
 
 pub use anomaly::{
@@ -34,5 +33,4 @@ pub use anomaly::{
 pub use chrome_trace::{chrome_trace_json, chrome_trace_json_multi, write_chrome_trace};
 pub use report::format_summary;
 pub use summary::{summarize, KernelSummary, MemcpySummary, ProfileSummary};
-pub use telemetry_bridge::{publish_anomalies, publish_timeline};
 pub use trace::{format_trace, gpu_trace, invocation_durations, TraceEntry};

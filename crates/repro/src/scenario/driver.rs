@@ -310,7 +310,7 @@ fn run_serving_unit(
         _ => unreachable!("{}: not a single-server unit", unit.label()),
     };
     let engine = engine_for(farm, unit, 0);
-    let server = InferenceServer::start(&engine, &unit.device_spec(), config)?;
+    let mut server = InferenceServer::start(&engine, &unit.device_spec(), config)?;
     let (owner, recorder) = (server.registry(), server.flight_recorder());
     let mut rejected = 0u64;
     for frame in 0..u64::from(frames) {

@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. Dynamic batching: throughput vs tail latency ------------------
     println!("batch | batches |     FPS |  p50 ms |  p99 ms");
     for batch in [1usize, 2, 4, 8] {
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &engine,
             &device,
             ServerConfig::default()
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- 2. Backpressure: a bounded queue under overload ------------------
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()

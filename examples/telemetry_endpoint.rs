@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .without_engine_upload()
         .with_host_glue_us(ModelId::TinyYolov3.info().host_glue_us)
         .with_run_jitter_sd(0.0);
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()
@@ -81,8 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_max_batch_size(4)
             .with_batch_timeout_us(f64::INFINITY)
             .with_timing(timing)
-            .with_telemetry("127.0.0.1:0".parse()?)
-            .with_telemetry_sample_ms(5),
+            .with_telemetry("127.0.0.1:0".parse()?),
     )?;
     let addr = server.telemetry_addr().expect("telemetry enabled");
     println!("telemetry endpoint live at http://{addr}/metrics");

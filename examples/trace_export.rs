@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_run_jitter_sd(0.0);
 
     // --- 1. A profiled 4-stream serving run -------------------------------
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .without_engine_upload()
         .with_host_glue_us(ModelId::TinyYolov3.info().host_glue_us);
     // One frame per camera thread per call: no batching, blocking admission.
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()

@@ -63,7 +63,7 @@
 //! let device = DeviceSpec::xavier_nx();
 //! let engine = Builder::new(device.clone(), BuilderConfig::default().with_build_seed(1))
 //!     .build(&ModelId::TinyYolov3.descriptor())?;
-//! let server = InferenceServer::start(
+//! let mut server = InferenceServer::start(
 //!     &engine,
 //!     &device,
 //!     ServerConfig::default()

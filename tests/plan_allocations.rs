@@ -47,24 +47,20 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
-#[test]
-fn warm_googlenet_execute_allocates_only_its_outputs() {
+/// Builds `model` once per (device, seed) with `config` and checks that
+/// every warm `execute` stays within the two-allocation budget.
+fn assert_warm_execute_budget(model: ModelId, config: impl Fn(u64) -> BuilderConfig) {
     let dataset = SyntheticImageNet::new(4, NUMERIC_INPUT, 17).with_snr(1.0, 1.0);
     let prototypes: Vec<_> = (0..4).map(|c| dataset.prototype(c)).collect();
-    let network = build_classifier(ModelId::Googlenet, &prototypes, 0.1, 3);
+    let network = build_classifier(model, &prototypes, 0.1, 3);
     for (device, seed) in [
         (DeviceSpec::xavier_nx(), 5),
         (DeviceSpec::xavier_nx(), 6),
         (DeviceSpec::xavier_agx(), 7),
     ] {
-        let engine = Builder::new(
-            device,
-            BuilderConfig::default()
-                .with_build_seed(seed)
-                .with_pruning(true),
-        )
-        .build(&network)
-        .expect("builds");
+        let engine = Builder::new(device, config(seed))
+            .build(&network)
+            .expect("builds");
         let plan = InferencePlan::compile(&engine).expect("compiles");
         let mut scratch = PlanScratch::new();
         for image in &prototypes {
@@ -76,8 +72,38 @@ fn warm_googlenet_execute_allocates_only_its_outputs() {
             assert_eq!(outputs.len(), 1);
             assert!(
                 count <= 2,
-                "seed {seed}: warm execute made {count} heap allocations, budget 2"
+                "{model:?} seed {seed}: warm execute made {count} heap allocations, budget 2"
             );
         }
     }
+}
+
+#[test]
+fn warm_googlenet_execute_allocates_only_its_outputs() {
+    assert_warm_execute_budget(ModelId::Googlenet, |seed| {
+        BuilderConfig::default()
+            .with_build_seed(seed)
+            .with_pruning(true)
+    });
+}
+
+/// ResNet-18's plan carries a layout-convert step.
+#[test]
+fn warm_resnet18_execute_allocates_only_its_outputs() {
+    assert_warm_execute_budget(ModelId::Resnet18, |seed| {
+        BuilderConfig::default().with_build_seed(seed)
+    });
+}
+
+/// Calibration makes INT8 conv tactics available to the builder.
+#[test]
+fn warm_int8_googlenet_execute_allocates_only_its_outputs() {
+    let dataset = SyntheticImageNet::new(4, NUMERIC_INPUT, 17).with_snr(1.0, 1.0);
+    let calibration: Vec<_> = (0..4).map(|c| dataset.prototype(c)).collect();
+    assert_warm_execute_budget(ModelId::Googlenet, |seed| {
+        BuilderConfig::default()
+            .with_build_seed(seed)
+            .with_pruning(true)
+            .with_calibration(calibration.clone())
+    });
 }

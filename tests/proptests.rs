@@ -245,7 +245,7 @@ proptest! {
         )
         .build(&g)
         .unwrap();
-        let server = trtsim::InferenceServer::start(
+        let mut server = trtsim::InferenceServer::start(
             &engine,
             &device,
             trtsim::ServerConfig::default()

@@ -26,7 +26,8 @@ fn timing() -> TimingOptions {
 }
 
 fn serve_all(engine: &trtsim::Engine, config: ServerConfig, frames: u64) -> ServerStats {
-    let server = InferenceServer::start(engine, &DeviceSpec::xavier_nx(), config).expect("start");
+    let mut server =
+        InferenceServer::start(engine, &DeviceSpec::xavier_nx(), config).expect("start");
     for frame in 0..frames {
         server.submit(frame).expect("accepting");
     }
@@ -36,7 +37,7 @@ fn serve_all(engine: &trtsim::Engine, config: ServerConfig, frames: u64) -> Serv
 #[test]
 fn full_queue_rejects_and_drain_completes_all_accepted() {
     let engine = engine();
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &DeviceSpec::xavier_nx(),
         ServerConfig::default()
@@ -236,7 +237,7 @@ proptest! {
         blocking_every in 1u64..5,
     ) {
         let engine = engine();
-        let server = InferenceServer::start(
+        let mut server = InferenceServer::start(
             &engine,
             &DeviceSpec::xavier_nx(),
             ServerConfig::default()

@@ -160,7 +160,7 @@ fn live_endpoint_covers_every_subsystem() {
     let timing = TimingOptions::default()
         .without_engine_upload()
         .with_run_jitter_sd(0.0);
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &DeviceSpec::xavier_nx(),
         ServerConfig::default()
@@ -169,8 +169,7 @@ fn live_endpoint_covers_every_subsystem() {
             .with_max_batch_size(4)
             .with_batch_timeout_us(f64::INFINITY)
             .with_timing(timing)
-            .with_telemetry("127.0.0.1:0".parse().expect("addr"))
-            .with_telemetry_sample_ms(5),
+            .with_telemetry("127.0.0.1:0".parse().expect("addr")),
     )
     .expect("server starts");
     let addr = server.telemetry_addr().expect("endpoint bound");
@@ -381,7 +380,7 @@ fn exemplar_trace_ids_resolve_and_trace_families_publish() {
     )
     .build(&g)
     .expect("probe builds");
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &DeviceSpec::xavier_nx(),
         ServerConfig::default()
@@ -704,7 +703,7 @@ fn two_devices_serving_one_model_produce_distinct_series() {
 
     // The single-device default first: no `device` label, so pre-fleet
     // dashboards keep their series names.
-    let solo = InferenceServer::start(&engine, &DeviceSpec::xavier_nx(), config)
+    let mut solo = InferenceServer::start(&engine, &DeviceSpec::xavier_nx(), config)
         .expect("solo server starts");
     let solo_registry = solo.registry();
     solo.submit(0).expect("accepting");
@@ -786,7 +785,7 @@ fn two_servers_of_one_engine_count_separately() {
     let start = || {
         InferenceServer::start(&engine, &DeviceSpec::xavier_nx(), config).expect("server starts")
     };
-    let (a, b) = (start(), start());
+    let (mut a, mut b) = (start(), start());
     for frame in 0..3 {
         a.submit(frame).expect("accepting");
     }

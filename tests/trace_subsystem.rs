@@ -3,9 +3,14 @@
 //! and the anomaly detectors recovering the paper's §V findings from the
 //! repro experiments' own timelines.
 
-use trtsim::engine::reqtrace::{chrome_trace_all, traces_json};
+use std::sync::Arc;
+
+use trtsim::engine::reqtrace::{
+    chrome_trace_all, traces_json, PhaseKind, PhaseSpan, RequestTrace, TraceOutcome,
+};
 use trtsim::gpu::device::Platform;
-use trtsim::gpu::timeline::CopyKind;
+use trtsim::gpu::kernel::KernelDesc;
+use trtsim::gpu::timeline::{CopyKind, GpuTimeline};
 use trtsim::models::ModelId;
 use trtsim::profiler::{
     chrome_trace_json, detect, h2d_outliers, kernel_set_diff, kernel_slowdowns, DetectorConfig,
@@ -158,7 +163,7 @@ fn profiled_serving_stats(workers: usize, frames: u64) -> ServerStats {
         .without_engine_upload()
         .with_host_glue_us(ModelId::TinyYolov3.info().host_glue_us)
         .with_run_jitter_sd(0.0);
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()
@@ -250,7 +255,7 @@ fn flight_recorder_routes_serve_loadable_trace_documents() {
     )
     .build(&ModelId::TinyYolov3.descriptor())
     .expect("zoo model builds");
-    let server = InferenceServer::start(
+    let mut server = InferenceServer::start(
         &engine,
         &device,
         ServerConfig::default()
@@ -401,4 +406,81 @@ fn multi_stream_trace_of_repro_builds_is_valid_json() {
     for pid in 0..3 {
         assert!(json.contains(&format!("\"pid\":{pid}")));
     }
+}
+
+/// Both chrome-trace documents, pinned byte for byte: a two-stream
+/// timeline (escaped names, every record class, `{:.3}` numbers) and a
+/// two-phase request trace (a non-finite start written as `0`).
+#[test]
+fn chrome_documents_keep_their_bytes() {
+    let mut tl = GpuTimeline::new(DeviceSpec::xavier_nx());
+    let s0 = tl.create_stream();
+    let s1 = tl.create_stream();
+    tl.enqueue_h2d(s0, 4096);
+    tl.enqueue_kernel(
+        s0,
+        &KernelDesc::new("conv\"q\"").grid(6, 128).flops(1_000_000),
+    );
+    tl.host_span(s0, "host_glue", 12.5);
+    tl.enqueue_kernel(s1, &KernelDesc::new("fc").grid(2, 64).flops(10_000));
+    tl.enqueue_d2h(s1, 512);
+    assert_eq!(
+        chrome_trace_json(&tl, "nx\"0"),
+        concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"nx\"0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"stream 0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"stream 1"}},"#,
+            r#"{"name":"[CUDA memcpy HtoD]","cat":"memcpy","ph":"X","ts":0.000,"dur":81.575,"pid":0,"tid":0,"args":{"stream":0,"seq":0,"bytes":4096}},"#,
+            r#"{"name":"fc","cat":"kernel","ph":"X","ts":8.000,"dur":0.141,"pid":0,"tid":1,"args":{"stream":1,"seq":0,"grid_blocks":2,"sm_occupancy":0.167}},"#,
+            r#"{"name":"[CUDA memcpy DtoH]","cat":"memcpy","ph":"X","ts":8.141,"dur":48.158,"pid":0,"tid":1,"args":{"stream":1,"seq":1,"bytes":512}},"#,
+            r#"{"name":"conv\"q\"","cat":"kernel","ph":"X","ts":89.575,"dur":4.695,"pid":0,"tid":0,"args":{"stream":0,"seq":1,"grid_blocks":6,"sm_occupancy":0.500}},"#,
+            r#"{"name":"host_glue","cat":"host","ph":"X","ts":94.271,"dur":12.500,"pid":0,"tid":0,"args":{"stream":0,"seq":2}}]}"#,
+        )
+    );
+
+    let trace = RequestTrace {
+        id: "00000000000000ab".parse().expect("hex id"),
+        frame: 7,
+        model: Arc::from("m"),
+        device: Some(Arc::from("nx0")),
+        tenant: None,
+        worker: Some(1),
+        stream: Some(1),
+        batch_seq: Some(3),
+        batch_size: Some(2),
+        span_lo: Some(4),
+        span_hi: Some(9),
+        arrival_us: 10.0,
+        done_us: 250.125,
+        outcome: TraceOutcome::Completed {
+            deadline_missed: false,
+        },
+        phases: vec![
+            PhaseSpan {
+                kind: PhaseKind::ReplicaQueue,
+                start_us: 10.0,
+                end_us: 40.0 / 3.0,
+            },
+            PhaseSpan {
+                kind: PhaseKind::Execute,
+                start_us: f64::NAN,
+                end_us: 250.125,
+            },
+        ],
+        router_score: f64::NAN,
+        predicted_p50_us: f64::NAN,
+        predicted_p99_us: f64::NAN,
+    };
+    let args = r#""args":{"trace_id":"00000000000000ab","frame":7,"span_lo":4,"span_hi":9,"batch_seq":3,"batch_size":2,"outcome":"completed"}"#;
+    assert_eq!(
+        chrome_trace_all(&[trace]),
+        format!(
+            "{}{}{}{args}}},{}{args}}}]}}",
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":0,"args":{"name":"nx0"}},"#,
+            r#"{"name":"replica_queue","cat":"request","ph":"X","ts":10.000,"dur":3.333,"pid":0,"tid":1,"#,
+            r#"{"name":"execute","cat":"request","ph":"X","ts":0,"dur":0.000,"pid":0,"tid":1,"#,
+        )
+    );
 }
